@@ -59,8 +59,8 @@ pub trait DelayStore {
 
     /// Approximate resident bytes of the delay data.
     ///
-    /// Dense is `Θ(n²)`, sparse is `Θ(n + edges)` — the quantity the
-    /// `sparse` bench gates sublinearity on.
+    /// Dense is `Θ(n²)`, sparse is `Θ(n + edges)` — the quantity
+    /// `repro sparse` tabulates and its tests bound as sublinear.
     fn memory_bytes(&self) -> usize;
 
     /// The measured neighbors of `i` as `(node, delay)`, ascending by

@@ -3,8 +3,7 @@
 //! The paper fixes several knobs (filter fraction 20%, 5-D embedding,
 //! β = 0.5, 32+32 dynamic-neighbor pool, dual-ring placement). These
 //! sweeps quantify how sensitive the headline results are to each
-//! choice; `repro ablations` prints them and `cargo bench -p tiv-bench
-//! --bench ablations` measures their cost.
+//! choice; `repro ablations` prints them.
 
 use crate::figure::{Figure, Series};
 use crate::lab::Lab;

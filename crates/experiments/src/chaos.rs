@@ -3,10 +3,10 @@
 //! it.
 //!
 //! The heavy lifting lives in [`tivchaos`]; this module is the glue
-//! the `repro` binary's `chaos` subcommand, the `chaos` bench and the
-//! `chaos_equivalence` tests share, so the CLI, the bench and the
-//! tests all exercise exactly the same construction path — the same
-//! contract `repro serve` and `repro gate` already keep.
+//! the `repro` binary's `chaos` subcommand and the `chaos_equivalence`
+//! tests share, so the CLI and the tests exercise exactly the same
+//! construction path — the same contract `repro serve` and `repro
+//! gate` already keep.
 
 use std::fmt;
 use std::io;

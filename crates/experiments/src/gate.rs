@@ -7,9 +7,8 @@
 //! queries travel through real TCP sockets to a multi-replica
 //! [`Deployment`], and the load is *open loop* — batches go out on a
 //! schedule, so queueing delay shows up in the tail percentiles
-//! instead of throttling the generator. The `gate` bench, the chaos
-//! harness and the wire-equivalence tests share this construction
-//! path.
+//! instead of throttling the generator. The chaos harness and the
+//! wire-equivalence tests share this construction path.
 
 use crate::serve::ServeOptions;
 use delayspace::synth::{Dataset, InternetDelaySpace};

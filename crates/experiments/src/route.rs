@@ -5,8 +5,8 @@
 //! shortcut through a relay).
 //!
 //! The heavy lifting lives in [`tivroute`]; this module is the glue the
-//! `repro` binary's `route` subcommand and the `route` bench share. It
-//! produces two figures:
+//! `repro` binary's `route` subcommand drives. It produces two
+//! figures:
 //!
 //! * `route-savings` — the CDF of per-edge relative latency savings
 //!   when every measured edge takes its best one-hop detour;
@@ -26,7 +26,7 @@ pub struct RouteOptions {
     /// Nodes in the synthetic DS²-style delay space (the detour and
     /// severity kernels are both O(n³)).
     pub nodes: usize,
-    /// Relays kept per ordered pair (rank 0 is the one `route_batch`
+    /// Relays kept per ordered pair (rank 0 is the one a route query
     /// serves).
     pub k: usize,
     /// Worker threads (0 = auto, [`tivpar::resolve_threads`]).

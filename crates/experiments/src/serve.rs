@@ -3,15 +3,15 @@
 //! Zipf-skewed workload, and report throughput and latency.
 //!
 //! The heavy lifting lives in [`tivserve`]; this module is the glue
-//! that the `repro` binary's `serve` subcommand (and the `serve` bench
-//! and the cross-shard equivalence tests) share, so the CLI, the bench
-//! and the tests all exercise exactly the same construction path.
+//! that the `repro` binary's `serve` subcommand and the cross-shard
+//! equivalence tests share, so the CLI and the tests exercise exactly
+//! the same construction path.
 
 use delayspace::matrix::DelayMatrix;
 use delayspace::synth::{Dataset, InternetDelaySpace};
 use std::fmt;
 use std::sync::Arc;
-use tivserve::epoch::{spawn, EpochBuilder, EpochConfig};
+use tivserve::epoch::{spawn_with, EpochBuilder, EpochConfig};
 use tivserve::loadgen::{self, ClosedLoopReport, ObservePath, WorkloadConfig};
 use tivserve::service::{ServeConfig, TivServe};
 use tivserve::snapshot::EstimateConfig;
@@ -167,7 +167,10 @@ pub fn run_serve(opts: &ServeOptions) -> ServeSummary {
     let service = Arc::new(service);
     let batches = loadgen::generate(&opts.workload(), &matrix);
     let (report, _answers) = if opts.epoch_every > 0 && opts.observe_frac > 0.0 {
-        let stream = spawn(Arc::clone(&service), builder, opts.epoch_every);
+        let sink = Arc::clone(&service);
+        let stream = spawn_with(builder, opts.epoch_every, move |snapshot| {
+            sink.publish(snapshot);
+        });
         let tx = stream.sender();
         let out = loadgen::run_closed_loop(&service, &batches, ObservePath::Channel(&tx));
         drop(tx);

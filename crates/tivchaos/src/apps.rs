@@ -26,9 +26,9 @@ use std::fmt;
 use std::io;
 use tivgate::deploy::Deployment;
 use tivgate::front::Front;
-use tivgate::proto::to_wire_pairs;
 use tivroute::SavingsBySeverity;
 use tivserve::loadgen::percentile;
+use tivserve::query::QueryBatch;
 use tivserve::service::ServeConfig;
 use tivserve::snapshot::EdgeEstimate;
 use tivserve::{EpochBuilder, EpochConfig};
@@ -261,7 +261,7 @@ pub fn run_server_selection(cfg: &AppConfig) -> io::Result<AppReport> {
     let mut out = Outcomes::new();
     for client in cfg.servers..cfg.nodes {
         let pairs: Vec<(usize, usize)> = servers.iter().map(|&s| (client, s)).collect();
-        let estimates = front.estimate_batch(&to_wire_pairs(&pairs))?;
+        let estimates = front.query(&QueryBatch::Estimate(pairs))?.into_estimates();
         out.wire_batches += 1;
         let (obl, aware) = decide(&estimates);
         let (_, d_oracle) = matrix.nearest_among(client, servers.iter()).expect("non-empty fleet");
@@ -331,7 +331,7 @@ pub fn run_overlay_multicast(cfg: &AppConfig) -> io::Result<AppReport> {
         for (tree, aware) in [(&mut obl_tree, false), (&mut aware_tree, true)] {
             let eligible = tree.eligible(node, cfg.fanout);
             let pairs: Vec<(usize, usize)> = eligible.iter().map(|&p| (node, p)).collect();
-            let estimates = front.estimate_batch(&to_wire_pairs(&pairs))?;
+            let estimates = front.query(&QueryBatch::Estimate(pairs))?.into_estimates();
             wire_batches += 1;
             let (obl, aw) = decide(&estimates);
             let pick = if aware { aw } else { obl };

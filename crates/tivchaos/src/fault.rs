@@ -4,8 +4,8 @@
 //! seeded workload, not at wall-clock times — so which batches find
 //! their replica down, and how many epochs a gated replica lags, are
 //! pure functions of the plan. That determinism is what lets the
-//! chaos bench gate `unavailable_batches` and `max_staleness_epochs`
-//! as exact counts instead of noisy rates.
+//! harness check `unavailable_batches` and `max_staleness_epochs` as
+//! exact counts instead of noisy rates.
 
 use std::fmt;
 

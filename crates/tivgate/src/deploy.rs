@@ -1,10 +1,10 @@
-//! The unified deployment API: replicas + publisher in one builder,
-//! with the fault hooks the chaos harness drives.
+//! The deployment API: replicas + publisher in one builder, with the
+//! fault hooks the chaos harness drives.
 //!
-//! [`Deployment`] collapses the two historic ways of standing up a
-//! served TIV system — `tivserve::epoch::spawn` (one service, one
-//! publish loop) and [`spawn_publisher`](crate::replica::spawn_publisher)
-//! (a bare replica fan-out) — into a single construction path:
+//! A [`Deployment`] spawns one [`TivServe`] + gate per replica, each
+//! seeded with a **clone of the same [`EpochSnapshot`]** — replicas are
+//! full copies, not partitions, so any replica answers any pair
+//! identically — and optionally the publish engine that feeds them:
 //!
 //! ```no_run
 //! # use tivgate::deploy::Deployment;
@@ -40,8 +40,14 @@
 //! Publishing goes through **the** single engine loop
 //! ([`tivserve::epoch::spawn_with`]); the deployment is just a publish
 //! closure that routes each built snapshot through the per-replica
-//! fault gates. Shard loss is a crash that is never restarted: the
-//! remaining full-copy replicas keep answering every pair.
+//! fault gates. A publish has reached every live, un-gated replica
+//! before [`publish_now`](DeploymentHandle::publish_now) returns, so a
+//! caller that publishes at a batch boundary sees every later query —
+//! on every replica and on any in-process reference fed the same
+//! snapshot — answer from the new epoch; the `wire_equivalence` suite
+//! stands on that synchrony. Shard loss is a crash that is never
+//! restarted: the remaining full-copy replicas keep answering every
+//! pair.
 
 use crate::server::{GateConfig, GateHandle, GateServer};
 use std::io;
@@ -106,9 +112,9 @@ impl Cluster {
     }
 }
 
-/// Builder for a multi-replica gate deployment — the unified
-/// construction path behind `repro gate`, `repro chaos` and the chaos
-/// harness. See the [module docs](self) for the full story.
+/// Builder for a multi-replica gate deployment — the construction
+/// path behind `repro gate`, `repro chaos` and the chaos harness. See
+/// the [module docs](self) for the full story.
 pub struct Deployment<B: EpochSource<Snapshot = EpochSnapshot> = EpochBuilder> {
     snapshot: EpochSnapshot,
     serve_cfg: ServeConfig,
@@ -382,6 +388,7 @@ mod tests {
     use crate::proto::{Request, Response};
     use crate::testutil::small_builder;
     use tivserve::epoch::Observation;
+    use tivserve::query::QueryBatch;
 
     #[test]
     fn deployment_serves_and_publishes_like_a_replica_set() {
@@ -407,7 +414,11 @@ mod tests {
         }
         // Replicas answer identically (full copies of one snapshot).
         let pairs = vec![(0u32, 1u32), (5, 9), (2, 14)];
-        let expect = handle.service(0).unwrap().estimate_batch(&[(0, 1), (5, 9), (2, 14)]);
+        let expect = handle
+            .service(0)
+            .unwrap()
+            .query(&QueryBatch::Estimate(vec![(0, 1), (5, 9), (2, 14)]))
+            .into_estimates();
         for addr in handle.addrs() {
             let mut client = GateClient::connect(addr).unwrap();
             let Response::Estimate { items, .. } =

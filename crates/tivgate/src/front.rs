@@ -9,19 +9,17 @@
 //! suite relies on: the same query stream hits the same replicas in
 //! every run.
 //!
-//! [`Front::query`] (and the per-kind wrappers) splits a batch by ring
-//! owner, sends one sub-request per involved replica, and reassembles
-//! the answers in the caller's original pair order — so a front over
-//! N replicas is answer-for-answer identical to one replica, which is
+//! [`Front::query`] splits a batch by ring owner, sends one
+//! sub-request per involved replica, and reassembles the answers in
+//! the caller's original pair order — so a front over N replicas is
+//! answer-for-answer identical to one replica, which is
 //! answer-for-answer identical to an in-process [`tivserve`] call.
 
 use crate::client::GateClient;
-use crate::proto::{to_node_pairs, to_wire_pairs, Request, Response, WirePair};
+use crate::proto::{to_wire_pairs, Request, Response};
 use std::io;
 use std::net::SocketAddr;
 use tivserve::query::{QueryBatch, ReplyBatch};
-use tivserve::snapshot::{EdgeEstimate, RouteEstimate};
-use tivserve::SeverityEstimate;
 
 /// SplitMix64: a tiny, well-mixed hash step (the same finalizer the
 /// workspace's deterministic RNG seeds with).
@@ -159,11 +157,8 @@ impl Front {
         Ok(slots.into_iter().map(|s| s.expect("every pair answered")).collect())
     }
 
-    /// Answers one unified [`QueryBatch`] across the replicas, answers
-    /// in pair order — the primary entry point; the per-kind batch
-    /// methods are thin wrappers over this. Kind dispatch happens once,
-    /// in [`Request::from_query`], so a new query kind needs no front
-    /// changes.
+    /// Answers one [`QueryBatch`] across the replicas, answers in pair
+    /// order.
     pub fn query(&mut self, query: &QueryBatch) -> io::Result<ReplyBatch> {
         let wire = to_wire_pairs(query.pairs());
         match query {
@@ -219,56 +214,6 @@ impl Front {
                 )
                 .map(ReplyBatch::SampledSeverity)
             }
-        }
-    }
-
-    /// Edge-estimate batch across the replicas, answers in pair order.
-    /// Legacy wrapper — prefer [`Front::query`].
-    pub fn estimate_batch(&mut self, pairs: &[WirePair]) -> io::Result<Vec<EdgeEstimate>> {
-        match self.query(&QueryBatch::Estimate(to_node_pairs(pairs)))? {
-            ReplyBatch::Estimate(items) => Ok(items),
-            _ => unreachable!("query preserves the kind"),
-        }
-    }
-
-    /// Detour-route batch across the replicas, answers in pair order.
-    /// Legacy wrapper — prefer [`Front::query`].
-    pub fn route_batch(&mut self, pairs: &[WirePair]) -> io::Result<Vec<RouteEstimate>> {
-        match self.query(&QueryBatch::Route(to_node_pairs(pairs)))? {
-            ReplyBatch::Route(items) => Ok(items),
-            _ => unreachable!("query preserves the kind"),
-        }
-    }
-
-    /// Severity batch across the replicas, answers in pair order.
-    /// Legacy wrapper — prefer [`Front::query`].
-    pub fn severity_batch(&mut self, pairs: &[WirePair]) -> io::Result<Vec<Option<f64>>> {
-        match self.query(&QueryBatch::Severity(to_node_pairs(pairs)))? {
-            ReplyBatch::Severity(items) => Ok(items),
-            _ => unreachable!("query preserves the kind"),
-        }
-    }
-
-    /// Alert batch across the replicas, answers in pair order.
-    /// Legacy wrapper — prefer [`Front::query`].
-    pub fn alerts_batch(&mut self, pairs: &[WirePair]) -> io::Result<Vec<bool>> {
-        match self.query(&QueryBatch::Alerts(to_node_pairs(pairs)))? {
-            ReplyBatch::Alerts(items) => Ok(items),
-            _ => unreachable!("query preserves the kind"),
-        }
-    }
-
-    /// Sampled-severity batch across the replicas, answers in pair
-    /// order (`witnesses == 0` = server default).
-    pub fn sampled_severity_batch(
-        &mut self,
-        pairs: &[WirePair],
-        witnesses: u32,
-    ) -> io::Result<Vec<Option<SeverityEstimate>>> {
-        let q = QueryBatch::SampledSeverity { pairs: to_node_pairs(pairs), witnesses };
-        match self.query(&q)? {
-            ReplyBatch::SampledSeverity(items) => Ok(items),
-            _ => unreachable!("query preserves the kind"),
         }
     }
 

@@ -15,12 +15,10 @@
 //! - [`client`] — a blocking client with raw-frame access for
 //!   byte-level testing;
 //! - [`front`] — consistent-hash dispatch of batches across replicas;
-//! - [`replica`] — N-replica deployments over equal snapshots, plus an
-//!   [`EpochSource`](tivserve::epoch::EpochSource)-driven publisher
-//!   (legacy entry points, kept pinned);
-//! - [`deploy`] — the unified [`Deployment`]
-//!   builder: replicas + publisher in one handle, with the replica
-//!   crash/restart and publish-fault hooks the chaos harness drives;
+//! - [`deploy`] — the [`Deployment`] builder: N full-copy replicas
+//!   plus an [`EpochSource`](tivserve::epoch::EpochSource)-driven
+//!   publisher in one handle, with the replica crash/restart and
+//!   publish-fault hooks the chaos harness drives;
 //! - [`loadgen`] — an open-loop socket load generator extending
 //!   tivserve's Zipf workload, reporting through the shared
 //!   [`LoadReport`](tivserve::loadgen::LoadReport) core.
@@ -42,7 +40,6 @@ pub mod deploy;
 pub mod front;
 pub mod loadgen;
 pub mod proto;
-pub mod replica;
 pub mod server;
 pub mod testutil;
 
@@ -51,5 +48,4 @@ pub use deploy::{Deployment, DeploymentHandle};
 pub use front::{Front, HashRing};
 pub use loadgen::{run_open_loop, GateLoadReport};
 pub use proto::{to_node_pairs, to_wire_pairs, ErrorCode, Request, Response, WirePair};
-pub use replica::{spawn_publisher, PublisherStream, ReplicaSet};
 pub use server::{GateConfig, GateHandle, GateServer, GateStats};

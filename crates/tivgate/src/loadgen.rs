@@ -222,9 +222,9 @@ pub fn run_open_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replica::ReplicaSet;
+    use crate::deploy::Deployment;
     use crate::testutil::small_builder;
-    use tivserve::epoch::FeedSender;
+    use tivserve::epoch::{spawn_with, FeedSender};
     use tivserve::loadgen::{generate, WorkloadConfig};
 
     fn workload(queries: usize) -> WorkloadConfig {
@@ -233,10 +233,9 @@ mod tests {
 
     #[test]
     fn unpaced_run_answers_everything() {
-        let (builder, snap, serve_cfg) = small_builder();
+        let (_builder, snap, serve_cfg) = small_builder();
         let matrix = snap.matrix().clone();
-        let set = ReplicaSet::spawn(&snap, serve_cfg, 2).expect("spawn");
-        drop(builder);
+        let set = Deployment::new(snap, serve_cfg).replicas(2).spawn().expect("spawn");
         let batches = generate(&workload(200), &matrix);
         let report = run_open_loop(&set.addrs(), &batches, LoadSpec::default(), ObservePath::Drop)
             .expect("run");
@@ -256,8 +255,13 @@ mod tests {
     fn observation_accounting_balances_with_a_live_channel() {
         let (builder, snap, serve_cfg) = small_builder();
         let matrix = snap.matrix().clone();
-        let set = ReplicaSet::spawn(&snap, serve_cfg, 1).expect("spawn");
-        let stream = crate::replica::spawn_publisher(set.services().to_vec(), builder, 50);
+        let set = Deployment::new(snap, serve_cfg).spawn().expect("spawn");
+        // The engine is spawned here, not through `.publisher(..)`, so
+        // the builder comes back from `join` for the accounting below.
+        let service = set.service(0).expect("replica up");
+        let stream = spawn_with(builder, 50, move |snapshot| {
+            service.publish(snapshot);
+        });
         let tx = stream.sender();
         let batches = generate(&workload(150), &matrix);
         let sent: usize = batches.iter().map(|b| b.observations.len()).sum();
@@ -277,10 +281,9 @@ mod tests {
 
     #[test]
     fn dead_publisher_shows_up_as_undelivered_not_silence() {
-        let (builder, snap, serve_cfg) = small_builder();
+        let (_builder, snap, serve_cfg) = small_builder();
         let matrix = snap.matrix().clone();
-        drop(builder);
-        let set = ReplicaSet::spawn(&snap, serve_cfg, 1).expect("spawn");
+        let set = Deployment::new(snap, serve_cfg).spawn().expect("spawn");
         // A dead publisher from the generator's point of view is a
         // feed with no engine behind it.
         let tx = FeedSender::disconnected();
@@ -302,10 +305,9 @@ mod tests {
 
     #[test]
     fn paced_run_respects_the_schedule_shape() {
-        let (builder, snap, serve_cfg) = small_builder();
+        let (_builder, snap, serve_cfg) = small_builder();
         let matrix = snap.matrix().clone();
-        drop(builder);
-        let set = ReplicaSet::spawn(&snap, serve_cfg, 1).expect("spawn");
+        let set = Deployment::new(snap, serve_cfg).spawn().expect("spawn");
         let batches = generate(&workload(60), &matrix);
         // A generous rate the tiny service can trivially sustain: the
         // run should take about queries/qps seconds.

@@ -608,11 +608,20 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn pairs(&mut self) -> Result<Vec<(u32, u32)>, DecodeError> {
-        let count = self.u32("pair count")? as usize;
+    /// Reads a batch length. Both directions share one cap: a request
+    /// carries at most [`MAX_PAIRS`] pairs and a response answers item
+    /// for pair, so a larger count is malformed whatever the kind —
+    /// rejected here, before anything is allocated for it.
+    fn count(&mut self, what: &str) -> Result<usize, DecodeError> {
+        let count = self.u32(what)? as usize;
         if count > MAX_PAIRS {
-            return Err(DecodeError::Malformed(format!("pair count {count} exceeds {MAX_PAIRS}")));
+            return Err(DecodeError::Malformed(format!("{what} {count} exceeds {MAX_PAIRS}")));
         }
+        Ok(count)
+    }
+
+    fn pairs(&mut self) -> Result<Vec<(u32, u32)>, DecodeError> {
+        let count = self.count("pair count")?;
         let mut pairs = Vec::with_capacity(count);
         for _ in 0..count {
             let a = self.u32("pair")?;
@@ -800,12 +809,7 @@ pub fn decode_response(body: &[u8]) -> Result<Response, DecodeError> {
     let (kind, id, mut r) = header(body)?;
     let resp = match kind {
         k if k == Kind::EstimateResp as u8 => {
-            let count = r.u32("item count")? as usize;
-            if count > MAX_PAIRS {
-                return Err(DecodeError::Malformed(format!(
-                    "item count {count} exceeds batch cap"
-                )));
-            }
+            let count = r.count("item count")?;
             let mut items = Vec::with_capacity(count);
             for _ in 0..count {
                 items.push(EdgeEstimate {
@@ -820,12 +824,7 @@ pub fn decode_response(body: &[u8]) -> Result<Response, DecodeError> {
             Response::Estimate { id, items }
         }
         k if k == Kind::RouteResp as u8 => {
-            let count = r.u32("item count")? as usize;
-            if count > MAX_PAIRS {
-                return Err(DecodeError::Malformed(format!(
-                    "item count {count} exceeds batch cap"
-                )));
-            }
+            let count = r.count("item count")?;
             let mut items = Vec::with_capacity(count);
             for _ in 0..count {
                 items.push(RouteEstimate {
@@ -840,12 +839,7 @@ pub fn decode_response(body: &[u8]) -> Result<Response, DecodeError> {
             Response::Route { id, items }
         }
         k if k == Kind::SeverityResp as u8 => {
-            let count = r.u32("item count")? as usize;
-            if count > MAX_PAIRS {
-                return Err(DecodeError::Malformed(format!(
-                    "item count {count} exceeds batch cap"
-                )));
-            }
+            let count = r.count("item count")?;
             let mut items = Vec::with_capacity(count);
             for _ in 0..count {
                 items.push(r.opt_f64("severity")?);
@@ -853,12 +847,7 @@ pub fn decode_response(body: &[u8]) -> Result<Response, DecodeError> {
             Response::Severity { id, items }
         }
         k if k == Kind::AlertsResp as u8 => {
-            let count = r.u32("item count")? as usize;
-            if count > MAX_FRAME {
-                return Err(DecodeError::Malformed(format!(
-                    "item count {count} exceeds frame cap"
-                )));
-            }
+            let count = r.count("item count")?;
             let mut items = Vec::with_capacity(count);
             for _ in 0..count {
                 items.push(r.bool("alert")?);
@@ -866,12 +855,7 @@ pub fn decode_response(body: &[u8]) -> Result<Response, DecodeError> {
             Response::Alerts { id, items }
         }
         k if k == Kind::SampledSeverityResp as u8 => {
-            let count = r.u32("item count")? as usize;
-            if count > MAX_PAIRS {
-                return Err(DecodeError::Malformed(format!(
-                    "item count {count} exceeds batch cap"
-                )));
-            }
+            let count = r.count("item count")?;
             let mut items = Vec::with_capacity(count);
             for _ in 0..count {
                 items.push(match r.u8("estimate tag")? {
@@ -1119,6 +1103,43 @@ mod tests {
         let mut bad = alerts[4..].to_vec();
         bad[HEADER + 4] = 2;
         assert!(matches!(decode_response(&bad), Err(DecodeError::Malformed(_))));
+    }
+
+    #[test]
+    fn every_response_kind_caps_its_item_count_at_max_pairs() {
+        // A count past the cap is malformed on its own, whatever
+        // follows: the body here is a bare header + count, and the
+        // decoder must refuse it on the count, not on the missing data
+        // (`MAX_PAIRS` itself fails later, as truncated — distinguish
+        // the two by the message).
+        for kind in [
+            Kind::EstimateResp,
+            Kind::RouteResp,
+            Kind::SeverityResp,
+            Kind::AlertsResp,
+            Kind::SampledSeverityResp,
+        ] {
+            for (count, why) in [(MAX_PAIRS + 1, "exceeds"), (MAX_PAIRS, "truncated")] {
+                let mut w = Writer::frame(kind, 1);
+                w.u32(count as u32);
+                let wire = w.finish();
+                match decode_response(body(&wire)) {
+                    Err(DecodeError::Malformed(m)) => {
+                        assert!(m.contains(why), "{kind:?} x{count}: {m}")
+                    }
+                    other => panic!("{kind:?} x{count}: expected Malformed, got {other:?}"),
+                }
+            }
+        }
+        // The alerts kind is the one whose items are small enough for
+        // an over-cap batch to fit a legal frame: fully populated, it
+        // still must not decode.
+        let mut w = Writer::frame(Kind::AlertsResp, 1);
+        w.u32(MAX_PAIRS as u32 + 1);
+        w.buf.resize(w.buf.len() + MAX_PAIRS + 1, 1);
+        let wire = w.finish();
+        assert!(matches!(next_frame(&wire), FrameStep::Frame { .. }));
+        assert!(matches!(decode_response(body(&wire)), Err(DecodeError::Malformed(_))));
     }
 
     #[test]

@@ -410,6 +410,7 @@ mod tests {
     use super::*;
     use crate::proto::{decode_response, encode_request};
     use crate::testutil::small_service;
+    use tivserve::query::QueryBatch;
 
     fn body(wire: &[u8]) -> &[u8] {
         &wire[4..]
@@ -426,7 +427,8 @@ mod tests {
             panic!("wrong kind");
         };
         assert_eq!(id, 3);
-        assert_eq!(items, service.estimate_batch(&[(0, 1), (4, 9)]));
+        let direct = service.query(&QueryBatch::Estimate(vec![(0, 1), (4, 9)]));
+        assert_eq!(items, direct.into_estimates());
         assert_eq!(stats.requests_served.load(Ordering::Relaxed), 1);
         assert_eq!(stats.error_frames.load(Ordering::Relaxed), 0);
     }

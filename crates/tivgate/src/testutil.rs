@@ -1,5 +1,5 @@
-//! Deterministic fixtures shared by this crate's unit tests,
-//! integration tests, and the workspace's gate benchmarks.
+//! Deterministic fixtures shared by this crate's unit tests and the
+//! workspace's wire-level integration tests.
 //!
 //! Everything here is a pure function of fixed seeds, so two processes
 //! (say, a wire client and an in-process reference) building "the same

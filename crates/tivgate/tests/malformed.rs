@@ -19,6 +19,7 @@ use tivgate::client::GateClient;
 use tivgate::proto::{encode_request, ErrorCode, Request, Response, MAX_FRAME, MINOR, VERSION};
 use tivgate::server::{GateConfig, GateHandle, GateServer};
 use tivgate::testutil::small_service;
+use tivserve::query::QueryBatch;
 
 const TIMEOUT: Duration = Duration::from_secs(10);
 
@@ -266,7 +267,7 @@ fn error_frames_are_counted() {
 fn mixed_good_and_bad_traffic_never_panics() {
     let handle = spawn_gate();
     let service = small_service(16);
-    let expect = service.estimate_batch(&[(3, 7)]);
+    let expect = service.query(&QueryBatch::Estimate(vec![(3, 7)])).into_estimates();
     for round in 0..10u32 {
         let mut bad = connect(&handle);
         let mut frame = encode_request(&Request::Ping { id: round });

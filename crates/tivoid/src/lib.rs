@@ -91,8 +91,7 @@ pub mod prelude {
     };
 
     pub use tivgate::{
-        Deployment, DeploymentHandle, Front, GateClient, GateConfig, GateServer, ReplicaSet,
-        Request, Response,
+        Deployment, DeploymentHandle, Front, GateClient, GateConfig, GateServer, Request, Response,
     };
 
     pub use tivchaos::{

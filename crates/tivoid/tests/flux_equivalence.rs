@@ -14,6 +14,7 @@ use tivoid::delayspace::synth::{Dataset, InternetDelaySpace};
 use tivoid::tivflux::{BuildKind, RebuildPolicy};
 use tivoid::tivserve::epoch::{EpochConfig, Observation};
 use tivoid::tivserve::flux::{FluxBuilder, FluxConfig};
+use tivoid::tivserve::query::QueryBatch;
 use tivoid::tivserve::service::{ServeConfig, TivServe};
 use tivoid::tivserve::snapshot::EpochSnapshot;
 
@@ -163,8 +164,9 @@ fn served_answers_are_shard_and_path_invariant() {
         ServeConfig { shards: 1, ..ServeConfig::default() },
         incr.last().unwrap().clone(),
     );
-    let ref_estimates = reference_service.estimate_batch(&pairs);
-    let ref_routes = reference_service.route_batch(&pairs);
+    let (estimate_q, route_q) = (QueryBatch::Estimate(pairs.clone()), QueryBatch::Route(pairs));
+    let ref_estimates = reference_service.query(&estimate_q);
+    let ref_routes = reference_service.query(&route_q);
     for snapshot in [incr.last().unwrap(), full.last().unwrap()] {
         for &shards in &SHARDS {
             let service = TivServe::new(
@@ -172,15 +174,11 @@ fn served_answers_are_shard_and_path_invariant() {
                 snapshot.clone(),
             );
             assert_eq!(
-                service.estimate_batch(&pairs),
+                service.query(&estimate_q),
                 ref_estimates,
                 "estimates diverged at {shards} shards"
             );
-            assert_eq!(
-                service.route_batch(&pairs),
-                ref_routes,
-                "routes diverged at {shards} shards"
-            );
+            assert_eq!(service.query(&route_q), ref_routes, "routes diverged at {shards} shards");
         }
     }
 }

@@ -4,18 +4,20 @@
 //!   {1, 2, 4, 7}** — the search parallelises over source rows like
 //!   every other `tivpar` kernel, so the worker count may change
 //!   latency, never a relay or a delay bit;
-//! * `TivServe::route_batch` is **bit-identical across shard counts
-//!   {1, 2, 4}** — the same closed-loop query stream, replayed against
-//!   services differing only in shard count, produces identical route
-//!   answers (and they all equal the serial `snapshot.route` loop);
+//! * `TivServe::query` over `QueryBatch::Route` is **bit-identical
+//!   across shard counts {1, 2, 4}** — the same closed-loop query
+//!   stream, replayed against services differing only in shard count,
+//!   produces identical route answers (and they all equal the serial
+//!   `snapshot.route` loop);
 //! * the online answer (`EpochSnapshot::route` → `best_detour`) and
 //!   the offline table agree on every pair, so a deployment can mix
-//!   cached `route_batch` answers with batch-computed tables freely.
+//!   cached route answers with batch-computed tables freely.
 
 use proptest::prelude::*;
 use tivoid::experiments::serve::{build_service, ServeOptions};
 use tivoid::prelude::*;
 use tivoid::tivserve::loadgen;
+use tivoid::tivserve::query::QueryBatch;
 
 /// The non-serial worker counts the table property sweeps.
 const THREADS: [usize; 3] = [2, 4, 7];
@@ -25,6 +27,10 @@ const SHARDS: [usize; 3] = [1, 2, 4];
 
 fn ds2(n: usize, seed: u64) -> DelayMatrix {
     InternetDelaySpace::preset(Dataset::Ds2).with_nodes(n).build(seed).into_matrix()
+}
+
+fn routes(service: &TivServe, pairs: &[(usize, usize)]) -> Vec<RouteEstimate> {
+    service.query(&QueryBatch::Route(pairs.to_vec())).into_routes()
 }
 
 /// Field-by-field bit comparison of route answers.
@@ -109,7 +115,7 @@ fn route_batches_match_the_unsharded_single_thread_path() {
     let batches = loadgen::generate(&o.workload(), &matrix);
     let snapshot = reference_service.snapshot();
     let reference: Vec<Vec<RouteEstimate>> =
-        batches.iter().map(|b| reference_service.route_batch(&b.pairs)).collect();
+        batches.iter().map(|b| routes(&reference_service, &b.pairs)).collect();
     // The unsharded service equals the serial evaluation loop.
     for (bi, batch) in batches.iter().enumerate() {
         for (qi, &(a, c)) in batch.pairs.iter().enumerate() {
@@ -125,7 +131,7 @@ fn route_batches_match_the_unsharded_single_thread_path() {
         let (service, _, m) = build_service(&o, shards);
         assert_eq!(m, matrix, "matrix must not depend on shard count");
         for (bi, batch) in batches.iter().enumerate() {
-            let got = service.route_batch(&batch.pairs);
+            let got = routes(&service, &batch.pairs);
             assert_eq!(got.len(), reference[bi].len());
             for (qi, (g, r)) in got.iter().zip(&reference[bi]).enumerate() {
                 assert_route_bit_identical(
@@ -168,7 +174,7 @@ fn route_equivalence_survives_epoch_publishes() {
                 }
                 service.publish(builder.build());
             }
-            all_answers[si].push(service.route_batch(&batch.pairs));
+            all_answers[si].push(routes(&service, &batch.pairs));
         }
         assert_eq!(service.epoch(), 1, "one epoch published");
     }

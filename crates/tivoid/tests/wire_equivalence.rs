@@ -4,25 +4,25 @@
 //! to the raw frame bytes.
 //!
 //! Why this is testable at all: a serving answer is a pure function of
-//! `(snapshot, query, config)`, a [`ReplicaSet`] seeds every replica
+//! `(snapshot, query, config)`, a [`Deployment`] seeds every replica
 //! with a clone of the same snapshot, and the fixtures in
 //! [`tivgate::testutil`] are pure functions of fixed seeds — so a
 //! reference service built independently in this process holds exactly
-//! the snapshot the replicas hold behind their sockets. The codec
-//! carries every `f64` as its IEEE bit pattern, so "equal" here means
-//! `to_bits()` equal, not approximately equal: the comparison is
-//! `call_frame(request) == encode_response(direct_answer)` on whole
-//! frames.
+//! the snapshot the replicas hold behind their sockets, and a reference
+//! builder fed the same observations builds exactly the epoch the
+//! deployment's engine publishes. The codec carries every `f64` as its
+//! IEEE bit pattern, so "equal" here means `to_bits()` equal, not
+//! approximately equal: the comparison is `call_frame(request) ==
+//! encode_response(direct_answer)` on whole frames.
 
 use tivoid::tivgate::client::GateClient;
 use tivoid::tivgate::proto::{encode_response, Request, Response};
-use tivoid::tivgate::replica::ReplicaSet;
-use tivoid::tivgate::testutil::{small_builder, small_matrix, SMALL_NODES};
-use tivoid::tivgate::Front;
+use tivoid::tivgate::testutil::{fast_epochs, small_builder, small_matrix, SMALL_NODES};
+use tivoid::tivgate::{Deployment, DeploymentHandle, Front};
 use tivoid::tivserve::epoch::{EpochBuilder, Observation};
 use tivoid::tivserve::loadgen::{generate, WorkloadConfig};
 use tivoid::tivserve::query::QueryBatch;
-use tivoid::tivserve::service::TivServe;
+use tivoid::tivserve::service::{ServeConfig, TivServe};
 
 /// Witness budget the sampled-severity comparisons use everywhere in
 /// this suite.
@@ -30,7 +30,7 @@ const WITNESSES: u32 = 8;
 
 /// The seeded query set: Zipf-skewed batches from the shared workload
 /// generator, the same stream every run.
-fn query_batches() -> Vec<Vec<(u32, u32)>> {
+fn query_batches() -> Vec<Vec<(usize, usize)>> {
     let cfg = WorkloadConfig {
         queries: 240,
         batch: 24,
@@ -38,87 +38,39 @@ fn query_batches() -> Vec<Vec<(u32, u32)>> {
         seed: 1234,
         ..WorkloadConfig::default()
     };
-    generate(&cfg, &small_matrix())
-        .into_iter()
-        .map(|b| b.pairs.iter().map(|&(a, c)| (a as u32, c as u32)).collect())
-        .collect()
+    generate(&cfg, &small_matrix()).into_iter().map(|b| b.pairs).collect()
 }
 
-fn as_usize(pairs: &[(u32, u32)]) -> Vec<(usize, usize)> {
-    pairs.iter().map(|&(a, c)| (a as usize, c as usize)).collect()
+/// The five query kinds over one pair set.
+fn kinds(pairs: &[(usize, usize)]) -> [QueryBatch; 5] {
+    [
+        QueryBatch::Estimate(pairs.to_vec()),
+        QueryBatch::Route(pairs.to_vec()),
+        QueryBatch::Severity(pairs.to_vec()),
+        QueryBatch::Alerts(pairs.to_vec()),
+        QueryBatch::SampledSeverity { pairs: pairs.to_vec(), witnesses: WITNESSES },
+    ]
 }
 
 /// Asserts that every replica's raw wire answer for every batch equals,
 /// byte for byte, the frame an in-process reference service's direct
-/// answer encodes to — for all five query kinds, both through the
-/// legacy typed requests and through the unified [`QueryBatch`] path.
+/// answer encodes to — for all five query kinds.
 fn assert_wire_matches_direct(
     clients: &mut [GateClient],
     reference: &TivServe,
-    batches: &[Vec<(u32, u32)>],
+    batches: &[Vec<(usize, usize)>],
     id_base: u32,
 ) {
     for (bi, pairs) in batches.iter().enumerate() {
-        let upairs = as_usize(pairs);
         let id = id_base + bi as u32;
-        let expected = [
-            (
-                Request::Estimate { id, pairs: pairs.clone() },
-                encode_response(&Response::Estimate {
-                    id,
-                    items: reference.estimate_batch(&upairs),
-                }),
-            ),
-            (
-                Request::Route { id, pairs: pairs.clone() },
-                encode_response(&Response::Route { id, items: reference.route_batch(&upairs) }),
-            ),
-            (
-                Request::Severity { id, pairs: pairs.clone() },
-                encode_response(&Response::Severity {
-                    id,
-                    items: reference.severity_batch(&upairs),
-                }),
-            ),
-            (
-                Request::Alerts { id, pairs: pairs.clone() },
-                encode_response(&Response::Alerts { id, items: reference.alerts_batch(&upairs) }),
-            ),
-            (
-                Request::SampledSeverity { id, witnesses: WITNESSES, pairs: pairs.clone() },
-                encode_response(&Response::SampledSeverity {
-                    id,
-                    items: reference.sampled_severity_batch(&upairs, WITNESSES),
-                }),
-            ),
-        ];
-        for (ri, client) in clients.iter_mut().enumerate() {
-            for (request, want) in &expected {
-                let got = client.call_frame(request).expect("wire call");
-                assert_eq!(
-                    &got, want,
-                    "replica {ri}, batch {bi}: wire frame differs from in-process encoding"
-                );
-            }
-        }
-        // The unified query surface travels the exact same frames: a
-        // QueryBatch encoded via Request::from_query answers with the
-        // byte-identical frame Response::from_reply(reference.query(..))
-        // encodes to — for every kind, defined once in the enum.
-        for query in [
-            QueryBatch::Estimate(upairs.clone()),
-            QueryBatch::Route(upairs.clone()),
-            QueryBatch::Severity(upairs.clone()),
-            QueryBatch::Alerts(upairs.clone()),
-            QueryBatch::SampledSeverity { pairs: upairs.clone(), witnesses: WITNESSES },
-        ] {
+        for query in kinds(pairs) {
             let want = encode_response(&Response::from_reply(id, reference.query(&query)));
             for (ri, client) in clients.iter_mut().enumerate() {
                 let got = client.call_frame(&Request::from_query(id, &query)).expect("wire query");
                 assert_eq!(
                     got, want,
-                    "replica {ri}, batch {bi}: unified query frame differs from in-process \
-                     encoding ({query:?})"
+                    "replica {ri}, batch {bi}: wire frame differs from in-process encoding \
+                     ({query:?})"
                 );
             }
         }
@@ -137,34 +89,54 @@ fn epoch_observations() -> Vec<Observation> {
         .collect()
 }
 
+/// A deployment of `replicas` fixture replicas whose engine publishes
+/// only on [`DeploymentHandle::publish_now`], and the serve config its
+/// replicas run.
+fn deployment(replicas: usize) -> (DeploymentHandle, ServeConfig) {
+    let (builder, snapshot, serve_cfg) = small_builder();
+    let handle = Deployment::new(snapshot, serve_cfg)
+        .replicas(replicas)
+        .publisher(builder, usize::MAX)
+        .spawn()
+        .expect("spawn deployment");
+    (handle, serve_cfg)
+}
+
+/// Streams [`epoch_observations`] into the deployment's engine and
+/// publishes them as epoch 1 into every replica.
+fn publish_next_epoch(handle: &DeploymentHandle) {
+    let feed = handle.feed().expect("publisher attached");
+    for obs in epoch_observations() {
+        feed.observe(obs).expect("engine alive");
+    }
+    assert_eq!(handle.publish_now(), Some(1), "all replicas advance to epoch 1");
+}
+
 /// The core scenario at one replica count: compare at epoch 0, publish
 /// a new snapshot into every replica *and* the reference mid-stream,
 /// compare again at epoch 1.
 fn wire_equivalence_at(replicas: usize) {
-    let (mut builder, snapshot, serve_cfg) = small_builder();
-    // The reference is built independently from the same seeds — the
-    // purity of the fixtures is exactly what is under test here.
-    let reference = {
-        let (_, snap) =
-            EpochBuilder::bootstrap(small_matrix(), tivoid::tivgate::testutil::fast_epochs());
-        TivServe::new(serve_cfg, snap)
-    };
-    let set = ReplicaSet::spawn(&snapshot, serve_cfg, replicas).expect("spawn replica set");
+    let (handle, serve_cfg) = deployment(replicas);
+    // The reference service and its builder are bootstrapped
+    // independently from the same seeds — the purity of the fixtures is
+    // exactly what is under test here.
+    let (mut reference_builder, snap) = EpochBuilder::bootstrap(small_matrix(), fast_epochs());
+    let reference = TivServe::new(serve_cfg, snap);
     let mut clients: Vec<GateClient> =
-        set.addrs().into_iter().map(|a| GateClient::connect(a).expect("connect")).collect();
+        handle.addrs().into_iter().map(|a| GateClient::connect(a).expect("connect")).collect();
     let batches = query_batches();
 
     // Epoch 0: every replica, every batch, every kind, byte-identical.
     assert_wire_matches_direct(&mut clients, &reference, &batches, 0);
 
-    // Mid-stream epoch publish, pushed into the replicas and the
-    // reference alike.
+    // Mid-stream epoch publish: the same observations through the
+    // deployment's engine into the replicas, and through the reference
+    // builder into the reference.
+    publish_next_epoch(&handle);
     for obs in epoch_observations() {
-        builder.ingest(obs);
+        reference_builder.ingest(obs);
     }
-    let next = builder.build();
-    assert_eq!(set.publish_all(&next), 1, "all replicas advance to epoch 1");
-    assert_eq!(reference.publish(next.clone()), 1, "reference advances to epoch 1");
+    assert_eq!(reference.publish(reference_builder.build()), 1, "reference advances to epoch 1");
 
     // Epoch 1: the answers changed (they now carry the new epoch), and
     // the wire still matches the in-process encoding byte for byte.
@@ -173,34 +145,19 @@ fn wire_equivalence_at(replicas: usize) {
     // The front's scatter/gather over the ring reassembles the same
     // answers in pair order — compare through the codec so f64s are
     // compared by bit pattern.
-    let mut front = Front::connect(&set.addrs()).expect("front connect");
+    let mut front = Front::connect(&handle.addrs()).expect("front connect");
     for pairs in &batches {
-        let via_front = front.estimate_batch(pairs).expect("front estimate");
-        let direct = reference.estimate_batch(&as_usize(pairs));
-        assert_eq!(
-            encode_response(&Response::Estimate { id: 7, items: via_front }),
-            encode_response(&Response::Estimate { id: 7, items: direct }),
-            "front reassembly differs from in-process answers"
-        );
-        let via_front = front.route_batch(pairs).expect("front route");
-        let direct = reference.route_batch(&as_usize(pairs));
-        assert_eq!(
-            encode_response(&Response::Route { id: 9, items: via_front }),
-            encode_response(&Response::Route { id: 9, items: direct }),
-            "front route reassembly differs from in-process answers"
-        );
-        // And the front's unified entry point: scatter/gather over the
-        // ring, reassembled in pair order, equals the direct enum call.
-        let query = QueryBatch::SampledSeverity { pairs: as_usize(pairs), witnesses: WITNESSES };
-        let via_front = front.query(&query).expect("front query");
-        assert_eq!(
-            encode_response(&Response::from_reply(11, via_front)),
-            encode_response(&Response::from_reply(11, reference.query(&query))),
-            "front unified-query reassembly differs from in-process answers"
-        );
+        for query in kinds(pairs) {
+            let via_front = front.query(&query).expect("front query");
+            assert_eq!(
+                encode_response(&Response::from_reply(7, via_front)),
+                encode_response(&Response::from_reply(7, reference.query(&query))),
+                "front reassembly differs from in-process answers ({query:?})"
+            );
+        }
     }
 
-    set.shutdown().expect("clean shutdown");
+    handle.shutdown().expect("clean shutdown");
 }
 
 #[test]
@@ -223,19 +180,15 @@ fn wire_equals_in_process_with_four_replicas() {
 /// after report epoch 1 on every replica — no replica lags.
 #[test]
 fn epoch_publish_is_atomic_at_batch_boundaries() {
-    let (mut builder, snapshot, serve_cfg) = small_builder();
-    let set = ReplicaSet::spawn(&snapshot, serve_cfg, 3).expect("spawn replica set");
-    let mut front = Front::connect(&set.addrs()).expect("front connect");
+    let (handle, _) = deployment(3);
+    let mut front = Front::connect(&handle.addrs()).expect("front connect");
     for (epoch, nodes) in front.ping_all().expect("ping") {
         assert_eq!(epoch, 0);
         assert_eq!(nodes as usize, SMALL_NODES);
     }
-    for obs in epoch_observations() {
-        builder.ingest(obs);
-    }
-    assert_eq!(set.publish_all(&builder.build()), 1);
+    publish_next_epoch(&handle);
     for (epoch, _) in front.ping_all().expect("ping") {
         assert_eq!(epoch, 1, "a replica lagged behind the publish");
     }
-    set.shutdown().expect("clean shutdown");
+    handle.shutdown().expect("clean shutdown");
 }

@@ -332,7 +332,7 @@ fn ranks_before(via_a: f64, relay_a: u32, via_b: f64, relay_b: u32) -> bool {
 /// The single-pair scan: the best relay of `(a, c)` by the same
 /// `(via, relay id)` order the table uses, so this returns exactly
 /// [`DetourTable::best`] without building the table. This is the
-/// kernel behind the serving layer's `route_batch` query.
+/// kernel behind the serving layer's route query.
 pub fn best_detour(m: &DelayMatrix, a: NodeId, c: NodeId) -> Option<Relay> {
     if a == c {
         return None; // matches the table: self pairs have no detour

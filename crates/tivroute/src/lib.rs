@@ -17,7 +17,7 @@
 //!   at every thread count** (pinned by `tivoid`'s `route_equivalence`
 //!   integration test).
 //! * [`best_detour`] — the single-pair scan the serving layer's
-//!   `route_batch` query runs; it returns exactly the table's rank-0
+//!   route query runs; it returns exactly the table's rank-0
 //!   relay (same ordering, same tie-break), so cached online answers
 //!   and offline tables never disagree.
 //!

@@ -8,25 +8,23 @@
 //! source node's monitor against the *current* embedding's prediction
 //! and folds the smoothed RTT back into the matrix. [`EpochBuilder::build`]
 //! then re-embeds and freezes everything into the next snapshot, which
-//! the caller publishes into a [`TivServe`] — readers never stall,
-//! they just keep answering from the previous epoch until the swap.
+//! the caller publishes into a [`TivServe`](crate::TivServe) — readers
+//! never stall, they just keep answering from the previous epoch until
+//! the swap.
 //!
 //! [`spawn_with`] runs the fold on a background thread fed by a
 //! [`Feed`] channel, publishing every `observations_per_epoch`
 //! observations into an arbitrary publish closure — there is exactly
-//! one copy of the drain/publish loop, and every deployment shape
-//! (single service via [`spawn`], replica fan-out via
-//! `tivgate::spawn_publisher`, a full chaos-capable
-//! `tivgate::Deployment`) is a thin closure over it. A [`FeedSender`]
+//! one copy of the drain/publish loop, and every deployment shape (one
+//! in-process service, a sparse service, the chaos-capable multi-replica
+//! `tivgate::Deployment`) is a closure over it. A [`FeedSender`]
 //! streams observations in and can force a synchronous build+publish
 //! with [`FeedSender::flush`].
 
-use crate::service::TivServe;
 use crate::snapshot::{EpochSnapshot, ServedSnapshot};
 use delayspace::matrix::{DelayMatrix, NodeId};
 use simnet::net::{JitterModel, Network};
 use std::sync::mpsc;
-use std::sync::Arc;
 use tivcore::{MonitorConfig, TivMonitor};
 use vivaldi::{Embedding, VivaldiConfig, VivaldiSystem};
 
@@ -92,21 +90,6 @@ pub trait EpochSource: Send + 'static {
     fn ingested_total(&self) -> u64;
     /// Builds and returns the next snapshot, resetting `pending`.
     fn build(&mut self) -> Self::Snapshot;
-}
-
-/// Anything a background epoch loop can publish snapshots into:
-/// [`TivServe`] for dense snapshots,
-/// [`SparseServe`](crate::sparse::SparseServe) for sparse ones.
-/// Returns the published epoch.
-pub trait PublishSink<S>: Send + Sync + 'static {
-    /// Swaps `snapshot` in as the served state.
-    fn publish_snapshot(&self, snapshot: S) -> u64;
-}
-
-impl PublishSink<EpochSnapshot> for TivServe {
-    fn publish_snapshot(&self, snapshot: EpochSnapshot) -> u64 {
-        self.publish(snapshot)
-    }
 }
 
 /// Builds successive epoch snapshots from streamed observations.
@@ -328,10 +311,11 @@ impl<B: EpochSource> EpochStream<B> {
 /// published as a final epoch on shutdown (all senders dropped).
 ///
 /// This is the single copy of the drain/publish loop every deployment
-/// shape goes through: [`spawn`] publishes into one service,
-/// `tivgate::spawn_publisher` fans out over replicas, and
-/// `tivgate::Deployment` routes through its fault gates — each is just
-/// a different `publish` closure.
+/// shape goes through: `|s| { service.publish(s); }` feeds one
+/// in-process [`TivServe`](crate::TivServe) or
+/// [`SparseServe`](crate::SparseServe), and `tivgate::Deployment`
+/// routes each snapshot through its per-replica fault gates — each is
+/// just a different `publish` closure.
 ///
 /// A build-and-publish can take a while (a full O(n³) rebuild on the
 /// classic builder); observations that arrive during it are **never
@@ -397,29 +381,21 @@ pub fn spawn_with<B: EpochSource>(
     EpochStream { tx: FeedSender { tx }, handle }
 }
 
-/// Legacy wrapper — prefer `tivgate::Deployment` (or [`spawn_with`]
-/// directly) for new code; kept as the single-service entry point and
-/// pinned unchanged by the observe/publish interleaving tests.
-///
-/// Spawns the publish engine with a closure that publishes every built
-/// snapshot into `service` (any [`PublishSink`] matching the builder's
-/// snapshot type — a [`TivServe`] for dense builders, a
-/// [`SparseServe`](crate::sparse::SparseServe) for sparse ones).
-pub fn spawn<B: EpochSource>(
-    service: Arc<impl PublishSink<B::Snapshot>>,
-    builder: B,
-    observations_per_epoch: usize,
-) -> EpochStream<B> {
-    spawn_with(builder, observations_per_epoch, move |snapshot| {
-        service.publish_snapshot(snapshot);
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::ServeConfig;
+    use crate::query::QueryBatch;
+    use crate::service::{ServeConfig, TivServe};
     use delayspace::synth::{Dataset, InternetDelaySpace};
+    use std::sync::Arc;
+
+    /// The engine publishing into one in-process service.
+    fn spawn_into(service: &Arc<TivServe>, builder: EpochBuilder, per_epoch: usize) -> EpochStream {
+        let service = Arc::clone(service);
+        spawn_with(builder, per_epoch, move |snapshot| {
+            service.publish(snapshot);
+        })
+    }
 
     fn ds2(n: usize, seed: u64) -> DelayMatrix {
         InternetDelaySpace::preset(Dataset::Ds2).with_nodes(n).build(seed).into_matrix()
@@ -492,7 +468,7 @@ mod tests {
     fn background_stream_publishes_epochs() {
         let (builder, snap) = EpochBuilder::bootstrap(ds2(30, 5), cfg());
         let service = Arc::new(TivServe::new(ServeConfig::default(), snap));
-        let stream = spawn(Arc::clone(&service), builder, 4);
+        let stream = spawn_into(&service, builder, 4);
         let tx = stream.sender();
         for k in 0..10 {
             let src = k % 7;
@@ -516,7 +492,7 @@ mod tests {
         // small epochs so sends race publishes constantly.
         let (builder, snap) = EpochBuilder::bootstrap(ds2(30, 8), cfg());
         let service = Arc::new(TivServe::new(ServeConfig::default(), snap));
-        let stream = spawn(Arc::clone(&service), builder, 3);
+        let stream = spawn_into(&service, builder, 3);
         let tx = stream.sender();
         let sent = 200u64;
         for k in 0..sent {
@@ -524,7 +500,7 @@ mod tests {
             tx.observe(Observation { src, dst: src + 11, rtt_ms: 30.0 + (k % 40) as f64 }).unwrap();
             if k % 7 == 0 {
                 // Interleave some reads so publishes overlap queries too.
-                let _ = service.estimate_batch(&[(0, 1)]);
+                let _ = service.query(&QueryBatch::Estimate(vec![(0, 1)]));
             }
         }
         drop(tx);
@@ -558,7 +534,7 @@ mod tests {
         let (builder, snap) = EpochBuilder::bootstrap(ds2(30, 10), cfg());
         let service = Arc::new(TivServe::new(ServeConfig::default(), snap));
         // Threshold far above anything sent: only flushes publish.
-        let stream = spawn(Arc::clone(&service), builder, 1_000_000);
+        let stream = spawn_into(&service, builder, 1_000_000);
         let tx = stream.sender();
         // Flush with nothing pending still advances the epoch.
         assert_eq!(tx.flush(), Some(1));

@@ -28,7 +28,7 @@
 //! {1, 2, 4} and service shard counts.
 //!
 //! `FluxBuilder` implements [`EpochSource`],
-//! so [`crate::epoch::spawn`] runs it on a background thread with the
+//! so [`crate::epoch::spawn_with`] runs it on a background thread with the
 //! same no-observation-loss guarantees as the classic builder.
 
 use crate::epoch::{embed, EpochConfig, EpochSource, Observation};
@@ -47,7 +47,7 @@ pub struct FluxConfig {
     /// replaced by the dirty-local refinement below.
     pub epoch: EpochConfig,
     /// Relays kept per ordered pair in the materialised detour table
-    /// (rank 0 answers `route_batch`).
+    /// (rank 0 answers [`QueryBatch::Route`](crate::QueryBatch::Route)).
     pub detour_k: usize,
     /// Dirty-node coordinate refinement parameters.
     pub refine: RefineConfig,
@@ -72,8 +72,8 @@ impl Default for FluxConfig {
 }
 
 /// How the last [`FluxBuilder::build`] brought the derived state up to
-/// date — the observability the `repro churn` experiment and the
-/// `churn` bench report on.
+/// date — the observability the `repro churn` experiment and
+/// tivmark's `churn_mixed` workload report on.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BuildOutcome {
     /// Epoch the build produced.
@@ -109,7 +109,7 @@ impl FluxBuilder {
     /// Bootstraps a builder from a measured delay matrix: full Vivaldi
     /// bootstrap embedding plus a from-scratch compute of the derived
     /// analyses, returned together with the epoch-0 snapshot (which
-    /// already carries the derived state, so `route_batch` is
+    /// already carries the derived state, so route queries are
     /// table-served from the first epoch).
     pub fn bootstrap(matrix: DelayMatrix, cfg: FluxConfig) -> (Self, EpochSnapshot) {
         assert!(cfg.detour_k >= 1, "the detour table needs k >= 1");
@@ -252,7 +252,7 @@ impl EpochSource for FluxBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::epoch::spawn;
+    use crate::epoch::spawn_with;
     use crate::service::{ServeConfig, TivServe};
     use delayspace::synth::{Dataset, InternetDelaySpace};
 
@@ -351,7 +351,10 @@ mod tests {
     fn spawned_flux_builder_publishes_and_loses_nothing() {
         let (builder, snap) = FluxBuilder::bootstrap(ds2(30, 5), cfg());
         let service = Arc::new(TivServe::new(ServeConfig::default(), snap));
-        let stream = spawn(Arc::clone(&service), builder, 4);
+        let sink = Arc::clone(&service);
+        let stream = spawn_with(builder, 4, move |snapshot| {
+            sink.publish(snapshot);
+        });
         let tx = stream.sender();
         let sent = 50u64;
         for k in 0..sent {

@@ -16,12 +16,11 @@
 //!    queries are hash-sharded by the ordered pair (never by the
 //!    source alone, which concentrates Zipf-hot sources on one shard);
 //!    each shard owns bounded LRU caches of edge and route results.
-//!    All kinds go through **one unified query surface** —
+//!    All kinds go through **one query surface** —
 //!    [`TivServe::query`] over [`query::QueryBatch`] /
 //!    [`query::ReplyBatch`] — which fans a batch across shards with
-//!    one [`tivpar`] worker per shard (the legacy `estimate_batch`
-//!    etc. are thin wrappers). Every answer is a pure function of the
-//!    snapshot, so results are **bit-identical at every shard
+//!    one [`tivpar`] worker per shard. Every answer is a pure function
+//!    of the snapshot, so results are **bit-identical at every shard
 //!    count**.
 //! 3. **A background epoch builder** ([`epoch::EpochBuilder`]):
 //!    streamed RTT observations update per-node hysteresis monitors
@@ -39,24 +38,26 @@
 //! 5. **A sparse million-node path** ([`sparse`]): snapshots over a
 //!    [`delayspace::SparseDelayStore`] of *observed edges*, answering
 //!    sampled severity (with confidence intervals) and sampled detour
-//!    queries in O(witnesses) per pair — the same [`epoch::spawn`]
-//!    loop streams sparse epochs via the [`epoch::PublishSink`]
-//!    abstraction, never materialising n².
+//!    queries in O(witnesses) per pair — the same
+//!    [`epoch::spawn_with`] loop streams sparse epochs, never
+//!    materialising n².
 //!
 //! [`loadgen`] generates Zipf-skewed closed-loop workloads and
 //! measures throughput and batch-latency percentiles; the `repro
-//! serve` subcommand and the `serve` bench target drive it.
+//! serve` subcommand drives it and tivmark (`benchmark/`) generates
+//! its query and observation lists with it.
 //!
 //! ```
 //! use delayspace::synth::{Dataset, InternetDelaySpace};
 //! use tivserve::epoch::{EpochBuilder, EpochConfig};
+//! use tivserve::query::QueryBatch;
 //! use tivserve::service::{ServeConfig, TivServe};
 //!
 //! let m = InternetDelaySpace::preset(Dataset::Ds2).with_nodes(40).build(7).into_matrix();
 //! let cfg = EpochConfig { bootstrap_rounds: 15, ..EpochConfig::default() };
 //! let (_builder, snapshot) = EpochBuilder::bootstrap(m, cfg);
 //! let service = TivServe::new(ServeConfig::default(), snapshot);
-//! let answers = service.estimate_batch(&[(0, 1), (2, 3)]);
+//! let answers = service.query(&QueryBatch::Estimate(vec![(0, 1), (2, 3)])).into_estimates();
 //! assert_eq!(answers.len(), 2);
 //! assert!(answers[0].predicted >= 0.0);
 //! ```
@@ -75,8 +76,7 @@ pub mod sparse;
 
 pub use cache::CacheStats;
 pub use epoch::{
-    spawn as spawn_epoch_builder, spawn_with, EpochBuilder, EpochConfig, EpochSource, EpochStream,
-    Feed, FeedSender, Observation, PublishSink,
+    spawn_with, EpochBuilder, EpochConfig, EpochSource, EpochStream, Feed, FeedSender, Observation,
 };
 pub use flux::{BuildOutcome, FluxBuilder, FluxConfig};
 pub use loadgen::{

@@ -306,7 +306,7 @@ pub fn run_closed_loop(
         }
         observations += batch.observations.len();
         let t0 = std::time::Instant::now();
-        let got = service.estimate_batch(&batch.pairs);
+        let got = service.query(&crate::QueryBatch::Estimate(batch.pairs.clone())).into_estimates();
         latencies_us.push(t0.elapsed().as_secs_f64() * 1e6);
         queries += got.len();
         if let Some(last) = got.last() {

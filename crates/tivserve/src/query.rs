@@ -1,21 +1,19 @@
-//! The unified query surface: one request enum, one reply enum.
+//! The query surface: one request enum, one reply enum.
 //!
-//! Historically the service grew four parallel batch methods
-//! (`estimate_batch`, `route_batch`, `severity_batch`, `alerts_batch`),
-//! and every layer above — the wire protocol's kinds, the gate server's
-//! dispatch, the front's scatter/gather, the client — mirrored the same
-//! four-way split. Adding a query kind meant touching four call sites
-//! per layer. [`QueryBatch`]/[`ReplyBatch`] collapse that: the service
-//! answers [`TivServe::query`](crate::TivServe::query), the wire layer
-//! converts frames to and from these enums, and a new estimator (like
-//! the sampled-severity kind the million-node path needed) is **one new
-//! variant**, not four new methods.
+//! The service answers [`TivServe::query`](crate::TivServe::query) over
+//! [`QueryBatch`]/[`ReplyBatch`], the wire layer converts frames to and
+//! from these enums, and every layer above (gate dispatch, front
+//! scatter/gather, client) passes them through untouched — so a new
+//! estimator (like the sampled-severity kind the million-node path
+//! needed) is **one new variant**, not a new method per layer.
 //!
 //! Every variant carries its pairs as [`NodePair`]s — the shared pair
 //! alias — and every reply vector is in input pair order. Replies are
 //! pure functions of `(snapshot, query, config)`, so the equivalence
-//! suites can pin `query` bit-identical to the legacy methods at every
-//! shard count and byte-identical over the wire.
+//! suites can pin `query` bit-identical at every shard count and
+//! byte-identical over the wire. Call sites that know which kind they
+//! asked unwrap the reply with [`ReplyBatch::into_estimates`] /
+//! [`ReplyBatch::into_routes`].
 
 use crate::snapshot::{EdgeEstimate, RouteEstimate};
 use delayspace::NodePair;
@@ -111,6 +109,29 @@ impl ReplyBatch {
                 | (QueryBatch::SampledSeverity { .. }, ReplyBatch::SampledSeverity(_))
         )
     }
+
+    /// The answers to a [`QueryBatch::Estimate`].
+    ///
+    /// # Panics
+    /// Panics on any other kind: `query` answers kind for kind, so a
+    /// mismatch is a bug at the call site.
+    pub fn into_estimates(self) -> Vec<EdgeEstimate> {
+        match self {
+            ReplyBatch::Estimate(items) => items,
+            other => panic!("expected an Estimate reply, got {other:?}"),
+        }
+    }
+
+    /// The answers to a [`QueryBatch::Route`].
+    ///
+    /// # Panics
+    /// Panics on any other kind, as [`into_estimates`](Self::into_estimates).
+    pub fn into_routes(self) -> Vec<RouteEstimate> {
+        match self {
+            ReplyBatch::Route(items) => items,
+            other => panic!("expected a Route reply, got {other:?}"),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -143,5 +164,11 @@ mod tests {
         let sq = QueryBatch::SampledSeverity { pairs: vec![(0, 1)], witnesses: 0 };
         assert!(ReplyBatch::SampledSeverity(vec![None]).answers(&sq));
         assert!(!ReplyBatch::Severity(vec![None]).answers(&sq));
+    }
+
+    #[test]
+    #[should_panic(expected = "expected an Estimate reply")]
+    fn typed_accessor_rejects_a_foreign_kind() {
+        ReplyBatch::Alerts(vec![true]).into_estimates();
     }
 }

@@ -10,14 +10,14 @@
 //!
 //! Queries are hash-sharded **by the ordered query pair** (hashing the
 //! source alone concentrates a Zipf-skewed workload's hot sources on
-//! one shard — the load imbalance the `serve` bench's occupancy report
-//! tracks): each shard owns bounded LRU caches of edge and route
-//! results, and a batch is fanned across shards with one [`tivpar`]
-//! worker per shard. Because every cached value is a pure function of
-//! the snapshot (stale epochs are rejected on lookup), the batch APIs
-//! return **bit-identical results at every shard count** — pinned by
-//! `tivoid`'s `serve_equivalence` and `route_equivalence` integration
-//! tests.
+//! one shard — the load imbalance tivmark's
+//! `tivserve.shard_occupancy_max_over_mean` tracks): each shard owns
+//! bounded LRU caches of edge and route results, and a batch is fanned
+//! across shards with one [`tivpar`] worker per shard. Because every
+//! cached value is a pure function of the snapshot (stale epochs are
+//! rejected on lookup), [`TivServe::query`] returns **bit-identical
+//! results at every shard count** — pinned by `tivoid`'s
+//! `serve_equivalence` and `route_equivalence` integration tests.
 
 use crate::cache::{CacheStats, EdgeCache};
 use crate::query::{QueryBatch, ReplyBatch};
@@ -141,9 +141,9 @@ impl TivServe {
         ((h.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 32) as usize) % self.shards.len()
     }
 
-    /// How many of `pairs` each shard would own — the occupancy the
-    /// `serve` bench reports to show hot-source workloads stay
-    /// balanced.
+    /// How many of `pairs` each shard would own — the occupancy
+    /// `serve_equivalence` bounds and tivmark reports to show
+    /// hot-source workloads stay balanced.
     pub fn shard_histogram(&self, pairs: &[NodePair]) -> Vec<usize> {
         let mut counts = vec![0usize; self.shards.len()];
         for &(a, c) in pairs {
@@ -288,77 +288,6 @@ impl TivServe {
         })
     }
 
-    /// Answers a batch of `(source, peer)` edge queries, in input
-    /// order.
-    ///
-    /// Legacy wrapper — prefer [`TivServe::query`] with
-    /// [`QueryBatch::Estimate`]; this forwards there and unwraps the
-    /// reply.
-    ///
-    /// # Panics
-    /// Panics when a query names a node outside the snapshot.
-    pub fn estimate_batch(&self, pairs: &[NodePair]) -> Vec<EdgeEstimate> {
-        match self.query(&QueryBatch::Estimate(pairs.to_vec())) {
-            ReplyBatch::Estimate(items) => items,
-            _ => unreachable!("query preserves the kind"),
-        }
-    }
-
-    /// Answers a batch of detour-routing queries, in input order: for
-    /// each ordered pair, the best one-hop relay and its predicted
-    /// saving ([`EpochSnapshot::route`]).
-    ///
-    /// Legacy wrapper — prefer [`TivServe::query`] with
-    /// [`QueryBatch::Route`]; this forwards there and unwraps the
-    /// reply.
-    ///
-    /// # Panics
-    /// Panics when a query names a node outside the snapshot.
-    pub fn route_batch(&self, pairs: &[NodePair]) -> Vec<RouteEstimate> {
-        match self.query(&QueryBatch::Route(pairs.to_vec())) {
-            ReplyBatch::Route(items) => items,
-            _ => unreachable!("query preserves the kind"),
-        }
-    }
-
-    /// Batch severity estimates: `None` for unmeasured edges.
-    ///
-    /// Legacy wrapper — prefer [`TivServe::query`] with
-    /// [`QueryBatch::Severity`].
-    pub fn severity_batch(&self, pairs: &[NodePair]) -> Vec<Option<f64>> {
-        match self.query(&QueryBatch::Severity(pairs.to_vec())) {
-            ReplyBatch::Severity(items) => items,
-            _ => unreachable!("query preserves the kind"),
-        }
-    }
-
-    /// Batch TIV alert states.
-    ///
-    /// Legacy wrapper — prefer [`TivServe::query`] with
-    /// [`QueryBatch::Alerts`].
-    pub fn alerts_batch(&self, pairs: &[NodePair]) -> Vec<bool> {
-        match self.query(&QueryBatch::Alerts(pairs.to_vec())) {
-            ReplyBatch::Alerts(items) => items,
-            _ => unreachable!("query preserves the kind"),
-        }
-    }
-
-    /// Batch sampled-severity estimates with confidence intervals at an
-    /// explicit witness budget (`0` = the configured default).
-    ///
-    /// Convenience wrapper over [`TivServe::query`] with
-    /// [`QueryBatch::SampledSeverity`].
-    pub fn sampled_severity_batch(
-        &self,
-        pairs: &[NodePair],
-        witnesses: u32,
-    ) -> Vec<Option<SeverityEstimate>> {
-        match self.query(&QueryBatch::SampledSeverity { pairs: pairs.to_vec(), witnesses }) {
-            ReplyBatch::SampledSeverity(items) => items,
-            _ => unreachable!("query preserves the kind"),
-        }
-    }
-
     /// Estimate-cache counters summed over all shards.
     pub fn cache_stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
@@ -395,6 +324,14 @@ mod tests {
         EpochSnapshot::without_monitors(epoch, m, emb)
     }
 
+    fn estimates(service: &TivServe, pairs: &[NodePair]) -> Vec<EdgeEstimate> {
+        service.query(&QueryBatch::Estimate(pairs.to_vec())).into_estimates()
+    }
+
+    fn routes(service: &TivServe, pairs: &[NodePair]) -> Vec<RouteEstimate> {
+        service.query(&QueryBatch::Route(pairs.to_vec())).into_routes()
+    }
+
     fn queries(n: usize, count: usize, seed: u64) -> Vec<(NodeId, NodeId)> {
         use rand::Rng;
         let mut r = delayspace::rng::rng(seed);
@@ -417,7 +354,7 @@ mod tests {
         let estimate = cfg.estimate;
         let service = TivServe::new(cfg, snap.clone());
         let q = queries(60, 300, 9);
-        let got = service.estimate_batch(&q);
+        let got = estimates(&service, &q);
         for (i, &(a, c)) in q.iter().enumerate() {
             assert_eq!(got[i], snap.evaluate(a, c, &estimate), "query {i} ({a},{c})");
         }
@@ -429,12 +366,12 @@ mod tests {
         let service =
             TivServe::new(ServeConfig { shards: 3, ..ServeConfig::default() }, snap.clone());
         let q = queries(60, 300, 9);
-        let got = service.route_batch(&q);
+        let got = routes(&service, &q);
         for (i, &(a, c)) in q.iter().enumerate() {
             assert_eq!(got[i], snap.route(a, c), "route query {i} ({a},{c})");
         }
         // And a warm second pass is answered from the route caches.
-        let warm = service.route_batch(&q);
+        let warm = routes(&service, &q);
         assert_eq!(got, warm);
         let stats = service.route_cache_stats();
         assert!(stats.hits >= q.len() as u64, "second pass should be all hits: {stats:?}");
@@ -456,16 +393,16 @@ mod tests {
             snap,
         );
         let q = queries(50, 120, 5);
-        assert_eq!(inline.estimate_batch(&q), fanout.estimate_batch(&q));
-        assert_eq!(inline.route_batch(&q), fanout.route_batch(&q));
+        assert_eq!(estimates(&inline, &q), estimates(&fanout, &q));
+        assert_eq!(routes(&inline, &q), routes(&fanout, &q));
     }
 
     #[test]
     fn repeated_batches_hit_the_cache_without_changing_answers() {
         let service = TivServe::new(ServeConfig::default(), snapshot(50, 5, 0));
         let q = queries(50, 200, 1);
-        let cold = service.estimate_batch(&q);
-        let warm = service.estimate_batch(&q);
+        let cold = estimates(&service, &q);
+        let warm = estimates(&service, &q);
         assert_eq!(cold, warm);
         let stats = service.cache_stats();
         assert!(stats.hits >= q.len() as u64, "second pass should be all hits: {stats:?}");
@@ -476,26 +413,32 @@ mod tests {
     fn projections_agree_with_estimates() {
         let service = TivServe::new(ServeConfig::default(), snapshot(40, 7, 0));
         let q = queries(40, 80, 2);
-        let full = service.estimate_batch(&q);
-        assert_eq!(service.severity_batch(&q), full.iter().map(|e| e.severity).collect::<Vec<_>>());
-        assert_eq!(service.alerts_batch(&q), full.iter().map(|e| e.alert).collect::<Vec<_>>());
+        let full = estimates(&service, &q);
+        assert_eq!(
+            service.query(&QueryBatch::Severity(q.clone())),
+            ReplyBatch::Severity(full.iter().map(|e| e.severity).collect())
+        );
+        assert_eq!(
+            service.query(&QueryBatch::Alerts(q)),
+            ReplyBatch::Alerts(full.iter().map(|e| e.alert).collect())
+        );
     }
 
     #[test]
     fn publish_swaps_epoch_and_invalidates_cache() {
         let service = TivServe::new(ServeConfig::default(), snapshot(40, 7, 0));
         let q = queries(40, 50, 3);
-        let before = service.estimate_batch(&q);
-        let routes_before = service.route_batch(&q);
+        let before = estimates(&service, &q);
+        let routes_before = routes(&service, &q);
         assert!(before.iter().all(|e| e.epoch == 0));
         assert!(routes_before.iter().all(|r| r.epoch == 0));
         // Publish a different snapshot (new seed → new matrix).
         service.publish(snapshot(40, 8, 1));
         assert_eq!(service.epoch(), 1);
-        let after = service.estimate_batch(&q);
+        let after = estimates(&service, &q);
         assert!(after.iter().all(|e| e.epoch == 1));
         assert_ne!(before, after, "a new epoch should change answers");
-        let routes_after = service.route_batch(&q);
+        let routes_after = routes(&service, &q);
         assert!(routes_after.iter().all(|r| r.epoch == 1));
     }
 
@@ -508,7 +451,7 @@ mod tests {
             let qs = q.clone();
             let reader = scope.spawn(move || {
                 for _ in 0..30 {
-                    let got = svc.estimate_batch(&qs);
+                    let got = estimates(&svc, &qs);
                     // Every answer in one batch comes from one snapshot.
                     let epoch = got[0].epoch;
                     assert!(got.iter().all(|e| e.epoch == epoch), "mixed epochs in a batch");
@@ -546,14 +489,14 @@ mod tests {
     #[should_panic(expected = "outside the")]
     fn out_of_range_query_rejected() {
         let service = TivServe::new(ServeConfig::default(), snapshot(10, 1, 0));
-        let _ = service.estimate_batch(&[(0, 10)]);
+        let _ = estimates(&service, &[(0, 10)]);
     }
 
     #[test]
     #[should_panic(expected = "outside the")]
     fn out_of_range_route_rejected() {
         let service = TivServe::new(ServeConfig::default(), snapshot(10, 1, 0));
-        let _ = service.route_batch(&[(0, 10)]);
+        let _ = routes(&service, &[(0, 10)]);
     }
 
     #[test]

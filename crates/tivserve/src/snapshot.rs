@@ -37,7 +37,7 @@ impl Default for EstimateConfig {
     }
 }
 
-/// The answer of a `route_batch` query: the best one-hop relay for an
+/// The answer of a route query: the best one-hop relay for an
 /// ordered pair, resolved against the frozen snapshot.
 ///
 /// `relay`/`via_ms` are present whenever *any* fully-measured two-hop
@@ -349,7 +349,7 @@ impl EpochSnapshot {
     ///
     /// Pure in `(self, a, c)` like [`EpochSnapshot::evaluate`] — the
     /// relay search is [`tivroute::best_detour`], whose `(via, relay
-    /// id)` ranking is a total order, so the sharded `route_batch` stays
+    /// id)` ranking is a total order, so the sharded route query stays
     /// bit-identical at every shard count. Snapshots carrying derived
     /// state answer from the detour table's rank 0 instead — exactly
     /// `best_detour`'s answer (pinned by `tivroute`'s

@@ -13,11 +13,10 @@
 //! per pair.
 //!
 //! The builder implements [`EpochSource`] with
-//! `Snapshot = SparseSnapshot` and the serve implements
-//! [`PublishSink<SparseSnapshot>`], so the *same* background loop
-//! ([`crate::spawn_epoch_builder`]) that drives the dense builders
-//! streams sparse epochs too, with the identical no-loss draining
-//! discipline. Dirty tracking reuses [`tivflux::DirtySet`], so an
+//! `Snapshot = SparseSnapshot`, so the *same* background loop
+//! ([`crate::spawn_with`], publishing into [`SparseServe::publish`])
+//! that drives the dense builders streams sparse epochs too, with the
+//! identical no-loss draining discipline. Dirty tracking reuses [`tivflux::DirtySet`], so an
 //! incremental consumer can see which nodes each epoch touched.
 //!
 //! Determinism carries over unchanged: every answer is a pure function
@@ -26,7 +25,7 @@
 //! delays as a dense matrix, the sampled severity point is
 //! bit-identical to the dense estimate (pinned by this module's tests).
 
-use crate::epoch::{EpochSource, Observation, PublishSink};
+use crate::epoch::{EpochSource, Observation};
 use crate::snapshot::{EstimateConfig, ServedSnapshot};
 use delayspace::matrix::NodeId;
 use delayspace::{DelayStore, NodePair, SparseDelayStore};
@@ -326,16 +325,10 @@ impl SparseServe {
     }
 }
 
-impl PublishSink<SparseSnapshot> for SparseServe {
-    fn publish_snapshot(&self, snapshot: SparseSnapshot) -> u64 {
-        self.publish(snapshot)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::epoch::spawn;
+    use crate::epoch::spawn_with;
     use crate::snapshot::EpochSnapshot;
     use delayspace::synth::{Dataset, InternetDelaySpace};
     use delayspace::DelayMatrix;
@@ -426,7 +419,10 @@ mod tests {
     fn background_spawn_drives_the_sparse_sink() {
         let (builder, snap0) = SparseEpochBuilder::bootstrap(SparseDelayStore::new(50));
         let serve = Arc::new(SparseServe::new(snap0, EstimateConfig::default(), 1));
-        let stream = spawn(Arc::clone(&serve), builder, 4);
+        let sink = Arc::clone(&serve);
+        let stream = spawn_with(builder, 4, move |snapshot| {
+            sink.publish(snapshot);
+        });
         let tx = stream.sender();
         for i in 0..10usize {
             tx.observe(Observation { src: i % 7, dst: 10 + i, rtt_ms: 20.0 + i as f64 }).unwrap();
