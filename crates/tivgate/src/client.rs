@@ -51,26 +51,34 @@ impl GateClient {
 
     /// Answers one unified [`QueryBatch`] over this connection: encodes
     /// it via [`Request::from_query`], checks the echoed id, and
-    /// unwraps the reply. An error frame (including a newer kind's
-    /// `unsupported-kind` answer from an older server) surfaces as
-    /// `InvalidData`, never a hang or a closed session.
+    /// unwraps the reply, which must answer `query`'s kind with one
+    /// answer per pair. An error frame (including a newer kind's
+    /// `unsupported-kind` answer from an older server), or a reply of
+    /// another kind or length, surfaces as `InvalidData`, never a hang,
+    /// a panic or a closed session.
     pub fn query(&mut self, id: u32, query: &QueryBatch) -> io::Result<ReplyBatch> {
+        let invalid = |detail: String| io::Error::new(io::ErrorKind::InvalidData, detail);
         let resp = self.call(&Request::from_query(id, query))?;
         if resp.id() != id {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("server echoed id {} for request {id}", resp.id()),
-            ));
+            return Err(invalid(format!("server echoed id {} for request {id}", resp.id())));
         }
-        match resp {
-            Response::Error { code, message, .. } => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("error frame [{code}]: {message}"),
-            )),
-            other => other.into_reply().ok_or_else(|| {
-                io::Error::new(io::ErrorKind::InvalidData, "non-query response kind")
-            }),
+        let reply = match resp {
+            Response::Error { code, message, .. } => {
+                return Err(invalid(format!("error frame [{code}]: {message}")));
+            }
+            other => other.into_reply().ok_or_else(|| invalid("non-query response kind".into()))?,
+        };
+        if !reply.answers(query) {
+            return Err(invalid("server answered another query kind".into()));
         }
+        if reply.len() != query.len() {
+            return Err(invalid(format!(
+                "server answered {} items for {} pairs",
+                reply.len(),
+                query.len()
+            )));
+        }
+        Ok(reply)
     }
 
     /// Sends one typed request and returns the raw response *frame*
@@ -138,5 +146,51 @@ impl GateClient {
     /// load generator's split.
     pub fn try_clone_stream(&self) -> io::Result<TcpStream> {
         self.stream.try_clone()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proto::{decode_request, encode_response};
+    use std::net::TcpListener;
+
+    /// Sends `query` to a one-shot fake replica that answers with
+    /// whatever `respond` builds from the request's id.
+    fn query_fake_replica(
+        query: &QueryBatch,
+        respond: fn(u32) -> Response,
+    ) -> io::Result<ReplyBatch> {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let replica = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accept");
+            let mut peer = GateClient::from_stream(stream);
+            let frame = peer.recv_frame().expect("request frame");
+            let id = decode_request(&frame[4..]).expect("request").id();
+            peer.send_bytes(&encode_response(&respond(id))).expect("reply");
+        });
+        let mut client = GateClient::connect(addr).expect("connect");
+        client.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+        let reply = client.query(7, query);
+        replica.join().expect("fake replica panicked");
+        reply
+    }
+
+    #[test]
+    fn reply_of_another_kind_is_an_error() {
+        // Both sides empty, so only the kind differs.
+        let query = QueryBatch::Estimate(Vec::new());
+        let err = query_fake_replica(&query, |id| Response::Route { id, items: Vec::new() })
+            .expect_err("wrong kind");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
+
+    #[test]
+    fn reply_one_item_short_is_an_error() {
+        let query = QueryBatch::Estimate(vec![(0, 1)]);
+        let err = query_fake_replica(&query, |id| Response::Estimate { id, items: Vec::new() })
+            .expect_err("short reply");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
     }
 }

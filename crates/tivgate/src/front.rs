@@ -10,14 +10,19 @@
 //! suite relies on: the same query stream hits the same replicas in
 //! every run.
 //!
-//! [`Front::query`] splits a batch by ring owner, sends one
-//! sub-request per involved replica, and reassembles the answers in
-//! the caller's original pair order — so a front over N replicas is
-//! answer-for-answer identical to one replica, which is
-//! answer-for-answer identical to an in-process [`tivserve`] call.
+//! [`Front::query`] is one loop, the same for every query kind: split
+//! the batch's pair indices by ring owner; for each replica with a
+//! non-empty share, [`QueryBatch::select`] the share, send it through
+//! [`GateClient::query`] (which checks the reply's id, kind and length)
+//! and read the reply before the next share goes out; then
+//! [`ReplyBatch::gather`] the answers back into the caller's pair
+//! order. So a front over N replicas is answer-for-answer identical to
+//! one replica, which is answer-for-answer identical to an in-process
+//! [`tivserve`] call — and a new query kind needs no edit here.
 
 use crate::client::GateClient;
-use crate::proto::{to_wire_pairs, Request, Response};
+use crate::proto::{Request, Response};
+use delayspace::NodePair;
 use std::io;
 use std::net::SocketAddr;
 use tivserve::query::{QueryBatch, ReplyBatch};
@@ -93,18 +98,12 @@ impl Front {
         Ok(Front { clients, ring: HashRing::new(addrs.len()), next_id: 1 })
     }
 
-    /// The ring, for callers partitioning work themselves (the load
-    /// generator pre-splits batches with it).
-    pub fn ring(&self) -> &HashRing {
-        &self.ring
-    }
-
     /// Splits `pairs` by ring owner. Returns, per replica, the original
     /// indices it owns — empty vectors for uninvolved replicas.
-    fn partition(&self, pairs: &[(u32, u32)]) -> Vec<Vec<usize>> {
+    fn partition(&self, pairs: &[NodePair]) -> Vec<Vec<usize>> {
         let mut owned: Vec<Vec<usize>> = vec![Vec::new(); self.clients.len()];
-        for (i, &pair) in pairs.iter().enumerate() {
-            owned[self.ring.replica_for(pair)].push(i);
+        for (i, &(a, c)) in pairs.iter().enumerate() {
+            owned[self.ring.replica_for((a as u32, c as u32))].push(i);
         }
         owned
     }
@@ -115,107 +114,23 @@ impl Front {
         id
     }
 
-    /// Scatter/gather over the replicas for one request kind: sends the
-    /// owned sub-batch to each involved replica, reassembles answers in
-    /// original pair order.
-    fn scatter<T>(
-        &mut self,
-        pairs: &[(u32, u32)],
-        make: impl Fn(u32, Vec<(u32, u32)>) -> Request,
-        extract: impl Fn(Response) -> io::Result<Vec<T>>,
-    ) -> io::Result<Vec<T>> {
-        let owned = self.partition(pairs);
-        let mut slots: Vec<Option<T>> = Vec::with_capacity(pairs.len());
-        slots.resize_with(pairs.len(), || None);
-        for (replica, indices) in owned.into_iter().enumerate() {
+    /// Answers one [`QueryBatch`] across the replicas, answers in pair
+    /// order. Each replica's share goes through [`GateClient::query`]
+    /// and is read back before the next is sent; an empty batch
+    /// contacts no replica.
+    pub fn query(&mut self, query: &QueryBatch) -> io::Result<ReplyBatch> {
+        let mut shares = Vec::with_capacity(self.clients.len());
+        for (replica, indices) in self.partition(query.pairs()).into_iter().enumerate() {
             if indices.is_empty() {
                 continue;
             }
-            let sub: Vec<(u32, u32)> = indices.iter().map(|&i| pairs[i]).collect();
             let id = self.fresh_id();
-            let resp = self.clients[replica].call(&make(id, sub))?;
-            if resp.id() != id {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("replica {replica} echoed id {} for request {id}", resp.id()),
-                ));
-            }
-            let items = extract(resp)?;
-            if items.len() != indices.len() {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "replica {replica} answered {} items for {} pairs",
-                        items.len(),
-                        indices.len()
-                    ),
-                ));
-            }
-            for (slot, item) in indices.into_iter().zip(items) {
-                slots[slot] = Some(item);
-            }
+            let reply = self.clients[replica]
+                .query(id, &query.select(&indices))
+                .map_err(|e| io::Error::new(e.kind(), format!("replica {replica}: {e}")))?;
+            shares.push((indices, reply));
         }
-        Ok(slots.into_iter().map(|s| s.expect("every pair answered")).collect())
-    }
-
-    /// Answers one [`QueryBatch`] across the replicas, answers in pair
-    /// order.
-    pub fn query(&mut self, query: &QueryBatch) -> io::Result<ReplyBatch> {
-        let wire = to_wire_pairs(query.pairs());
-        match query {
-            QueryBatch::Estimate(_) => self
-                .scatter(
-                    &wire,
-                    |id, pairs| Request::Estimate { id, pairs },
-                    |resp| match resp {
-                        Response::Estimate { items, .. } => Ok(items),
-                        other => Err(unexpected(other)),
-                    },
-                )
-                .map(ReplyBatch::Estimate),
-            QueryBatch::Route(_) => self
-                .scatter(
-                    &wire,
-                    |id, pairs| Request::Route { id, pairs },
-                    |resp| match resp {
-                        Response::Route { items, .. } => Ok(items),
-                        other => Err(unexpected(other)),
-                    },
-                )
-                .map(ReplyBatch::Route),
-            QueryBatch::Severity(_) => self
-                .scatter(
-                    &wire,
-                    |id, pairs| Request::Severity { id, pairs },
-                    |resp| match resp {
-                        Response::Severity { items, .. } => Ok(items),
-                        other => Err(unexpected(other)),
-                    },
-                )
-                .map(ReplyBatch::Severity),
-            QueryBatch::Alerts(_) => self
-                .scatter(
-                    &wire,
-                    |id, pairs| Request::Alerts { id, pairs },
-                    |resp| match resp {
-                        Response::Alerts { items, .. } => Ok(items),
-                        other => Err(unexpected(other)),
-                    },
-                )
-                .map(ReplyBatch::Alerts),
-            QueryBatch::SampledSeverity { witnesses, .. } => {
-                let witnesses = *witnesses;
-                self.scatter(
-                    &wire,
-                    move |id, pairs| Request::SampledSeverity { id, witnesses, pairs },
-                    |resp| match resp {
-                        Response::SampledSeverity { items, .. } => Ok(items),
-                        other => Err(unexpected(other)),
-                    },
-                )
-                .map(ReplyBatch::SampledSeverity)
-            }
-        }
+        Ok(ReplyBatch::gather(query, shares))
     }
 
     /// Pings every replica, returning `(epoch, nodes)` per replica.
@@ -304,5 +219,30 @@ mod tests {
         }
         assert!(moved > 0, "the new replica must take some keys");
         assert!(moved < total / 2, "only a minority of keys may move: {moved}/{total}");
+    }
+
+    #[test]
+    fn failed_share_leaves_no_stale_frame() {
+        use crate::server::{GateConfig, GateServer};
+        use crate::testutil::small_service;
+        let service = small_service(16);
+        let gates: Vec<_> = (0..2)
+            .map(|_| GateServer::spawn(service.clone(), GateConfig::default()).expect("spawn"))
+            .collect();
+        let addrs: Vec<SocketAddr> = gates.iter().map(|g| g.addr()).collect();
+        let mut front = Front::connect(&addrs).expect("connect");
+        let valid: Vec<NodePair> =
+            (0..16).flat_map(|a| [(a, (a + 1) % 16), (a, (a + 5) % 16)]).collect();
+        let owners = front.partition(&valid);
+        assert!(owners.iter().all(|o| !o.is_empty()), "the batch must reach both replicas");
+
+        let mut bad = valid.clone();
+        bad.push((3, 16));
+        assert!(front.query(&QueryBatch::Estimate(bad)).is_err(), "an out-of-range pair");
+        for query in [QueryBatch::Estimate(valid.clone()), QueryBatch::Route(valid)] {
+            assert_eq!(front.query(&query).expect("valid batch"), service.query(&query));
+        }
+        let empty = front.query(&QueryBatch::Alerts(Vec::new())).expect("empty batch");
+        assert_eq!(empty, ReplyBatch::Alerts(Vec::new()));
     }
 }

@@ -11,7 +11,7 @@
 //!   `snapshot.route` loop);
 //! * the online answer (`EpochSnapshot::route` → `best_detour`) and
 //!   the offline table agree on every pair, so a deployment can mix
-//!   cached route answers with batch-computed tables freely.
+//!   online route answers with batch-computed tables freely.
 
 use proptest::prelude::*;
 use tivoid::experiments::serve::{build_service, ServeOptions};

@@ -1,8 +1,8 @@
 //! Cross-shard equivalence of the `tivserve` service (ISSUE-3
 //! acceptance): the exact same closed-loop workload, replayed against
 //! services that differ only in shard count, must produce
-//! **bit-identical batched answers** — the sharding and the per-shard
-//! caches are allowed to change latency, never a result. The services
+//! **bit-identical batched answers** — the fan-out width is allowed to
+//! change latency, never a result. The services
 //! are built through `experiments::serve::build_service`, the same
 //! construction path `repro serve` uses, so this pins the CLI surface
 //! too.

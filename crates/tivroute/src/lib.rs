@@ -18,8 +18,8 @@
 //!   integration test).
 //! * [`best_detour`] — the single-pair scan the serving layer's
 //!   route query runs; it returns exactly the table's rank-0
-//!   relay (same ordering, same tie-break), so cached online answers
-//!   and offline tables never disagree.
+//!   relay (same ordering, same tie-break), so online answers and
+//!   offline tables never disagree.
 //!
 //! [`DetourStats`] summarises the gains: the CDF of latency savings,
 //! the fraction of edges with a beneficial detour, and savings binned

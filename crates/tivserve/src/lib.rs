@@ -16,10 +16,9 @@
 //!    through **one query surface** — [`TivServe::query`] over
 //!    [`query::QueryBatch`] / [`query::ReplyBatch`] — and one path:
 //!    range-check the pairs, then one [`tivpar::par_map_rows`] of the
-//!    snapshot's per-pair function (inline for small batches). No
-//!    cache sits in front of the snapshot. Every answer is a pure
-//!    function of the snapshot, so results are **bit-identical at every
-//!    fan-out width**.
+//!    snapshot's per-pair function (inline for small batches). Every
+//!    answer is a pure function of the snapshot, so results are
+//!    **bit-identical at every fan-out width**.
 //! 3. **A background epoch builder** ([`epoch::EpochBuilder`]):
 //!    streamed RTT observations update per-node hysteresis monitors
 //!    (reusing `tivcore::monitor`) and the working matrix; a rebuilt
@@ -63,7 +62,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod cache;
 pub mod epoch;
 pub mod flux;
 pub mod loadgen;
@@ -72,7 +70,6 @@ pub mod service;
 pub mod snapshot;
 pub mod sparse;
 
-pub use cache::CacheStats;
 pub use epoch::{
     spawn_with, EpochBuilder, EpochConfig, EpochSource, EpochStream, Feed, FeedSender, Observation,
 };
@@ -81,7 +78,7 @@ pub use loadgen::{
     percentile, ClosedLoopReport, LoadReport, LoadSpec, ObservePath, WorkloadConfig,
 };
 pub use query::{QueryBatch, ReplyBatch, SeverityEstimate};
-pub use service::{ServeConfig, TivServe};
+pub use service::{CacheStats, ServeConfig, TivServe};
 pub use snapshot::{
     DenseParts, EdgeEstimate, EpochSnapshot, EstimateConfig, RouteEstimate, ServedSnapshot,
 };

@@ -2,8 +2,9 @@
 //!
 //! The service answers [`TivServe::query`](crate::TivServe::query) over
 //! [`QueryBatch`]/[`ReplyBatch`], the wire layer converts frames to and
-//! from these enums, and every layer above (gate dispatch, front
-//! scatter/gather, client) passes them through untouched — so a new
+//! from these enums, and every layer above (gate dispatch, client, the
+//! front's split and gather through [`QueryBatch::select`] and
+//! [`ReplyBatch::gather`]) passes them through untouched — so a new
 //! estimator (like the sampled-severity kind the million-node path
 //! needed) is **one new variant**, not a new method per layer.
 //!
@@ -63,6 +64,26 @@ impl QueryBatch {
     pub fn is_empty(&self) -> bool {
         self.pairs().is_empty()
     }
+
+    /// The share of this batch holding the pairs at `indices`, in that
+    /// order, of the same kind (and witness budget).
+    /// [`ReplyBatch::gather`] puts the shares' answers back together.
+    ///
+    /// # Panics
+    /// Panics when an index is out of bounds.
+    pub fn select(&self, indices: &[usize]) -> QueryBatch {
+        let pick =
+            |pairs: &[NodePair]| -> Vec<NodePair> { indices.iter().map(|&i| pairs[i]).collect() };
+        match self {
+            QueryBatch::Estimate(p) => QueryBatch::Estimate(pick(p)),
+            QueryBatch::Route(p) => QueryBatch::Route(pick(p)),
+            QueryBatch::Severity(p) => QueryBatch::Severity(pick(p)),
+            QueryBatch::Alerts(p) => QueryBatch::Alerts(pick(p)),
+            QueryBatch::SampledSeverity { pairs, witnesses } => {
+                QueryBatch::SampledSeverity { pairs: pick(pairs), witnesses: *witnesses }
+            }
+        }
+    }
 }
 
 /// The answers to one [`QueryBatch`], kind for kind, in pair order.
@@ -108,6 +129,58 @@ impl ReplyBatch {
                 | (QueryBatch::Alerts(_), ReplyBatch::Alerts(_))
                 | (QueryBatch::SampledSeverity { .. }, ReplyBatch::SampledSeverity(_))
         )
+    }
+
+    /// The reply to the whole of `query`, reassembled from the replies
+    /// to its shares: each share is the indices it
+    /// [`select`](QueryBatch::select)ed and the reply to it. Answers
+    /// come back in `query`'s pair order; with no shares the reply is
+    /// empty, of `query`'s kind.
+    ///
+    /// # Panics
+    /// Panics unless every reply [`answers`](Self::answers) `query` with
+    /// one answer per index and the shares cover every pair once.
+    pub fn gather(query: &QueryBatch, shares: Vec<(Vec<usize>, ReplyBatch)>) -> ReplyBatch {
+        fn place<T>(
+            len: usize,
+            shares: Vec<(Vec<usize>, ReplyBatch)>,
+            items: fn(ReplyBatch) -> Option<Vec<T>>,
+        ) -> Vec<T> {
+            let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(len).collect();
+            for (indices, reply) in shares {
+                let answers = items(reply).expect("a share answered another kind");
+                assert_eq!(answers.len(), indices.len(), "a share answered a different length");
+                for (i, answer) in indices.into_iter().zip(answers) {
+                    assert!(slots[i].replace(answer).is_none(), "pair {i} answered twice");
+                }
+            }
+            slots.into_iter().map(|slot| slot.expect("every pair answered")).collect()
+        }
+        let len = query.len();
+        match query {
+            QueryBatch::Estimate(_) => ReplyBatch::Estimate(place(len, shares, |r| match r {
+                ReplyBatch::Estimate(v) => Some(v),
+                _ => None,
+            })),
+            QueryBatch::Route(_) => ReplyBatch::Route(place(len, shares, |r| match r {
+                ReplyBatch::Route(v) => Some(v),
+                _ => None,
+            })),
+            QueryBatch::Severity(_) => ReplyBatch::Severity(place(len, shares, |r| match r {
+                ReplyBatch::Severity(v) => Some(v),
+                _ => None,
+            })),
+            QueryBatch::Alerts(_) => ReplyBatch::Alerts(place(len, shares, |r| match r {
+                ReplyBatch::Alerts(v) => Some(v),
+                _ => None,
+            })),
+            QueryBatch::SampledSeverity { .. } => {
+                ReplyBatch::SampledSeverity(place(len, shares, |r| match r {
+                    ReplyBatch::SampledSeverity(v) => Some(v),
+                    _ => None,
+                }))
+            }
+        }
     }
 
     /// The answers to a [`QueryBatch::Estimate`].
@@ -170,5 +243,37 @@ mod tests {
     #[should_panic(expected = "expected an Estimate reply")]
     fn typed_accessor_rejects_a_foreign_kind() {
         ReplyBatch::Alerts(vec![true]).into_estimates();
+    }
+
+    #[test]
+    fn selected_shares_gather_back_into_the_whole_reply() {
+        use crate::epoch::{EpochBuilder, EpochConfig};
+        use crate::service::{ServeConfig, TivServe};
+        use delayspace::synth::{Dataset, InternetDelaySpace};
+        let m = InternetDelaySpace::preset(Dataset::Ds2).with_nodes(30).build(5).into_matrix();
+        let cfg = EpochConfig { bootstrap_rounds: 10, ..EpochConfig::default() };
+        let service = TivServe::new(ServeConfig::default(), EpochBuilder::bootstrap(m, cfg).1);
+        let pairs: Vec<NodePair> = (0..40).map(|i| (i % 30, (i * 7 + 1) % 30)).collect();
+        let queries = [
+            QueryBatch::Estimate(pairs.clone()),
+            QueryBatch::Route(pairs.clone()),
+            QueryBatch::Severity(pairs.clone()),
+            QueryBatch::Alerts(pairs.clone()),
+            QueryBatch::SampledSeverity { pairs: pairs.clone(), witnesses: 0 },
+            QueryBatch::SampledSeverity { pairs, witnesses: 24 },
+        ];
+        for query in &queries {
+            // Three interleaved shares: pair i goes to share i % 3.
+            let shares = (0..3)
+                .map(|s| {
+                    let indices: Vec<usize> = (s..query.len()).step_by(3).collect();
+                    let reply = service.query(&query.select(&indices));
+                    (indices, reply)
+                })
+                .collect();
+            assert_eq!(ReplyBatch::gather(query, shares), service.query(query), "{query:?}");
+            let empty = ReplyBatch::gather(&query.select(&[]), Vec::new());
+            assert!(empty.is_empty() && empty.answers(query), "{query:?} gave {empty:?}");
+        }
     }
 }

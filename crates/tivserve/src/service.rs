@@ -16,10 +16,9 @@
 //! is a pure function of `(snapshot, pair, config)`, so
 //! [`TivServe::query`] returns **bit-identical results at every width**
 //! — pinned by `tivoid`'s `serve_equivalence` and `route_equivalence`
-//! integration tests. (Per-shard LRU caches used to wrap this path; a
-//! hit cost what the evaluation it saved did, so they were removed.)
+//! integration tests. [`SparseServe`](crate::SparseServe) takes the
+//! same path.
 
-use crate::cache::CacheStats;
 use crate::query::{QueryBatch, ReplyBatch};
 use crate::snapshot::{EpochSnapshot, EstimateConfig};
 use delayspace::matrix::NodeId;
@@ -48,6 +47,46 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig { shards: 4, parallel_threshold: 256, estimate: EstimateConfig::default() }
     }
+}
+
+/// Cache counters, always zero: the service keeps no cache. A stub kept
+/// only because tivmark reads it; ROADMAP slice 1b removes it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Lookups answered from a cache.
+    pub hits: u64,
+    /// Lookups that had to evaluate.
+    pub misses: u64,
+}
+
+/// The witnesses a sampled query draws per pair: the `witnesses` it
+/// asks for, or the configured budget when it asks for `0`.
+pub(crate) fn witness_budget(witnesses: u32, cfg: &EstimateConfig) -> usize {
+    match witnesses {
+        0 => cfg.severity_witnesses,
+        k => k as usize,
+    }
+}
+
+/// The one batch path of every query kind, dense or sparse: range-check
+/// every pair against an `n`-node snapshot, then `eval` each pair over
+/// `width` workers, in input order.
+///
+/// # Panics
+/// Panics when a query names a node outside the snapshot.
+pub(crate) fn answer<V: Send>(
+    n: usize,
+    pairs: &[NodePair],
+    width: usize,
+    eval: impl Fn(NodeId, NodeId) -> V + Sync,
+) -> Vec<V> {
+    for &(a, c) in pairs {
+        assert!(a < n && c < n, "query ({a},{c}) outside the {n}-node snapshot");
+    }
+    tivpar::par_map_rows(pairs.len(), width, |i| {
+        let (a, c) = pairs[i];
+        eval(a, c)
+    })
 }
 
 /// The concurrent TIV estimation and detour-routing service.
@@ -110,52 +149,31 @@ impl TivServe {
     /// # Panics
     /// Panics when a query names a node outside the snapshot.
     pub fn query(&self, batch: &QueryBatch) -> ReplyBatch {
-        let estimate = self.cfg.estimate;
-        match batch {
-            QueryBatch::Estimate(pairs) => {
-                ReplyBatch::Estimate(self.answer(pairs, |s, a, c| s.evaluate(a, c, &estimate)))
-            }
-            QueryBatch::Route(pairs) => ReplyBatch::Route(self.answer(pairs, EpochSnapshot::route)),
-            QueryBatch::Severity(pairs) => ReplyBatch::Severity(
-                self.answer(pairs, |s, a, c| s.evaluate(a, c, &estimate).severity),
-            ),
-            QueryBatch::Alerts(pairs) => {
-                ReplyBatch::Alerts(self.answer(pairs, |s, a, c| s.evaluate(a, c, &estimate).alert))
-            }
-            QueryBatch::SampledSeverity { pairs, witnesses } => {
-                // `0` asks for the configured witness budget.
-                let k = match *witnesses {
-                    0 => estimate.severity_witnesses,
-                    k => k as usize,
-                };
-                ReplyBatch::SampledSeverity(
-                    self.answer(pairs, |s, a, c| s.sampled_severity(a, c, k, &estimate)),
-                )
-            }
-        }
-    }
-
-    /// The one batch path of every query kind: range-check, then
-    /// `eval` each pair against one snapshot, in input order.
-    ///
-    /// # Panics
-    /// Panics when a query names a node outside the snapshot.
-    fn answer<V: Send>(
-        &self,
-        pairs: &[NodePair],
-        eval: impl Fn(&EpochSnapshot, NodeId, NodeId) -> V + Sync,
-    ) -> Vec<V> {
         let snap = self.snapshot();
         let n = snap.len();
-        for &(a, c) in pairs {
-            assert!(a < n && c < n, "query ({a},{c}) outside the {n}-node snapshot");
-        }
+        let est = &self.cfg.estimate;
         let threshold = self.cfg.parallel_threshold;
-        let width = if threshold > 0 && pairs.len() < threshold { 1 } else { self.cfg.shards };
-        tivpar::par_map_rows(pairs.len(), width, |i| {
-            let (a, c) = pairs[i];
-            eval(&snap, a, c)
-        })
+        let width = if threshold > 0 && batch.len() < threshold { 1 } else { self.cfg.shards };
+        match batch {
+            QueryBatch::Estimate(pairs) => {
+                ReplyBatch::Estimate(answer(n, pairs, width, |a, c| snap.evaluate(a, c, est)))
+            }
+            QueryBatch::Route(pairs) => {
+                ReplyBatch::Route(answer(n, pairs, width, |a, c| snap.route(a, c)))
+            }
+            QueryBatch::Severity(pairs) => ReplyBatch::Severity(answer(n, pairs, width, |a, c| {
+                snap.evaluate(a, c, est).severity
+            })),
+            QueryBatch::Alerts(pairs) => {
+                ReplyBatch::Alerts(answer(n, pairs, width, |a, c| snap.evaluate(a, c, est).alert))
+            }
+            QueryBatch::SampledSeverity { pairs, witnesses } => {
+                let k = witness_budget(*witnesses, est);
+                ReplyBatch::SampledSeverity(answer(n, pairs, width, |a, c| {
+                    snap.sampled_severity(a, c, k, est)
+                }))
+            }
+        }
     }
 
     /// Always zero: the service keeps no estimate cache. A stub kept

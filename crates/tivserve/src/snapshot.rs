@@ -304,8 +304,8 @@ impl EpochSnapshot {
     /// Evaluates one edge query against the frozen state.
     ///
     /// Pure: the result depends only on `(self, a, c, cfg)` — never on
-    /// caches, shard layout or thread count — which is the invariant the
-    /// sharded service's equivalence tests pin.
+    /// fan-out width or thread count — which is the invariant the
+    /// service's equivalence tests pin.
     pub fn evaluate(&self, a: NodeId, c: NodeId, cfg: &EstimateConfig) -> EdgeEstimate {
         let predicted = self.embedding.predicted(a, c);
         let measured = self.matrix.get(a, c);

@@ -26,6 +26,7 @@
 //! bit-identical to the dense estimate (pinned by this module's tests).
 
 use crate::epoch::{EpochSource, Observation};
+use crate::service::{answer, witness_budget};
 use crate::snapshot::{EstimateConfig, ServedSnapshot};
 use delayspace::matrix::NodeId;
 use delayspace::{DelayStore, NodePair, SparseDelayStore};
@@ -253,10 +254,10 @@ impl EpochSource for SparseEpochBuilder {
 /// Serves sampled queries against the latest [`SparseSnapshot`].
 ///
 /// The sparse sibling of [`TivServe`](crate::TivServe): readers grab an
-/// `Arc` to the current snapshot and never block a publish. There is no
-/// shard fan-out or cache — sampled answers are `O(witnesses)` each, so
-/// the batch methods run [`tivpar::par_map_rows`] directly (which is
-/// bit-identical at any thread count).
+/// `Arc` to the current snapshot and never block a publish. Both batch
+/// methods take the dense service's one path — range-check, then
+/// [`tivpar::par_map_rows`] over `threads` workers (bit-identical at
+/// any thread count).
 pub struct SparseServe {
     current: RwLock<Arc<SparseSnapshot>>,
     cfg: EstimateConfig,
@@ -298,30 +299,15 @@ impl SparseServe {
         witnesses: u32,
     ) -> Vec<Option<SeverityEstimate>> {
         let snap = self.snapshot();
-        let k = if witnesses == 0 { self.cfg.severity_witnesses } else { witnesses as usize };
-        let cfg = self.cfg;
-        self.check_range(&snap, pairs);
-        tivpar::par_map_rows(pairs.len(), self.threads, |i| {
-            snap.sampled_severity(pairs[i].0, pairs[i].1, k, &cfg)
-        })
+        let k = witness_budget(witnesses, &self.cfg);
+        answer(snap.len(), pairs, self.threads, |a, c| snap.sampled_severity(a, c, k, &self.cfg))
     }
 
     /// Best sampled relays for a batch, in pair order.
     pub fn sampled_route_batch(&self, pairs: &[NodePair], witnesses: u32) -> Vec<Option<Relay>> {
         let snap = self.snapshot();
-        let k = if witnesses == 0 { self.cfg.severity_witnesses } else { witnesses as usize };
-        let cfg = self.cfg;
-        self.check_range(&snap, pairs);
-        tivpar::par_map_rows(pairs.len(), self.threads, |i| {
-            snap.sampled_route(pairs[i].0, pairs[i].1, k, &cfg)
-        })
-    }
-
-    fn check_range(&self, snap: &SparseSnapshot, pairs: &[NodePair]) {
-        let n = snap.len();
-        for &(a, c) in pairs {
-            assert!(a < n && c < n, "query ({a},{c}) outside the {n}-node snapshot");
-        }
+        let k = witness_budget(witnesses, &self.cfg);
+        answer(snap.len(), pairs, self.threads, |a, c| snap.sampled_route(a, c, k, &self.cfg))
     }
 }
 
