@@ -25,13 +25,27 @@ use delayspace::store::{DelayStore, NodePair};
 
 /// Severity and violation-count matrices for every edge of a delay
 /// space.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Severity {
     n: usize,
     /// Row-major severity per ordered pair (symmetric; NaN = missing).
     sev: Vec<f64>,
     /// Number of witnesses B violating through each ordered pair.
     cnt: Vec<u32>,
+}
+
+impl Clone for Severity {
+    fn clone(&self) -> Self {
+        Severity { n: self.n, sev: self.sev.clone(), cnt: self.cnt.clone() }
+    }
+
+    /// Copies `source` into the existing buffers instead of allocating
+    /// new ones (what the derived `clone_from` would do).
+    fn clone_from(&mut self, source: &Self) {
+        self.n = source.n;
+        self.sev.clone_from(&source.sev);
+        self.cnt.clone_from(&source.cnt);
+    }
 }
 
 impl Severity {
@@ -176,6 +190,12 @@ impl Severity {
     /// pipeline's core invariant, pinned by `tivoid`'s
     /// `flux_equivalence` test.
     ///
+    /// This is the O(|D|·n²) row path. The epoch builder runs
+    /// [`Severity::repair_edges`] instead; this one stays as the
+    /// reference the edge kernel is tested against and as the kernel
+    /// the benchmark's `tivcore.severity_repair_rows_ms` probe times
+    /// (a benchmark-only change re-points that probe at the edge path).
+    ///
     /// # Panics
     /// Panics when the matrix size differs from this instance's, or
     /// when `dirty` is not strictly increasing or names a node `>= n`.
@@ -215,6 +235,86 @@ impl Severity {
                 self.sev[a * n + d] = self.sev[d * n + a];
                 self.cnt[a * n + d] = self.cnt[d * n + a];
             }
+        }
+    }
+
+    /// Repairs the matrices after `m` changed on exactly the `changed`
+    /// edges, each given once as `(a, b, before)`: `before` is the delay
+    /// of `{a, b}` in the matrix this instance was computed from (NaN =
+    /// unmeasured then). Every other entry of `m` must be unchanged.
+    ///
+    /// A witness that does not violate adds nothing to a pair's
+    /// witness sum. So a pair keeps its exact bits unless
+    /// its direct edge changed, or a changed edge is one of its witness
+    /// legs and that witness violates with the old delays or with the
+    /// new ones: only then can its sequence of floating-point additions
+    /// differ. Those pairs are collected, sorted, and re-summed with the
+    /// full pass's kernel (in parallel, [`tivpar::resolve_threads`]
+    /// semantics), so the result is **bit-identical** to
+    /// `Severity::compute(m, _)`. The scan costs O(|changed|·n); each
+    /// re-summed pair costs O(n).
+    ///
+    /// # Panics
+    /// Panics when the matrix size differs from this instance's, or
+    /// when a changed edge is a self-loop or names a node `>= n`.
+    pub fn repair_edges(
+        &mut self,
+        m: &DelayMatrix,
+        changed: &[(NodeId, NodeId, f64)],
+        threads: usize,
+    ) {
+        let n = self.n;
+        assert_eq!(m.len(), n, "matrix has {} nodes, severity covers {n}", m.len());
+        // The endpoints' rows as they were: current rows with every
+        // changed entry put back to its `before` value.
+        let mut slot = vec![usize::MAX; n];
+        let mut old = Vec::new();
+        for &(a, b, _) in changed {
+            assert!(a < n && b < n, "changed edge ({a},{b}) outside {n} nodes");
+            assert_ne!(a, b, "changed edge ({a},{a}) is a self-loop");
+            for v in [a, b] {
+                if slot[v] == usize::MAX {
+                    slot[v] = old.len() / n;
+                    old.extend_from_slice(m.row(v));
+                }
+            }
+        }
+        for &(a, b, before) in changed {
+            old[slot[a] * n + b] = before;
+            old[slot[b] * n + a] = before;
+        }
+        let old_row = |v: NodeId| &old[slot[v] * n..(slot[v] + 1) * n];
+        let mut pairs = Vec::new();
+        for &(a, c, before) in changed {
+            pairs.push((a.min(c), a.max(c)));
+            let (old_a, old_c, row_a, row_c) = (old_row(a), old_row(c), m.row(a), m.row(c));
+            let now = row_a[c];
+            for x in (0..n).filter(|&x| x != a && x != c) {
+                // Pair {a, x} through witness c, then {c, x} through a.
+                if before + old_c[x] < old_a[x] || now + row_c[x] < row_a[x] {
+                    pairs.push((a.min(x), a.max(x)));
+                }
+                if before + old_a[x] < old_c[x] || now + row_a[x] < row_c[x] {
+                    pairs.push((c.min(x), c.max(x)));
+                }
+            }
+        }
+        pairs.sort_unstable();
+        pairs.dedup();
+        let sums = tivpar::par_map_rows(pairs.len(), threads, |i| {
+            let (u, x) = pairs[i];
+            let dux = m.raw(u, x);
+            if dux.is_nan() {
+                return (f64::NAN, 0); // the full pass leaves NaN / 0
+            }
+            let (sum, count) = severity_pair(m.row(u), m.row(x), dux);
+            (sum / n as f64, count)
+        });
+        for (&(u, x), (s, count)) in pairs.iter().zip(sums) {
+            self.sev[u * n + x] = s;
+            self.sev[x * n + u] = s;
+            self.cnt[u * n + x] = count;
+            self.cnt[x * n + u] = count;
         }
     }
 
@@ -879,6 +979,44 @@ mod tests {
         assert_eq!(sev.sev.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), {
             before.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         });
+    }
+
+    #[test]
+    fn repair_edges_matches_repair_rows() {
+        let s = InternetDelaySpace::preset(Dataset::Ds2).with_nodes(90).build(13);
+        let mut start = s.matrix().clone();
+        start.clear(5, 6);
+        let sev = Severity::compute(&start, 2);
+        // Grown, shrunk to zero, cleared, newly measured, and one edge
+        // changed and put back within the epoch.
+        let mut m = start.clone();
+        m.set(3, 40, m.get(3, 40).unwrap() * 6.0);
+        m.set(17, 60, 0.0);
+        m.clear(40, 61);
+        m.set(5, 6, 12.0);
+        let changed: Vec<_> = [(3usize, 40usize), (17, 60), (40, 61), (5, 6), (8, 9)]
+            .iter()
+            .map(|&(a, b)| (a, b, start.raw(a, b)))
+            .collect();
+        let mut by_rows = sev.clone();
+        by_rows.repair_rows(&m, &[3, 5, 6, 8, 9, 17, 40, 60, 61], 1);
+        for threads in [1usize, 2, 4] {
+            let mut by_edges = sev.clone();
+            by_edges.repair_edges(&m, &changed, threads);
+            let bits = |s: &Severity| s.sev.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&by_edges), bits(&by_rows), "severity diverged, {threads} threads");
+            assert_eq!(by_edges.cnt, by_rows.cnt, "counts diverged, {threads} threads");
+        }
+    }
+
+    #[test]
+    fn clone_from_reuses_the_destination_buffers() {
+        let src = Severity::compute(&tiv_triangle(), 1);
+        let mut dst = Severity::compute(&DelayMatrix::from_complete_fn(3, |_, _| 1.0), 1);
+        let buffers = (dst.sev.as_ptr(), dst.cnt.as_ptr());
+        dst.clone_from(&src);
+        assert_eq!((dst.sev.as_ptr(), dst.cnt.as_ptr()), buffers, "clone_from reallocated");
+        assert_eq!(dst.count(0, 2), 1);
     }
 
     #[test]

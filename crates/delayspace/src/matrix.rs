@@ -21,11 +21,25 @@ pub type NodeId = usize;
 /// Missing measurements are represented as `NaN` in the backing storage
 /// and returned as `None` from [`DelayMatrix::get`]. All constructors
 /// enforce symmetry and a zero diagonal.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Serialize, Deserialize)]
 pub struct DelayMatrix {
     n: usize,
     /// Row-major `n * n` storage; `data[i * n + j]` is the delay i→j.
     data: Vec<f64>,
+}
+
+impl Clone for DelayMatrix {
+    fn clone(&self) -> Self {
+        DelayMatrix { n: self.n, data: self.data.clone() }
+    }
+
+    /// Copies `source` into this matrix's existing buffer (the derived
+    /// `clone_from` would allocate a fresh one): an epoch builder
+    /// refreshing a retired snapshot pays a memcpy, not an allocation.
+    fn clone_from(&mut self, source: &Self) {
+        self.n = source.n;
+        self.data.clone_from(&source.data);
+    }
 }
 
 impl PartialEq for DelayMatrix {
@@ -118,7 +132,9 @@ impl DelayMatrix {
         &self.data[i * self.n..(i + 1) * self.n]
     }
 
-    /// Sets the delay for the pair `{i, j}` (both directions).
+    /// Sets the delay for the pair `{i, j}` (both directions). A
+    /// negative zero is stored as `+0.0`, so `<` and `total_cmp` agree
+    /// on every stored delay (the detour kernels rank with both).
     ///
     /// # Panics
     /// Panics if `i == j` and `d != 0`, or if `d` is negative or not finite.
@@ -128,6 +144,7 @@ impl DelayMatrix {
             assert!(d == 0.0, "diagonal entries must be zero");
             return;
         }
+        let d = d + 0.0; // -0.0 + 0.0 == +0.0; every other value is unchanged
         self.data[i * self.n + j] = d;
         self.data[j * self.n + i] = d;
     }
@@ -372,6 +389,23 @@ mod tests {
     fn negative_delay_panics() {
         let mut m = DelayMatrix::new(2);
         m.set(0, 1, -1.0);
+    }
+
+    #[test]
+    fn negative_zero_is_stored_as_positive_zero() {
+        let mut m = DelayMatrix::new(2);
+        m.set(0, 1, -0.0);
+        assert_eq!(m.raw(1, 0).to_bits(), 0.0f64.to_bits());
+    }
+
+    #[test]
+    fn clone_from_reuses_the_destination_buffer() {
+        let src = DelayMatrix::from_complete_fn(6, |i, j| (i + j) as f64);
+        let mut dst = DelayMatrix::from_complete_fn(6, |_, _| 1.0);
+        let buffer = dst.data.as_ptr();
+        dst.clone_from(&src);
+        assert_eq!(dst, src);
+        assert_eq!(dst.data.as_ptr(), buffer, "clone_from reallocated");
     }
 
     #[test]

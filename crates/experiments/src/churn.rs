@@ -6,10 +6,11 @@
 //! [`simnet::churn::ChurnProcess`] drifts the true delays (diurnal
 //! drift, congestion spikes, node churn) and emits each tick's
 //! observation stream; a [`tivserve::flux::FluxBuilder`] folds the
-//! stream in, tracking dirty rows; every few ticks it builds the next
-//! epoch — repairing only the dirty rows of the exact severity matrix
-//! and detour table, or falling back to a full rebuild when churn
-//! spikes — and publishes it into a [`TivServe`]. The experiment
+//! stream in, tracking changed edges and dirty rows; every few ticks it
+//! builds the next epoch — repairing only the pairs of the exact
+//! severity matrix and detour table the changed edges can move, or
+//! falling back to a full rebuild when churn spikes — and publishes it
+//! into a [`TivServe`]. The experiment
 //! measures what the paper's deployment sections care about:
 //!
 //! * **staleness** — mean relative error between the *served* epoch's

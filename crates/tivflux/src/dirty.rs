@@ -1,34 +1,49 @@
-//! The dirty-row tracker.
+//! The dirty tracker.
 //!
-//! A [`DirtySet`] records which nodes' delay-matrix rows changed since
-//! the last epoch. Edges are the unit of change (a folded observation
-//! rewrites one symmetric entry), and an edge change dirties both
-//! endpoint rows — the exact granularity the row-repair kernels in
-//! `tivcore`/`tivroute` and the dirty-local embedding refinement
-//! consume.
+//! A [`DirtySet`] records what changed in the delay matrix since the
+//! last epoch, at two granularities:
+//!
+//! * the changed *edges*, each once with its delay at the start of the
+//!   epoch ([`DirtySet::mark_change`], [`DirtySet::changed_edges`]) —
+//!   what the edge-delta kernels (`Severity::repair_edges`,
+//!   `DetourTable::repair_edges`) consume;
+//! * the dirty *rows*, both endpoints of every changed edge — what the
+//!   rebuild policy, the row-repair reference kernels and the
+//!   dirty-local embedding refinement consume.
 
 use delayspace::matrix::NodeId;
+use std::collections::HashSet;
 
-/// Tracks the set of dirty rows (nodes) between two epochs.
+/// Tracks the dirty rows (nodes) and changed edges between two epochs.
 ///
 /// Marking is O(1) and idempotent; [`DirtySet::sorted_nodes`] returns
-/// the strictly-increasing row list the repair kernels require.
+/// the strictly-increasing row list the row-repair kernels require.
 #[derive(Clone, Debug)]
 pub struct DirtySet {
     /// `flags[i]` — node `i`'s row changed since the last clear.
     flags: Vec<bool>,
     /// Dirty nodes in first-marked order (deduplicated via `flags`).
     nodes: Vec<NodeId>,
-    /// Distinct-edge upper bound: every `mark_edge` call, including
-    /// repeats of the same edge (the tracker does not keep per-edge
-    /// state — rows are what repairs operate on).
+    /// Every `mark_edge` / `mark_change` call, including repeats of the
+    /// same edge — a load measure, not a distinct-edge count.
     edge_marks: usize,
+    /// `(a, b, before)` per edge passed to `mark_change`, in first-change
+    /// order: `before` is the delay at the start of the epoch.
+    changed: Vec<(NodeId, NodeId, f64)>,
+    /// The `(min, max)` endpoints of every edge in `changed`.
+    seen: HashSet<(NodeId, NodeId)>,
 }
 
 impl DirtySet {
     /// An all-clean tracker over `n` nodes.
     pub fn new(n: usize) -> Self {
-        DirtySet { flags: vec![false; n], nodes: Vec::new(), edge_marks: 0 }
+        DirtySet {
+            flags: vec![false; n],
+            nodes: Vec::new(),
+            edge_marks: 0,
+            changed: Vec::new(),
+            seen: HashSet::new(),
+        }
     }
 
     /// Number of nodes tracked.
@@ -45,6 +60,28 @@ impl DirtySet {
         self.mark_node(a);
         self.mark_node(b);
         self.edge_marks += 1;
+    }
+
+    /// Marks the edge `{a, b}` changed like [`DirtySet::mark_edge`],
+    /// and records `(a, b, before)` the first time the edge changes in
+    /// the epoch — so `before` is its delay at the start of the epoch
+    /// (NaN = unmeasured then). Later calls for the same edge, in
+    /// either orientation, only mark.
+    ///
+    /// # Panics
+    /// Panics when either endpoint is out of range.
+    pub fn mark_change(&mut self, a: NodeId, b: NodeId, before: f64) {
+        self.mark_edge(a, b);
+        if self.seen.insert((a.min(b), a.max(b))) {
+            self.changed.push((a, b, before));
+        }
+    }
+
+    /// The edges passed to [`DirtySet::mark_change`] since the last
+    /// clear, once each as `(a, b, before)` — the input of the
+    /// edge-delta repair kernels.
+    pub fn changed_edges(&self) -> &[(NodeId, NodeId, f64)] {
+        &self.changed
     }
 
     /// Marks one node's row for recomputation. This is the low-level
@@ -76,8 +113,9 @@ impl DirtySet {
         self.nodes.len()
     }
 
-    /// Number of `mark_edge` calls since the last clear (repeats of the
-    /// same edge count — a load measure, not a distinct-edge count).
+    /// Number of `mark_edge` and `mark_change` calls since the last
+    /// clear (repeats of the same edge count — a load measure, not a
+    /// distinct-edge count).
     pub fn edge_marks(&self) -> usize {
         self.edge_marks
     }
@@ -113,6 +151,8 @@ impl DirtySet {
         }
         self.nodes.clear();
         self.edge_marks = 0;
+        self.changed.clear();
+        self.seen.clear();
     }
 }
 
@@ -154,6 +194,26 @@ mod tests {
         assert_eq!(d.edge_marks(), 0);
         d.mark_edge(1, 2); // reusable after clear
         assert_eq!(d.sorted_nodes(), vec![1, 2]);
+    }
+
+    #[test]
+    fn changes_keep_the_first_before_value_per_edge() {
+        let mut d = DirtySet::new(6);
+        d.mark_change(4, 1, 10.0);
+        d.mark_change(1, 4, 20.0); // same edge, other orientation
+        d.mark_change(2, 3, f64::NAN);
+        d.mark_edge(0, 5); // marks rows, records no edge
+        assert_eq!(d.edge_marks(), 4);
+        assert_eq!(d.sorted_nodes(), vec![0, 1, 2, 3, 4, 5]);
+        let changed = d.changed_edges();
+        assert_eq!(changed.len(), 2);
+        assert_eq!(changed[0], (4, 1, 10.0));
+        assert_eq!((changed[1].0, changed[1].1), (2, 3));
+        assert!(changed[1].2.is_nan());
+        d.clear();
+        assert!(d.changed_edges().is_empty());
+        d.mark_change(1, 4, 30.0); // a new epoch records it afresh
+        assert_eq!(d.changed_edges(), &[(1, 4, 30.0)]);
     }
 
     #[test]

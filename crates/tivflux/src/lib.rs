@@ -8,16 +8,17 @@
 //! stall per epoch. This crate owns the machinery that makes epochs
 //! *incremental*:
 //!
-//! * [`DirtySet`] ([`dirty`]) — tracks which matrix rows changed since
-//!   the last epoch, at edge granularity, with O(1) marking.
+//! * [`DirtySet`] ([`dirty`]) — tracks which edges changed since the
+//!   last epoch (each once, with its delay at the start of the epoch)
+//!   and which rows they dirty, with O(1) marking.
 //! * [`DerivedState`] ([`repair`]) — the two O(n³) analyses an epoch
 //!   snapshot carries (the exact TIV-severity matrix and the k-best
-//!   detour table), with a `repair` path that recomputes only dirty
-//!   rows (via [`tivpar`] over the dirty set) and patches the symmetric
-//!   column entries. Because both analyses are pure, symmetric,
-//!   row-decomposable functions of the delay matrix — an edge change
-//!   can only affect pairs touching one of its endpoints — the repaired
-//!   state is **bit-identical** to a from-scratch recompute.
+//!   detour table), with an edge-delta `repair_edges` path: an edge
+//!   change can only affect pairs touching one of its endpoints, and
+//!   of those only the ones whose severity sum or detour list it can
+//!   actually move are redone, with the full pass's kernels. The
+//!   repaired state is **bit-identical** to a from-scratch recompute.
+//!   The older row path (`repair`, O(|D|·n²)) stays as its reference.
 //! * [`refine_embedding`] ([`refine`]) — a deterministic, dirty-local
 //!   coordinate refinement: each dirty node re-solves its coordinate
 //!   against the *previous* epoch's frozen embedding, so the update is

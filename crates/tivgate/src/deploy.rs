@@ -258,6 +258,12 @@ impl<B: EpochSource<Snapshot = EpochSnapshot>> DeploymentHandle<B> {
         self.feed.as_ref()?.flush()
     }
 
+    /// Observations the publisher dropped because they were invalid
+    /// (see [`EpochStream::rejected`]); 0 without a publisher.
+    pub fn observations_rejected(&self) -> u64 {
+        self.publisher.as_ref().map_or(0, EpochStream::rejected)
+    }
+
     /// Epoch of the latest *built* snapshot (what a healthy replica
     /// serves).
     pub fn latest_epoch(&self) -> u64 {
@@ -402,12 +408,15 @@ mod tests {
             let src = (k % 6) as usize;
             feed.observe(Observation { src, dst: src + 8, rtt_ms: 35.0 + k as f64 }).unwrap();
         }
+        // A self-loop is dropped at the feed boundary, not ingested.
+        feed.observe(Observation { src: 1, dst: 1, rtt_ms: 5.0 }).unwrap();
         // Deterministic boundary: everything above lands in epoch order
         // (10 observations at 4/epoch: two threshold publishes, then
         // this flush publishes the remaining two).
         let epoch = handle.publish_now().expect("engine alive");
         assert_eq!(epoch, 3);
         assert_eq!(handle.latest_epoch(), 3);
+        assert_eq!(handle.observations_rejected(), 1);
         for i in 0..2 {
             assert_eq!(handle.replica_epoch(i), Some(3));
             assert_eq!(handle.staleness_epochs(i), Some(0));

@@ -8,10 +8,16 @@
 //! shard layout) are pure cost knobs; this test is what makes that a
 //! contract rather than an intention — the same discipline as
 //! `parallel_equivalence`, `serve_equivalence` and `route_equivalence`.
+//!
+//! Under the builder, the edge-delta repair (`DerivedState::
+//! repair_edges`) is also pinned on its own against `DerivedState::
+//! compute`, epoch after epoch, on inputs built to break it: tiny
+//! spaces, ties, zeros, cleared edges, and edges changed twice or
+//! changed back within one epoch.
 
 use tivoid::delayspace::matrix::DelayMatrix;
 use tivoid::delayspace::synth::{Dataset, InternetDelaySpace};
-use tivoid::tivflux::{BuildKind, RebuildPolicy};
+use tivoid::tivflux::{BuildKind, DerivedState, DirtySet, RebuildPolicy};
 use tivoid::tivserve::epoch::{EpochConfig, Observation};
 use tivoid::tivserve::flux::{FluxBuilder, FluxConfig};
 use tivoid::tivserve::query::QueryBatch;
@@ -181,4 +187,103 @@ fn served_answers_are_shard_and_path_invariant() {
             assert_eq!(service.query(&route_q), ref_routes, "routes diverged at {shards} shards");
         }
     }
+}
+
+/// SplitMix64: the adversarial test's own seeded stream.
+struct Mix(u64);
+
+impl Mix {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) % n as u64) as usize
+    }
+
+    /// A delay from a tiny alphabet (0 to 4 ms), so equal `via` sums,
+    /// zero delays and exact triangle equalities are common; `None`
+    /// (unmeasured) one time in six.
+    fn delay(&mut self) -> Option<f64> {
+        (self.below(6) != 0).then(|| self.below(5) as f64)
+    }
+
+    fn edge(&mut self, n: usize) -> (usize, usize) {
+        let a = self.below(n);
+        (a, (a + 1 + self.below(n - 1)) % n)
+    }
+}
+
+/// Writes `d` (`None` clears) to `edge` and records it the way
+/// `FluxBuilder::ingest` does: only when the stored bits move.
+fn write(m: &mut DelayMatrix, dirty: &mut DirtySet, (a, b): (usize, usize), d: Option<f64>) {
+    let before = m.raw(a, b);
+    match d {
+        Some(d) => m.set(a, b, d),
+        None => m.clear(a, b),
+    }
+    if m.raw(a, b).to_bits() != before.to_bits() {
+        dirty.mark_change(a, b, before);
+    }
+}
+
+fn assert_derived_bit_identical(got: &DerivedState, want: &DerivedState, what: &str) {
+    let n = want.len();
+    assert_eq!(got.len(), n, "{what}: size");
+    let relays = |d: &DerivedState, i, j| -> Vec<(usize, u64)> {
+        d.detour.relays(i, j).map(|r| (r.relay, r.via_ms.to_bits())).collect()
+    };
+    for i in 0..n {
+        for j in 0..n {
+            let (gs, ws) = (&got.severity, &want.severity);
+            assert_eq!(
+                gs.severity(i, j).map(f64::to_bits),
+                ws.severity(i, j).map(f64::to_bits),
+                "{what}: severity at ({i},{j})"
+            );
+            assert_eq!(gs.count(i, j), ws.count(i, j), "{what}: count at ({i},{j})");
+            assert_eq!(relays(got, i, j), relays(want, i, j), "{what}: detours at ({i},{j})");
+        }
+    }
+}
+
+#[test]
+fn edge_repair_equals_compute_on_adversarial_epochs() {
+    let mut epochs = 0;
+    for n in [3usize, 4, 5, 64] {
+        for k in [1usize, 2, 5] {
+            for threads in THREADS {
+                let mut rng = Mix((n * 100 + k * 10 + threads) as u64);
+                let mut m = DelayMatrix::from_fn(n, |_, _| rng.delay());
+                let mut state = DerivedState::compute(&m, k, threads);
+                let mut dirty = DirtySet::new(n);
+                for epoch in 1..=6 {
+                    for _ in 0..1 + rng.below(if n > 5 { 12 } else { 4 }) {
+                        let edge = rng.edge(n);
+                        match rng.below(4) {
+                            // One write: a new delay, a zero, or a clear.
+                            0 | 1 => write(&mut m, &mut dirty, edge, rng.delay()),
+                            // The same edge changed twice.
+                            2 => {
+                                write(&mut m, &mut dirty, edge, rng.delay());
+                                write(&mut m, &mut dirty, edge, rng.delay());
+                            }
+                            // Changed, then put back to its start value.
+                            _ => {
+                                let start = m.get(edge.0, edge.1);
+                                write(&mut m, &mut dirty, edge, rng.delay());
+                                write(&mut m, &mut dirty, edge, start);
+                            }
+                        }
+                    }
+                    state.repair_edges(&m, dirty.changed_edges(), threads);
+                    dirty.clear();
+                    let what = format!("n = {n}, k = {k}, {threads} threads, epoch {epoch}");
+                    assert_derived_bit_identical(&state, &DerivedState::compute(&m, k, 1), &what);
+                    epochs += 1;
+                }
+            }
+        }
+    }
+    assert!(epochs >= 200, "only {epochs} epochs checked");
 }

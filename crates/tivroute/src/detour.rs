@@ -51,7 +51,7 @@ impl DetourGain {
 }
 
 /// The k-best one-hop detours of every ordered pair of a delay space.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct DetourTable {
     n: usize,
     k: usize,
@@ -61,6 +61,21 @@ pub struct DetourTable {
     relays: Vec<u32>,
     /// Detour delays, parallel to `relays` (NaN in unused slots).
     via: Vec<f64>,
+}
+
+impl Clone for DetourTable {
+    fn clone(&self) -> Self {
+        DetourTable { n: self.n, k: self.k, relays: self.relays.clone(), via: self.via.clone() }
+    }
+
+    /// Copies `source` into the existing buffers instead of allocating
+    /// new ones (what the derived `clone_from` would do).
+    fn clone_from(&mut self, source: &Self) {
+        self.n = source.n;
+        self.k = source.k;
+        self.relays.clone_from(&source.relays);
+        self.via.clone_from(&source.via);
+    }
 }
 
 impl DetourTable {
@@ -116,6 +131,12 @@ impl DetourTable {
     /// from scratch, bit for bit — pinned by `tivoid`'s
     /// `flux_equivalence` test.
     ///
+    /// This is the O(|D|·n²·k) row path. The epoch builder runs
+    /// [`DetourTable::repair_edges`] instead; this one stays as the
+    /// reference the edge kernel is tested against and as the kernel
+    /// the benchmark's `tivroute.detour_repair_rows_ms` probe times
+    /// (a benchmark-only change re-points that probe at the edge path).
+    ///
     /// # Panics
     /// Panics when the matrix size differs from the table's, or when
     /// `dirty` is not strictly increasing or names a node `>= n`.
@@ -153,6 +174,78 @@ impl DetourTable {
                 }
             }
         }
+    }
+
+    /// Repairs the table after `m` changed on exactly the `changed`
+    /// edges, each given once as `(a, b, before)` (the `before` delay
+    /// is not needed here). Every other entry of `m` must be unchanged.
+    ///
+    /// A changed edge `{a, c}` moves only relay `c` of the pairs
+    /// `(a, x)` and relay `a` of the pairs `(c, x)`. For each such pair
+    /// and relay:
+    ///
+    /// * a relay already in the pair's list may have got worse, so the
+    ///   pair is rescanned with the full pass's kernel (O(n), with
+    ///   probability about k/n);
+    /// * otherwise it ranked behind the whole list before, so it enters
+    ///   only if its new `via` ranks ahead of the k-th entry or the list
+    ///   has room, by the same `(via, relay id)` order (O(k)).
+    ///
+    /// The result is mirrored into `(x, a)`. Both steps keep the list
+    /// equal to the k best of the delays seen so far, and no float is
+    /// accumulated, so after the last edge the table equals
+    /// `DetourTable::compute(m, k, _)` bit for bit. Cost O(|changed|·n·k).
+    ///
+    /// # Panics
+    /// Panics when the matrix size differs from the table's, or when a
+    /// changed edge is a self-loop or names a node `>= n`.
+    pub fn repair_edges(&mut self, m: &DelayMatrix, changed: &[(NodeId, NodeId, f64)]) {
+        let n = self.n;
+        assert_eq!(m.len(), n, "matrix has {} nodes, table covers {n}", m.len());
+        for &(a, c, _) in changed {
+            assert!(a < n && c < n, "changed edge ({a},{c}) outside {n} nodes");
+            assert_ne!(a, c, "changed edge ({a},{a}) is a self-loop");
+            for x in (0..n).filter(|&x| x != a && x != c) {
+                self.repair_relay(m, a, x, c);
+                self.repair_relay(m, c, x, a);
+            }
+        }
+    }
+
+    /// Brings the list of `(u, x)` up to date with relay `r`'s current
+    /// `via`, then mirrors it into `(x, u)`.
+    fn repair_relay(&mut self, m: &DelayMatrix, u: NodeId, x: NodeId, r: NodeId) {
+        let DetourTable { n, k, relays, via } = self;
+        let (n, k, id) = (*n, *k, r as u32);
+        let pair = (u * n + x) * k;
+        let (rslots, vslots) = (&mut relays[pair..pair + k], &mut via[pair..pair + k]);
+        if rslots.contains(&id) {
+            rslots.fill(NO_RELAY);
+            vslots.fill(f64::NAN);
+            detour_pair(m.row(u), m.row(x), u, x, k, rslots, vslots);
+        } else {
+            let alt = m.raw(u, r) + m.raw(r, x);
+            if alt.is_nan() {
+                return; // unmeasured hop: never listed
+            }
+            let len = rslots.iter().take_while(|&&s| s != NO_RELAY).count();
+            let mut pos = len;
+            while pos > 0 && ranks_before(alt, id, vslots[pos - 1], rslots[pos - 1]) {
+                pos -= 1;
+            }
+            if pos == k {
+                return; // behind a full list: nothing moves
+            }
+            for slot in (pos + 1..(len + 1).min(k)).rev() {
+                rslots[slot] = rslots[slot - 1];
+                vslots[slot] = vslots[slot - 1];
+            }
+            rslots[pos] = id;
+            vslots[pos] = alt;
+        }
+        let mirror = (x * n + u) * k;
+        relays.copy_within(pair..pair + k, mirror);
+        via.copy_within(pair..pair + k, mirror);
     }
 
     /// Number of nodes.
@@ -559,6 +652,43 @@ mod tests {
         let before = table.relays.clone();
         table.repair_rows(&DelayMatrix::from_fn(50, |_, _| Some(1.0)), &[], 1);
         assert_eq!(table.relays, before);
+    }
+
+    #[test]
+    fn repair_edges_matches_repair_rows() {
+        // Small integer delays: plenty of equal-`via` ties.
+        let start = DelayMatrix::from_fn(50, |i, j| {
+            ((i + j) % 9 != 0).then(|| ((i * 17 + j * 23) % 71) as f64 + 1.0)
+        });
+        // Grown, zeroed, cleared, newly measured, changed and put back.
+        let mut m = start.clone();
+        m.set(2, 30, 500.0);
+        m.set(11, 44, 0.0);
+        m.clear(30, 12);
+        m.set(9, 18, 3.0);
+        let edges = [(2usize, 30usize), (11, 44), (30, 12), (9, 18), (5, 6)];
+        let changed: Vec<_> = edges.iter().map(|&(a, b)| (a, b, start.raw(a, b))).collect();
+        for k in [1usize, 3, 5] {
+            let table = DetourTable::compute(&start, k, 1);
+            let mut by_rows = table.clone();
+            by_rows.repair_rows(&m, &[2, 5, 6, 9, 11, 12, 18, 30, 44], 1);
+            let mut by_edges = table;
+            by_edges.repair_edges(&m, &changed);
+            assert_eq!(by_edges.relays, by_rows.relays, "relays diverged at k = {k}");
+            let eb: Vec<u64> = by_edges.via.iter().map(|v| v.to_bits()).collect();
+            let rb: Vec<u64> = by_rows.via.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(eb, rb, "via delays diverged at k = {k}");
+        }
+    }
+
+    #[test]
+    fn clone_from_reuses_the_destination_buffers() {
+        let src = DetourTable::compute(&tiv_triangle(), 2, 1);
+        let mut dst = DetourTable::compute(&DelayMatrix::from_complete_fn(3, |_, _| 1.0), 2, 1);
+        let buffers = (dst.relays.as_ptr(), dst.via.as_ptr());
+        dst.clone_from(&src);
+        assert_eq!((dst.relays.as_ptr(), dst.via.as_ptr()), buffers, "clone_from reallocated");
+        assert_eq!(dst.best(0, 2), Some(Relay { relay: 1, via_ms: 10.0 }));
     }
 
     #[test]

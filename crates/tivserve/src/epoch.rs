@@ -24,7 +24,8 @@
 use crate::snapshot::{EpochSnapshot, ServedSnapshot};
 use delayspace::matrix::{DelayMatrix, NodeId};
 use simnet::net::{JitterModel, Network};
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
 use tivcore::{MonitorConfig, TivMonitor};
 use vivaldi::{Embedding, VivaldiConfig, VivaldiSystem};
 
@@ -37,6 +38,21 @@ pub struct Observation {
     pub dst: NodeId,
     /// The measured round-trip time, ms (must be finite and positive).
     pub rtt_ms: f64,
+}
+
+impl Observation {
+    /// True when a builder over `n` nodes can fold this observation in:
+    /// distinct endpoints below `n` and a finite, positive RTT. Every
+    /// builder's `ingest` panics on anything else, so the publish
+    /// engine ([`spawn_with`]) checks this first and drops (and counts)
+    /// what fails.
+    pub fn is_valid(&self, n: usize) -> bool {
+        self.src < n
+            && self.dst < n
+            && self.src != self.dst
+            && self.rtt_ms.is_finite()
+            && self.rtt_ms > 0.0
+    }
 }
 
 /// Epoch-building parameters.
@@ -81,6 +97,9 @@ pub trait EpochSource: Send + 'static {
     /// it just published (the [`FeedSender::flush`] ack) and so
     /// deployments can retain/rebuild any snapshot kind uniformly.
     type Snapshot: ServedSnapshot;
+    /// Number of nodes the builder covers (what
+    /// [`Observation::is_valid`] checks against).
+    fn node_count(&self) -> usize;
     /// Folds one observation into the working state.
     fn ingest(&mut self, obs: Observation);
     /// Observations folded in since the last [`build`](Self::build).
@@ -178,6 +197,9 @@ impl EpochBuilder {
 
 impl EpochSource for EpochBuilder {
     type Snapshot = EpochSnapshot;
+    fn node_count(&self) -> usize {
+        self.matrix.len()
+    }
     fn ingest(&mut self, obs: Observation) {
         EpochBuilder::ingest(self, obs);
     }
@@ -287,6 +309,7 @@ impl FeedSender {
 pub struct EpochStream<B: EpochSource = EpochBuilder> {
     tx: FeedSender,
     handle: std::thread::JoinHandle<B>,
+    rejected: Arc<AtomicU64>,
 }
 
 impl<B: EpochSource> EpochStream<B> {
@@ -294,6 +317,14 @@ impl<B: EpochSource> EpochStream<B> {
     /// handle via [`join`](Self::join)) shuts the engine down.
     pub fn sender(&self) -> FeedSender {
         self.tx.clone()
+    }
+
+    /// Observations the engine dropped so far because they failed
+    /// [`Observation::is_valid`]. Exact once the feed is quiet: a
+    /// returned [`FeedSender::flush`] has counted everything sent
+    /// before it.
+    pub fn rejected(&self) -> u64 {
+        self.rejected.load(Ordering::Relaxed)
     }
 
     /// Closes the stream, waits for the engine thread to publish any
@@ -325,6 +356,12 @@ impl<B: EpochSource> EpochStream<B> {
 /// absorbed in one sweep, and the no-loss accounting
 /// (`ingested_total == observations sent`) is pinned by the
 /// observe/publish interleaving regression tests.
+///
+/// An observation that fails [`Observation::is_valid`] (a self-loop, an
+/// out-of-range node, a NaN, infinite or non-positive RTT) is dropped
+/// and counted in [`EpochStream::rejected`] before it reaches
+/// `ingest`, whose documented panic would otherwise stop publishing
+/// for good.
 pub fn spawn_with<B: EpochSource>(
     mut builder: B,
     observations_per_epoch: usize,
@@ -332,8 +369,18 @@ pub fn spawn_with<B: EpochSource>(
 ) -> EpochStream<B> {
     assert!(observations_per_epoch >= 1, "need at least one observation per epoch");
     let (tx, rx) = mpsc::channel::<Feed>();
+    let rejected = Arc::new(AtomicU64::new(0));
+    let counter = Arc::clone(&rejected);
     // tivlint: allow(pool-discipline, "one long-lived background epoch-builder thread, not a parallel kernel; build determinism is pinned by the observe/publish interleaving tests")
     let handle = std::thread::spawn(move || {
+        // A statistic that publishes no other data: Relaxed suffices.
+        let fold = |builder: &mut B, obs: Observation| {
+            if obs.is_valid(builder.node_count()) {
+                builder.ingest(obs);
+            } else {
+                counter.fetch_add(1, Ordering::Relaxed);
+            }
+        };
         let flush =
             |builder: &mut B, publish: &mut dyn FnMut(B::Snapshot), ack: mpsc::Sender<u64>| {
                 let snapshot = builder.build();
@@ -352,14 +399,14 @@ pub fn spawn_with<B: EpochSource>(
                     flush(&mut builder, &mut publish, ack);
                     continue 'run;
                 }
-                Ok(Feed::Observe(obs)) => builder.ingest(obs),
+                Ok(Feed::Observe(obs)) => fold(&mut builder, obs),
             }
             // Absorb whatever else is already buffered — including
             // anything that arrived while the previous build/publish
             // was running — up to the epoch boundary, without blocking.
             while builder.pending() < observations_per_epoch {
                 match rx.try_recv() {
-                    Ok(Feed::Observe(obs)) => builder.ingest(obs),
+                    Ok(Feed::Observe(obs)) => fold(&mut builder, obs),
                     // A flush queued mid-batch publishes exactly what
                     // preceded it (FIFO), then draining resumes.
                     Ok(Feed::Flush(ack)) => flush(&mut builder, &mut publish, ack),
@@ -378,7 +425,7 @@ pub fn spawn_with<B: EpochSource>(
         }
         builder
     });
-    EpochStream { tx: FeedSender { tx }, handle }
+    EpochStream { tx: FeedSender { tx }, handle, rejected }
 }
 
 #[cfg(test)]
@@ -553,6 +600,39 @@ mod tests {
         assert_eq!(builder.ingested_total(), 5);
         assert_eq!(builder.pending(), 0, "flush left nothing unpublished");
         assert_eq!(builder.epoch(), 2, "no tail publish after a clean flush");
+    }
+
+    #[test]
+    fn poisoned_observations_are_dropped_and_counted() {
+        let (builder, snap) = EpochBuilder::bootstrap(ds2(30, 12), cfg());
+        let service = Arc::new(TivServe::new(ServeConfig::default(), snap));
+        let stream = spawn_into(&service, builder, 1_000_000);
+        let tx = stream.sender();
+        let poison = [
+            Observation { src: 3, dst: 3, rtt_ms: 10.0 },
+            Observation { src: 3, dst: 30, rtt_ms: 10.0 },
+            Observation { src: 3, dst: 4, rtt_ms: 0.0 },
+            Observation { src: 3, dst: 4, rtt_ms: -1.0 },
+            Observation { src: 3, dst: 4, rtt_ms: f64::NAN },
+            Observation { src: 3, dst: 4, rtt_ms: f64::INFINITY },
+        ];
+        let mut valid = 0u64;
+        for (epoch, &bad) in (1u64..).zip(&poison) {
+            for k in 0..4 {
+                if k == 2 {
+                    tx.observe(bad).unwrap();
+                }
+                tx.observe(Observation { src: k, dst: k + 10, rtt_ms: 30.0 + epoch as f64 })
+                    .unwrap();
+                valid += 1;
+            }
+            assert_eq!(tx.flush(), Some(epoch), "publishing stopped after {bad:?}");
+            assert_eq!(service.epoch(), epoch);
+        }
+        assert_eq!(stream.rejected(), 6);
+        tx.close();
+        let builder = stream.join();
+        assert_eq!(builder.ingested_total(), valid);
     }
 
     #[test]

@@ -11,29 +11,41 @@
 //! matrix size:
 //!
 //! 1. every [`ingest`](FluxBuilder::ingest) that actually changes a
-//!    matrix entry marks both endpoint rows in a
-//!    [`DirtySet`];
+//!    matrix entry records the edge, with its delay at the start of
+//!    the epoch, in a [`DirtySet`] (which also marks both endpoint
+//!    rows dirty);
 //! 2. [`build`](FluxBuilder::build) refines the embedding for exactly
 //!    the dirty nodes ([`tivflux::refine_embedding`] — deterministic,
 //!    parallel over the dirty set), then either *repairs* the derived
-//!    analyses row by row (`O(|D|·n²)`) or — past the
-//!    [`RebuildPolicy`] threshold — recomputes
-//!    them from scratch (`O(n³)`).
+//!    analyses edge by edge ([`DerivedState::repair_edges`]:
+//!    `O(|E|·n)` plus `O(n)` per pair whose answer can move) or — past
+//!    the [`RebuildPolicy`] threshold on dirty rows — recomputes them
+//!    from scratch (`O(n³)`).
 //!
-//! The two paths are **bit-identical** (the analyses are pure,
-//! symmetric, row-decomposable functions of the matrix; the embedding
-//! update is the same dirty-local function on both), so the policy is
-//! purely a cost knob. `tivoid`'s `flux_equivalence` test pins this
-//! across dirtiness fractions {0%, 1%, 10%, 100%}, thread counts
-//! {1, 2, 4} and service shard counts.
+//! The two paths are **bit-identical** (the repair redoes, with the
+//! full pass's kernels, exactly the pairs whose floating-point work a
+//! changed edge can alter; the embedding update is the same dirty-local
+//! function on both), so the policy is purely a cost knob. `tivoid`'s
+//! `flux_equivalence` test pins this across dirtiness fractions
+//! {0%, 1%, 10%, 100%}, thread counts {1, 2, 4}, service shard counts,
+//! and hundreds of adversarial edge-repair epochs.
+//!
+//! A snapshot shares its matrix and derived state behind `Arc`s, so
+//! publishing one to every replica copies neither. The builder keeps
+//! the `Arc`s of the last two snapshots it built and copies each new
+//! epoch into the older pair's buffers with `clone_from` once no reader
+//! holds them any more — a memcpy into resident memory instead of a
+//! fresh 4·n²-word allocation per epoch. A reader still pinning that
+//! epoch just gets a fresh allocation, as every epoch did before.
 //!
 //! `FluxBuilder` implements [`EpochSource`],
 //! so [`crate::epoch::spawn_with`] runs it on a background thread with the
 //! same no-observation-loss guarantees as the classic builder.
 
 use crate::epoch::{embed, EpochConfig, EpochSource, Observation};
-use crate::snapshot::EpochSnapshot;
+use crate::snapshot::{DenseParts, EpochSnapshot, ServedSnapshot};
 use delayspace::matrix::DelayMatrix;
+use std::collections::VecDeque;
 use std::sync::Arc;
 use tivcore::TivMonitor;
 use tivflux::{refine_embedding, BuildKind, DerivedState, DirtySet, RebuildPolicy, RefineConfig};
@@ -51,7 +63,7 @@ pub struct FluxConfig {
     pub detour_k: usize,
     /// Dirty-node coordinate refinement parameters.
     pub refine: RefineConfig,
-    /// When to fall back from row repair to a full rebuild. Only ever
+    /// When to fall back from edge repair to a full rebuild. Only ever
     /// changes build cost, never results.
     pub policy: RebuildPolicy,
     /// Worker threads for the bootstrap, repairs and rebuilds
@@ -84,8 +96,8 @@ pub struct BuildOutcome {
     pub dirty_rows: usize,
     /// Dirty rows as a fraction of all rows.
     pub dirty_fraction: f64,
-    /// `mark_edge` calls since the previous build (observation-level
-    /// churn, repeats included).
+    /// Matrix-changing observations since the previous build
+    /// (observation-level churn, repeats of an edge included).
     pub edge_marks: usize,
 }
 
@@ -99,6 +111,10 @@ pub struct FluxBuilder {
     monitors: Vec<TivMonitor>,
     derived: DerivedState,
     dirty: DirtySet,
+    /// The matrix and derived-state `Arc`s of the last two snapshots
+    /// built, oldest first; [`FluxBuilder::build`] refills the older
+    /// pair.
+    shelf: VecDeque<(Arc<DelayMatrix>, Arc<DerivedState>)>,
     epoch: u64,
     pending: usize,
     ingested_total: u64,
@@ -115,23 +131,24 @@ impl FluxBuilder {
         assert!(cfg.detour_k >= 1, "the detour table needs k >= 1");
         let embedding = embed(&matrix, &cfg.epoch, cfg.epoch.bootstrap_rounds, 0);
         let derived = DerivedState::compute(&matrix, cfg.detour_k, cfg.threads);
-        let monitors = vec![TivMonitor::new(cfg.epoch.monitor); matrix.len()];
         let n = matrix.len();
         let builder = FluxBuilder {
             cfg,
             matrix: matrix.clone(),
             embedding: embedding.clone(),
-            monitors,
+            monitors: vec![TivMonitor::new(cfg.epoch.monitor); n],
             derived: derived.clone(),
             dirty: DirtySet::new(n),
+            shelf: VecDeque::from([(Arc::new(matrix), Arc::new(derived))]),
             epoch: 0,
             pending: 0,
             ingested_total: 0,
             last_outcome: None,
         };
-        let snapshot =
-            EpochSnapshot::without_monitors(0, matrix, embedding).with_derived(Arc::new(derived));
-        (builder, snapshot)
+        let (matrix, derived) = builder.shelf[0].clone();
+        let parts =
+            DenseParts { matrix, embedding, monitors: vec![Vec::new(); n], derived: Some(derived) };
+        (builder, EpochSnapshot::assemble(0, parts))
     }
 
     /// Observations folded in since the last [`build`](Self::build).
@@ -166,9 +183,10 @@ impl FluxBuilder {
 
     /// Folds one observation in, exactly like
     /// [`EpochBuilder::ingest`](crate::epoch::EpochBuilder::ingest) —
-    /// and additionally marks both endpoint rows dirty whenever the
-    /// smoothed value actually changes the working matrix (an
-    /// observation confirming the stored value to the bit dirties
+    /// and additionally records the edge as changed (with the delay it
+    /// had at the start of the epoch, marking both endpoint rows dirty)
+    /// whenever the smoothed value actually changes the working matrix
+    /// (an observation confirming the stored value to the bit dirties
     /// nothing, so a steady stream over a quiet space stays cheap).
     ///
     /// # Panics
@@ -189,7 +207,7 @@ impl FluxBuilder {
         let before = self.matrix.raw(obs.src, obs.dst);
         self.matrix.set(obs.src, obs.dst, smoothed);
         if before.to_bits() != smoothed.to_bits() {
-            self.dirty.mark_edge(obs.src, obs.dst);
+            self.dirty.mark_change(obs.src, obs.dst, before);
         }
         self.pending += 1;
         self.ingested_total += 1;
@@ -197,9 +215,11 @@ impl FluxBuilder {
 
     /// Builds the next snapshot: refines the dirty nodes' coordinates
     /// against the previous embedding, brings the derived analyses up
-    /// to date (repair or full rebuild per the policy — identical
-    /// results either way), freezes the monitor summaries, and resets
-    /// the dirty set and pending counter.
+    /// to date (edge repair or full rebuild per the policy — identical
+    /// results either way), freezes the monitor summaries into a
+    /// snapshot whose matrix and derived state reuse the buffers of the
+    /// snapshot built two epochs ago when no reader holds it, and
+    /// resets the dirty set and pending counter.
     pub fn build(&mut self) -> EpochSnapshot {
         self.epoch += 1;
         let n = self.matrix.len();
@@ -214,9 +234,11 @@ impl FluxBuilder {
         );
         match kind {
             BuildKind::Full => self.derived.rebuild(&self.matrix, self.cfg.threads),
-            BuildKind::Incremental => {
-                self.derived.repair(&self.matrix, &dirty_nodes, self.cfg.threads)
-            }
+            BuildKind::Incremental => self.derived.repair_edges(
+                &self.matrix,
+                self.dirty.changed_edges(),
+                self.cfg.threads,
+            ),
         }
         self.last_outcome = Some(BuildOutcome {
             epoch: self.epoch,
@@ -227,14 +249,40 @@ impl FluxBuilder {
         });
         self.dirty.clear();
         self.pending = 0;
-        let summaries = self.monitors.iter().map(TivMonitor::summaries).collect();
-        EpochSnapshot::new(self.epoch, self.matrix.clone(), self.embedding.clone(), summaries)
-            .with_derived(Arc::new(self.derived.clone()))
+        let spare = if self.shelf.len() == 2 { self.shelf.pop_front() } else { None };
+        let (spare_matrix, spare_derived) = spare.unzip();
+        let matrix = refill(spare_matrix, &self.matrix);
+        let derived = refill(spare_derived, &self.derived);
+        self.shelf.push_back((Arc::clone(&matrix), Arc::clone(&derived)));
+        let parts = DenseParts {
+            matrix,
+            embedding: self.embedding.clone(),
+            monitors: self.monitors.iter().map(TivMonitor::summaries).collect(),
+            derived: Some(derived),
+        };
+        EpochSnapshot::assemble(self.epoch, parts)
     }
+}
+
+/// `src` behind an `Arc`: copied into `spare`'s buffers when no reader
+/// holds `spare` any more, into a fresh allocation otherwise. (Not
+/// `Arc::make_mut`, which would copy a pinned `spare` before the
+/// `clone_from` overwrote it.)
+fn refill<T: Clone>(spare: Option<Arc<T>>, src: &T) -> Arc<T> {
+    if let Some(mut arc) = spare {
+        if let Some(buffers) = Arc::get_mut(&mut arc) {
+            buffers.clone_from(src);
+            return arc;
+        }
+    }
+    Arc::new(src.clone())
 }
 
 impl EpochSource for FluxBuilder {
     type Snapshot = EpochSnapshot;
+    fn node_count(&self) -> usize {
+        self.matrix.len()
+    }
     fn ingest(&mut self, obs: Observation) {
         FluxBuilder::ingest(self, obs);
     }
@@ -345,6 +393,59 @@ mod tests {
                 assert_eq!(si.route(a, c), sf.route(a, c), "route diverged at ({a},{c})");
             }
         }
+    }
+
+    /// Three observations (seeded by `k`) folded in, then one build.
+    fn next_epoch(builder: &mut FluxBuilder, k: usize) -> EpochSnapshot {
+        for i in 0..3 {
+            let src = (k * 5 + i * 7) % 40;
+            let dst = (src + 1 + i) % 40;
+            builder.ingest(Observation { src, dst, rtt_ms: 20.0 + (k * 3 + i) as f64 });
+        }
+        builder.build()
+    }
+
+    fn assert_same(a: &EpochSnapshot, b: &EpochSnapshot) {
+        assert_eq!(a.matrix(), b.matrix());
+        for i in 0..a.len() {
+            for j in 0..a.len() {
+                let (sa, sb) = (a.exact_severity(i, j), b.exact_severity(i, j));
+                assert_eq!(sa.map(f64::to_bits), sb.map(f64::to_bits), "severity at ({i},{j})");
+                assert_eq!(a.route(i, j), b.route(i, j), "route at ({i},{j})");
+            }
+        }
+    }
+
+    /// Where a snapshot's matrix and derived state live.
+    fn buffers(s: &EpochSnapshot) -> (*const DelayMatrix, *const DerivedState) {
+        (
+            s.matrix() as *const _,
+            s.derived().expect("flux snapshots carry derived state") as *const _,
+        )
+    }
+
+    #[test]
+    fn retired_buffers_are_reused_once_no_reader_holds_them() {
+        let m = ds2(40, 7);
+        let (mut incr, s0) = FluxBuilder::bootstrap(m.clone(), cfg());
+        let full_cfg = FluxConfig { policy: RebuildPolicy::always_full(), ..cfg() };
+        let (mut full, _) = FluxBuilder::bootstrap(m, full_cfg);
+        let s1 = next_epoch(&mut incr, 1);
+        assert_same(&s1, &next_epoch(&mut full, 1));
+        // Epoch 2 would refill epoch 0's buffers, but a reader still
+        // holds epoch 0 (and epoch 1): it gets fresh ones, same bits.
+        let s2 = next_epoch(&mut incr, 2);
+        assert_same(&s2, &next_epoch(&mut full, 2));
+        let (pinned, fresh) = (buffers(&s0), buffers(&s2));
+        assert!(fresh.0 != pinned.0 && fresh.1 != pinned.1, "a pinned epoch was overwritten");
+        // Once the reader of epoch 1 lets go, epoch 3 refills its buffers.
+        let retired = buffers(&s1);
+        drop(s1);
+        let s3 = next_epoch(&mut incr, 3);
+        assert_eq!(buffers(&s3), retired, "the retired buffers were not reused");
+        assert_same(&s3, &next_epoch(&mut full, 3));
+        assert_eq!(incr.last_outcome().unwrap().kind, BuildKind::Incremental);
+        assert_eq!(full.last_outcome().unwrap().kind, BuildKind::Full);
     }
 
     #[test]

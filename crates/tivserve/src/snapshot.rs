@@ -126,8 +126,9 @@ pub trait ServedSnapshot: Clone + Send + Sync + 'static {
 /// [`ServedSnapshot::assemble`] freezes besides the epoch tag.
 #[derive(Clone, Debug)]
 pub struct DenseParts {
-    /// The measured delay matrix.
-    pub matrix: DelayMatrix,
+    /// The measured delay matrix, shared like `derived`: cloning a
+    /// snapshot (one per replica) bumps a count instead of copying it.
+    pub matrix: Arc<DelayMatrix>,
     /// The Vivaldi embedding of the matrix.
     pub embedding: Embedding,
     /// `monitors[i]` is node `i`'s exported monitor state, sorted by
@@ -143,7 +144,7 @@ pub struct DenseParts {
 #[derive(Clone, Debug)]
 pub struct EpochSnapshot {
     epoch: u64,
-    matrix: DelayMatrix,
+    matrix: Arc<DelayMatrix>,
     embedding: Embedding,
     /// `monitors[i]` is node `i`'s exported [`TivMonitor`] state,
     /// sorted by peer id (possibly empty).
@@ -215,6 +216,7 @@ impl EpochSnapshot {
         embedding: Embedding,
         monitors: Vec<Vec<MonitorSummary>>,
     ) -> Self {
+        let matrix = Arc::new(matrix);
         Self::assemble(epoch, DenseParts { matrix, embedding, monitors, derived: None })
     }
 
@@ -341,7 +343,7 @@ impl EpochSnapshot {
         if a == c || self.matrix.get(a, c).is_none() {
             return None;
         }
-        tivcore::estimate_severity_ci(&self.matrix, a, c, k, self.edge_seed(cfg, a, c))
+        tivcore::estimate_severity_ci(self.matrix(), a, c, k, self.edge_seed(cfg, a, c))
     }
 
     /// Evaluates one detour-routing query against the frozen state: the

@@ -237,6 +237,9 @@ impl SparseEpochBuilder {
 
 impl EpochSource for SparseEpochBuilder {
     type Snapshot = SparseSnapshot;
+    fn node_count(&self) -> usize {
+        self.store.len()
+    }
     fn ingest(&mut self, obs: Observation) {
         SparseEpochBuilder::ingest(self, obs);
     }
