@@ -17,20 +17,28 @@
 //! shared [`tivpar`] kernels layer (each output row is independent, so
 //! results are bit-identical at every thread count) and exploit
 //! NaN-propagation to skip missing entries without branches.
+//!
+//! The metric is defined on *unordered* edges, so [`Severity`] stores
+//! each pair `{i, j}` once, in a packed upper triangle that includes the
+//! diagonal ([`tivpar::upper_index`]): n(n+1)/2 entries instead of n².
+//! Symmetry lives in that index — every accessor maps `(i, j)` and
+//! `(j, i)` to the same slot — so no pass ever mirrors a value, and
+//! every value stored is the one the kernel computes for `i <= j`.
 
 use delayspace::matrix::{DelayMatrix, NodeId};
 use delayspace::rng;
 use delayspace::stats::{BinnedStats, Cdf};
 use delayspace::store::{DelayStore, NodePair};
 
-/// Severity and violation-count matrices for every edge of a delay
-/// space.
+/// Severity and violation-count tables for every edge of a delay
+/// space, stored once per unordered pair.
 #[derive(Debug)]
 pub struct Severity {
     n: usize,
-    /// Row-major severity per ordered pair (symmetric; NaN = missing).
+    /// Severity per unordered pair, packed upper triangle with the
+    /// diagonal ([`tivpar::upper_index`]); NaN = missing.
     sev: Vec<f64>,
-    /// Number of witnesses B violating through each ordered pair.
+    /// Number of witnesses B violating through each pair, same layout.
     cnt: Vec<u32>,
 }
 
@@ -57,31 +65,29 @@ impl Severity {
     /// row depends only on the input matrix.
     pub fn compute(m: &DelayMatrix, threads: usize) -> Self {
         let n = m.len();
-        let mut sev = vec![f64::NAN; n * n];
-        let mut cnt = vec![0u32; n * n];
-        // The delay matrix is symmetric by construction and the severity
-        // kernel scans witnesses in the same ascending order for (a,c)
-        // and (c,a) — with f64 addition commutative, the two entries are
-        // bit-identical (the same argument `repair_rows` uses to patch
-        // columns). So compute only c >= a and mirror the lower
-        // triangle: half the O(n³) work. Row costs now shrink with `a`,
-        // which is exactly the skew the pool's work stealing absorbs.
-        tivpar::par_fill_rows2(&mut sev, &mut cnt, n, threads, |a, srow, crow| {
-            severity_row_from(m, a, a, srow, crow)
+        let pairs = n * (n + 1) / 2;
+        let mut sev = vec![f64::NAN; pairs];
+        let mut cnt = vec![0u32; pairs];
+        // Packed row a holds the pairs (a, a..n): half the O(n³) work
+        // of a square table, and row costs shrink with `a`, which is
+        // exactly the skew the pool's work stealing absorbs.
+        tivpar::par_fill_upper2(&mut sev, &mut cnt, n, threads, |a, srow, crow| {
+            for (c, (s, k)) in (a..n).zip(srow.iter_mut().zip(crow)) {
+                (*s, *k) = severity_of(m, a, c);
+            }
         });
-        for a in 1..n {
-            let (done, rest) = sev.split_at_mut(a * n);
-            let row = &mut rest[..n];
-            for (c, v) in row[..a].iter_mut().enumerate() {
-                *v = done[c * n + a];
-            }
-            let (done, rest) = cnt.split_at_mut(a * n);
-            let row = &mut rest[..n];
-            for (c, v) in row[..a].iter_mut().enumerate() {
-                *v = done[c * n + a];
-            }
-        }
         Severity { n, sev, cnt }
+    }
+
+    /// The packed slot of the unordered pair `{i, j}`.
+    fn slot(&self, i: NodeId, j: NodeId) -> usize {
+        tivpar::upper_index(self.n, i.min(j), i.max(j))
+    }
+
+    /// Resident bytes of the two tables (the `DelayStore::memory_bytes`
+    /// count for derived state): `12 · n(n+1)/2`.
+    pub fn memory_bytes(&self) -> usize {
+        self.sev.len() * std::mem::size_of::<f64>() + self.cnt.len() * std::mem::size_of::<u32>()
     }
 
     /// Number of nodes.
@@ -96,13 +102,13 @@ impl Severity {
 
     /// Severity of edge `(i, j)`; `None` when the edge is unmeasured.
     pub fn severity(&self, i: NodeId, j: NodeId) -> Option<f64> {
-        let v = self.sev[i * self.n + j];
+        let v = self.sev[self.slot(i, j)];
         (!v.is_nan()).then_some(v)
     }
 
     /// Number of violations edge `(i, j)` causes (witness count).
     pub fn count(&self, i: NodeId, j: NodeId) -> u32 {
-        self.cnt[i * self.n + j]
+        self.cnt[self.slot(i, j)]
     }
 
     /// Iterator over `(i, j, severity)` for measured unordered edges.
@@ -118,7 +124,7 @@ impl Severity {
         &'a self,
         m: &'a DelayMatrix,
     ) -> impl Iterator<Item = (NodeId, NodeId, f64)> + 'a {
-        m.edges().map(move |(i, j, _)| (i, j, self.sev[i * self.n + j]))
+        m.edges().map(move |(i, j, _)| (i, j, self.sev[self.slot(i, j)]))
     }
 
     /// CDF of edge severities (Figure 2). Edges without a computed
@@ -134,7 +140,11 @@ impl Severity {
     pub fn by_delay_bins(&self, m: &DelayMatrix, bin_ms: f64, max_ms: f64) -> BinnedStats {
         // BinnedStats::build drops non-finite y-values for the same
         // reason cdf() relies on from_samples doing it.
-        BinnedStats::build(m.edges().map(|(i, j, d)| (d, self.sev[i * self.n + j])), bin_ms, max_ms)
+        BinnedStats::build(
+            m.edges().map(|(i, j, d)| (d, self.sev[self.slot(i, j)])),
+            bin_ms,
+            max_ms,
+        )
     }
 
     /// The fraction of all triangles (unordered node triples with all
@@ -142,19 +152,15 @@ impl Severity {
     ///
     /// Only the *longest* edge of a triangle can violate, so each
     /// violating triangle is witnessed exactly once across the count
-    /// matrix: `frac = Σ_{i<j} cnt(i,j) / C(n,3)`.
+    /// table: `frac = Σ_{i<j} cnt(i,j) / C(n,3)` (the diagonal counts
+    /// are zero, so the sum runs over the whole packed table).
     ///
     /// The paper reports ≈ 12% for DS².
     pub fn violating_triangle_fraction(&self) -> f64 {
         if self.n < 3 {
             return 0.0;
         }
-        let mut viol: u64 = 0;
-        for i in 0..self.n {
-            for j in (i + 1)..self.n {
-                viol += self.cnt[i * self.n + j] as u64;
-            }
-        }
+        let viol: u64 = self.cnt.iter().map(|&c| c as u64).sum();
         let n = self.n as f64;
         let triangles = n * (n - 1.0) * (n - 2.0) / 6.0;
         viol as f64 / triangles
@@ -177,10 +183,10 @@ impl Severity {
         edges.into_iter().map(|(i, j, _)| (i, j)).collect()
     }
 
-    /// Repairs the matrices after `m` changed on edges incident to the
-    /// `dirty` nodes: recomputes exactly those rows (in parallel over
-    /// the dirty set, [`tivpar::resolve_threads`] semantics) and patches
-    /// the symmetric column entries of every clean row.
+    /// Repairs the tables after `m` changed on edges incident to the
+    /// `dirty` nodes: recomputes every pair with a dirty endpoint (in
+    /// parallel over the dirty set, [`tivpar::resolve_threads`]
+    /// semantics), each with the full pass's kernel on `(min, max)`.
     ///
     /// Severity is a pure, symmetric function of the matrix in which an
     /// edge change can only affect pairs touching one of its endpoints
@@ -206,39 +212,21 @@ impl Severity {
         if let Some(&last) = dirty.last() {
             assert!(last < n, "dirty row {last} outside {n} nodes");
         }
-        // Recompute each dirty row from the current matrix — the same
-        // kernel the full pass runs, on the same scratch initial state
-        // (NaN severities, zero counts).
-        let rows: Vec<(Vec<f64>, Vec<u32>)> = tivpar::par_map_rows(dirty.len(), threads, |k| {
-            let a = dirty[k];
-            let mut srow = vec![f64::NAN; n];
-            let mut crow = vec![0u32; n];
-            severity_row(m, a, &mut srow, &mut crow);
-            (srow, crow)
+        // Recompute every pair {d, x} of each dirty node d from the
+        // current matrix, exactly as the full pass computes it.
+        let rows: Vec<Vec<(f64, u32)>> = tivpar::par_map_rows(dirty.len(), threads, |k| {
+            let d = dirty[k];
+            (0..n).map(|x| severity_of(m, d.min(x), d.max(x))).collect()
         });
-        for (k, (srow, crow)) in rows.into_iter().enumerate() {
-            let a = dirty[k];
-            self.sev[a * n..(a + 1) * n].copy_from_slice(&srow);
-            self.cnt[a * n..(a + 1) * n].copy_from_slice(&crow);
-        }
-        // Patch the dirty *columns* of every clean row by symmetry:
-        // severity_row scans witnesses in the same ascending order for
-        // (a,c) and (c,a), and f64 addition is commutative, so the
-        // mirrored entry is bit-identical to what a recompute of the
-        // clean row would produce.
-        let mut is_dirty = vec![false; n];
-        for &d in dirty {
-            is_dirty[d] = true;
-        }
-        for a in (0..n).filter(|&a| !is_dirty[a]) {
-            for &d in dirty {
-                self.sev[a * n + d] = self.sev[d * n + a];
-                self.cnt[a * n + d] = self.cnt[d * n + a];
+        for (&d, row) in dirty.iter().zip(rows) {
+            for (x, (s, count)) in row.into_iter().enumerate() {
+                let p = self.slot(d, x);
+                (self.sev[p], self.cnt[p]) = (s, count);
             }
         }
     }
 
-    /// Repairs the matrices after `m` changed on exactly the `changed`
+    /// Repairs the tables after `m` changed on exactly the `changed`
     /// edges, each given once as `(a, b, before)`: `before` is the delay
     /// of `{a, b}` in the matrix this instance was computed from (NaN =
     /// unmeasured then). Every other entry of `m` must be unchanged.
@@ -303,18 +291,11 @@ impl Severity {
         pairs.dedup();
         let sums = tivpar::par_map_rows(pairs.len(), threads, |i| {
             let (u, x) = pairs[i];
-            let dux = m.raw(u, x);
-            if dux.is_nan() {
-                return (f64::NAN, 0); // the full pass leaves NaN / 0
-            }
-            let (sum, count) = severity_pair(m.row(u), m.row(x), dux);
-            (sum / n as f64, count)
+            severity_of(m, u, x)
         });
         for (&(u, x), (s, count)) in pairs.iter().zip(sums) {
-            self.sev[u * n + x] = s;
-            self.sev[x * n + u] = s;
-            self.cnt[u * n + x] = count;
-            self.cnt[x * n + u] = count;
+            let p = self.slot(u, x);
+            (self.sev[p], self.cnt[p]) = (s, count);
         }
     }
 
@@ -329,7 +310,7 @@ impl Severity {
         let mut within = (0u64, 0u64); // (sum, edges)
         let mut across = (0u64, 0u64);
         for (i, j, _) in m.edges() {
-            let c = self.cnt[i * self.n + j] as u64;
+            let c = self.cnt[self.slot(i, j)] as u64;
             if clustering.same_cluster(i, j) {
                 within.0 += c;
                 within.1 += 1;
@@ -407,31 +388,19 @@ fn severity_pair(row_a: &[f64], row_c: &[f64], dac: f64) -> (f64, u32) {
     (sum, count)
 }
 
-/// Computes one row of the severity/count matrices (all columns) — the
-/// kernel [`Severity::repair_rows`] runs per dirty row.
-fn severity_row(m: &DelayMatrix, a: usize, srow: &mut [f64], crow: &mut [u32]) {
-    severity_row_from(m, 0, a, srow, crow);
-}
-
-/// Computes columns `from..n` of severity row `a` (entries below `from`
-/// are left untouched). `Severity::compute` passes `from == a` to do
-/// only the upper triangle; the lower triangle is mirrored afterwards.
-fn severity_row_from(m: &DelayMatrix, from: usize, a: usize, srow: &mut [f64], crow: &mut [u32]) {
-    let n = m.len();
-    let row_a = m.row(a);
-    for c in from..n {
-        if c == a {
-            srow[c] = 0.0;
-            continue;
-        }
-        let dac = row_a[c];
-        if dac.is_nan() {
-            continue; // stays NaN / 0
-        }
-        let (sum, count) = severity_pair(row_a, m.row(c), dac);
-        srow[c] = sum / n as f64;
-        crow[c] = count;
+/// The stored `(severity, count)` of the pair `(a, c)`, `a <= c`: the
+/// one kernel behind [`Severity::compute`] and both repairs. The
+/// diagonal is `(0, 0)` and an unmeasured edge `(NaN, 0)`.
+fn severity_of(m: &DelayMatrix, a: usize, c: usize) -> (f64, u32) {
+    if a == c {
+        return (0.0, 0);
     }
+    let dac = m.raw(a, c);
+    if dac.is_nan() {
+        return (f64::NAN, 0);
+    }
+    let (sum, count) = severity_pair(m.row(a), m.row(c), dac);
+    (sum / m.len() as f64, count)
 }
 
 /// The triangulation ratios of one edge (Figure 1): for edge `(a, c)`,
@@ -767,7 +736,7 @@ mod tests {
         let a = Severity::compute(s.matrix(), 1);
         let b = Severity::compute(s.matrix(), 4);
         for (i, j, sa) in a.edges(s.matrix()) {
-            let sb = b.sev[i * b.n + j];
+            let sb = b.sev[b.slot(i, j)];
             assert_eq!(sa, sb);
             assert_eq!(a.count(i, j), b.count(i, j));
         }
@@ -964,12 +933,13 @@ mod tests {
             let full = Severity::compute(&m, 1);
             for i in 0..90 {
                 for j in 0..90 {
+                    let (p, q) = (repaired.slot(i, j), full.slot(i, j));
                     assert_eq!(
-                        repaired.sev[i * 90 + j].to_bits(),
-                        full.sev[i * 90 + j].to_bits(),
+                        repaired.sev[p].to_bits(),
+                        full.sev[q].to_bits(),
                         "severity diverged at ({i},{j}), {threads} threads"
                     );
-                    assert_eq!(repaired.cnt[i * 90 + j], full.cnt[i * 90 + j]);
+                    assert_eq!(repaired.cnt[p], full.cnt[q]);
                 }
             }
         }

@@ -67,6 +67,14 @@ impl DerivedState {
         self.severity.is_empty()
     }
 
+    /// Resident bytes of both tables ([`Severity::memory_bytes`] plus
+    /// [`DetourTable::memory_bytes`]): what each live copy of the state
+    /// (a snapshot, the builder's working copy, a recycled buffer)
+    /// holds.
+    pub fn memory_bytes(&self) -> usize {
+        self.severity.memory_bytes() + self.detour.memory_bytes()
+    }
+
     /// Replaces both analyses with a from-scratch recompute of `m`
     /// (the full-rebuild path of the policy).
     pub fn rebuild(&mut self, m: &DelayMatrix, threads: usize) {
@@ -174,6 +182,23 @@ mod tests {
 
     fn ds2(n: usize, seed: u64) -> DelayMatrix {
         InternetDelaySpace::preset(Dataset::Ds2).with_nodes(n).build(seed).into_matrix()
+    }
+
+    #[test]
+    fn memory_bytes_counts_each_unordered_pair_once() {
+        // The serving size, n = 1024 with the default k = 1: 12 bytes
+        // per table per unordered pair, diagonal included. An
+        // unmeasured matrix keeps the O(n³) passes cheap; the size
+        // does not depend on the delays.
+        let state = DerivedState::compute(&DelayMatrix::new(1024), 1, 0);
+        assert_eq!(state.severity.memory_bytes(), 6_297_600);
+        assert_eq!(state.detour.memory_bytes(), 6_297_600);
+        assert_eq!(state.memory_bytes(), 12_595_200);
+        // The detour slots scale with k; severity does not.
+        let m = ds2(10, 1);
+        let (k1, k3) = (DerivedState::compute(&m, 1, 1), DerivedState::compute(&m, 3, 1));
+        assert_eq!(k1.memory_bytes(), 2 * 12 * 55);
+        assert_eq!(k3.memory_bytes(), 12 * 55 + 3 * 12 * 55);
     }
 
     #[test]

@@ -262,17 +262,84 @@ where
     assert_eq!(a.len() % rows, 0, "first buffer not divisible into {rows} rows");
     assert_eq!(b.len() % rows, 0, "second buffer not divisible into {rows} rows");
     let (ca, cb) = (a.len() / rows, b.len() / rows);
-    let workers = resolve_threads(threads).min(rows);
-    if workers <= 1 || ca == 0 || cb == 0 {
-        // Inline path; split_at_mut (unlike chunks_mut) also handles a
-        // zero-width buffer, handing f an empty slice for that side.
-        let (mut rest_a, mut rest_b) = (a, b);
-        for i in 0..rows {
-            let (ra, tail_a) = rest_a.split_at_mut(ca);
-            let (rb, tail_b) = rest_b.split_at_mut(cb);
+    fill_ragged2(a, b, rows, threads, (ca, cb), |_| 1, f);
+}
+
+/// Offset of the unordered pair `{i, j}` (`i <= j < n`) in a packed
+/// upper triangle that includes the diagonal: row `i` holds the pairs
+/// `(i, i..n)` and starts at `i·n − i(i−1)/2`.
+///
+/// This is the layout [`par_fill_upper2`] fills; a table that stores a
+/// symmetric function of node pairs once keeps `k` slots per pair at
+/// `upper_index(n, i, j) * k`.
+///
+/// ```
+/// assert_eq!(tivpar::upper_index(4, 0, 0), 0);
+/// assert_eq!(tivpar::upper_index(4, 1, 1), 4);
+/// assert_eq!(tivpar::upper_index(4, 3, 3), 9); // the last of 4·5/2
+/// ```
+#[inline]
+pub fn upper_index(n: usize, i: usize, j: usize) -> usize {
+    debug_assert!(i <= j && j < n, "pair ({i},{j}) is not upper-triangular in {n} nodes");
+    i * (2 * n + 1 - i) / 2 + (j - i)
+}
+
+/// Like [`par_fill_rows2`] over the packed upper triangle of an `n × n`
+/// symmetric table (see [`upper_index`]): row `i` holds the `n − i`
+/// pairs `(i, i..n)`, each `a.len() / (n(n+1)/2)` elements wide in `a`
+/// and likewise in `b`. `f(i, a_row, b_row)` gets row `i`'s disjoint
+/// slice of each buffer, so a parallel fill needs no second table.
+///
+/// Rows are dealt to the pool exactly as [`par_fill_rows2`] deals
+/// them, so the (triangular) row-cost skew is left to stealing.
+///
+/// # Panics
+/// Panics when either buffer's length is not a multiple of
+/// `n(n+1)/2`.
+pub fn par_fill_upper2<T, U, F>(a: &mut [T], b: &mut [U], n: usize, threads: usize, f: F)
+where
+    T: Send,
+    U: Send,
+    F: Fn(usize, &mut [T], &mut [U]) + Sync,
+{
+    let pairs = n * (n + 1) / 2;
+    if pairs == 0 || (a.is_empty() && b.is_empty()) {
+        assert!(a.is_empty() && b.is_empty(), "non-empty buffers with zero pairs");
+        return;
+    }
+    assert_eq!(a.len() % pairs, 0, "first buffer not divisible into {pairs} pairs");
+    assert_eq!(b.len() % pairs, 0, "second buffer not divisible into {pairs} pairs");
+    fill_ragged2(a, b, n, threads, (a.len() / pairs, b.len() / pairs), |i| n - i, f);
+}
+
+/// The shared body of the two-buffer fills: row `i` takes the next
+/// `units(i) · widths.0` elements of `a` and `units(i) · widths.1` of
+/// `b`, and `f` runs once per row. Rows are dealt in
+/// [`fine_ranges`] chunks, each pre-split into its own disjoint slices.
+fn fill_ragged2<T, U, F>(
+    a: &mut [T],
+    b: &mut [U],
+    rows: usize,
+    threads: usize,
+    (wa, wb): (usize, usize),
+    units: impl Fn(usize) -> usize + Sync,
+    f: F,
+) where
+    T: Send,
+    U: Send,
+    F: Fn(usize, &mut [T], &mut [U]) + Sync,
+{
+    let fill = |range: Range<usize>, mut rest_a: &mut [T], mut rest_b: &mut [U]| {
+        for i in range {
+            let (ra, tail_a) = rest_a.split_at_mut(units(i) * wa);
+            let (rb, tail_b) = rest_b.split_at_mut(units(i) * wb);
             (rest_a, rest_b) = (tail_a, tail_b);
             f(i, ra, rb);
         }
+    };
+    let workers = resolve_threads(threads).min(rows);
+    if workers <= 1 {
+        fill(0..rows, a, b);
         return;
     }
     let ranges = fine_ranges(rows, workers);
@@ -280,19 +347,16 @@ where
     let mut slices: Vec<Pair<'_, T, U>> = Vec::with_capacity(ranges.len());
     let (mut rest_a, mut rest_b) = (a, b);
     for range in &ranges {
-        let len = range.end - range.start;
-        let (chunk_a, tail_a) = rest_a.split_at_mut(len * ca);
-        let (chunk_b, tail_b) = rest_b.split_at_mut(len * cb);
+        let len: usize = range.clone().map(&units).sum();
+        let (chunk_a, tail_a) = rest_a.split_at_mut(len * wa);
+        let (chunk_b, tail_b) = rest_b.split_at_mut(len * wb);
         (rest_a, rest_b) = (tail_a, tail_b);
         slices.push(Mutex::new(Some((chunk_a, chunk_b))));
     }
     pool::run(workers, ranges.len(), &|ci| {
         let (chunk_a, chunk_b) =
             slices[ci].lock().expect("slice lock").take().expect("chunk runs once");
-        let base = ranges[ci].start;
-        for (k, (ra, rb)) in chunk_a.chunks_mut(ca).zip(chunk_b.chunks_mut(cb)).enumerate() {
-            f(base + k, ra, rb);
-        }
+        fill(ranges[ci].clone(), chunk_a, chunk_b);
     });
 }
 
@@ -437,6 +501,45 @@ mod tests {
         for t in [2usize, 4, 7] {
             assert_eq!(fill(t), serial);
         }
+    }
+
+    #[test]
+    fn fill_upper2_hands_each_row_its_packed_slice() {
+        let _pool = pool::test_lock();
+        for n in [0usize, 1, 2, 5, 33] {
+            let pairs = n * (n + 1) / 2;
+            let fill = |t: usize| {
+                let (mut a, mut b) = (vec![usize::MAX; pairs * 2], vec![0u8; pairs]);
+                par_fill_upper2(&mut a, &mut b, n, t, |i, ra, rb| {
+                    assert_eq!((ra.len(), rb.len()), (2 * (n - i), n - i), "row {i}");
+                    for (c, (slot, tag)) in ra.chunks_mut(2).zip(rb).enumerate() {
+                        slot[0] = upper_index(n, i, i + c);
+                        slot[1] = i * 1000 + i + c;
+                        *tag = 1;
+                    }
+                });
+                (a, b)
+            };
+            let (a, b) = fill(1);
+            // Every pair landed at its own index, exactly once.
+            for i in 0..n {
+                for j in i..n {
+                    let p = upper_index(n, i, j);
+                    assert_eq!((a[2 * p], a[2 * p + 1]), (p, i * 1000 + j), "pair ({i},{j})");
+                }
+            }
+            assert!(b.iter().all(|&t| t == 1));
+            for t in [2usize, 4, 7] {
+                assert_eq!(fill(t), (a.clone(), b.clone()), "n = {n}, {t} threads");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not divisible")]
+    fn fill_upper2_rejects_a_ragged_buffer() {
+        let (mut a, mut b) = (vec![0u8; 7], vec![0u8; 6]);
+        par_fill_upper2(&mut a, &mut b, 3, 1, |_, _, _| {});
     }
 
     #[test]

@@ -11,6 +11,13 @@
 //! identically: every output row (one source node) is independent, so
 //! [`DetourTable::compute`] fans rows out over [`tivpar`] and is
 //! bit-identical at every thread count.
+//!
+//! The delay matrix is symmetric and the scan visits relays in the same
+//! ascending order for `(a, c)` and `(c, a)`, so the two k-best lists
+//! are bit-identical. The table therefore stores each unordered pair
+//! once, `k` slots at `k ·` [`tivpar::upper_index`]`(n, min, max)` in a
+//! packed upper triangle (the diagonal's slots stay empty): the
+//! symmetry lives in that index, and no pass mirrors a list.
 
 use delayspace::matrix::{DelayMatrix, NodeId};
 
@@ -50,14 +57,15 @@ impl DetourGain {
     }
 }
 
-/// The k-best one-hop detours of every ordered pair of a delay space.
+/// The k-best one-hop detours of every pair of a delay space, stored
+/// once per unordered pair.
 #[derive(Debug)]
 pub struct DetourTable {
     n: usize,
     k: usize,
-    /// Row-major `[a][c][rank]` relay ids; [`NO_RELAY`] marks unused
-    /// slots (ranks are filled left to right, so used slots are a
-    /// prefix).
+    /// `[pair][rank]` relay ids, pairs in packed upper-triangle order
+    /// ([`tivpar::upper_index`]); [`NO_RELAY`] marks unused slots
+    /// (ranks are filled left to right, so used slots are a prefix).
     relays: Vec<u32>,
     /// Detour delays, parallel to `relays` (NaN in unused slots).
     via: Vec<f64>,
@@ -79,7 +87,7 @@ impl Clone for DetourTable {
 }
 
 impl DetourTable {
-    /// Computes the `k` best relays for every ordered pair, using up to
+    /// Computes the `k` best relays for every pair, using up to
     /// `threads` workers (0 = auto, [`tivpar::resolve_threads`]
     /// semantics).
     ///
@@ -92,44 +100,41 @@ impl DetourTable {
         assert!(k >= 1, "a detour table needs k >= 1");
         let n = m.len();
         assert!((n as u64) < NO_RELAY as u64, "node ids must fit in u32");
-        let mut relays = vec![NO_RELAY; n * n * k];
-        let mut via = vec![f64::NAN; n * n * k];
-        // The delay matrix is symmetric and the relay scan visits
-        // witnesses in the same ascending order for (a,c) and (c,a), so
-        // the two pairs' k-best lists are bit-identical (the argument
-        // `repair_rows` already uses to patch destinations). Compute
-        // only c > a and mirror the lower triangle: half the O(n³k)
-        // work, with the pool's stealing absorbing the triangular row
-        // skew.
-        tivpar::par_fill_rows2(&mut relays, &mut via, n, threads, |a, rrow, vrow| {
-            detour_row_from(m, k, a, a + 1, rrow, vrow)
-        });
-        for a in 1..n {
-            let (done_r, row_r) = relays.split_at_mut(a * n * k);
-            let (done_v, row_v) = via.split_at_mut(a * n * k);
-            for c in 0..a {
-                let src = (c * n + a) * k;
-                row_r[c * k..(c + 1) * k].copy_from_slice(&done_r[src..src + k]);
-                row_v[c * k..(c + 1) * k].copy_from_slice(&done_v[src..src + k]);
+        let slots = n * (n + 1) / 2 * k;
+        let mut relays = vec![NO_RELAY; slots];
+        let mut via = vec![f64::NAN; slots];
+        // Packed row a holds the pairs (a, a..n): half the O(n³k) work
+        // of a square table, with the pool's stealing absorbing the
+        // triangular row skew.
+        tivpar::par_fill_upper2(&mut relays, &mut via, n, threads, |a, rrow, vrow| {
+            for ((c, rslots), vslots) in (a..n).zip(rrow.chunks_mut(k)).zip(vrow.chunks_mut(k)) {
+                detour_of(m, a, c, rslots, vslots);
             }
-        }
+        });
         DetourTable { n, k, relays, via }
     }
 
+    /// The first slot of the unordered pair `{a, c}`.
+    fn base(&self, a: NodeId, c: NodeId) -> usize {
+        tivpar::upper_index(self.n, a.min(c), a.max(c)) * self.k
+    }
+
+    /// Resident bytes of the table (the `DelayStore::memory_bytes`
+    /// count for derived state): `12 · k · n(n+1)/2`.
+    pub fn memory_bytes(&self) -> usize {
+        self.relays.len() * std::mem::size_of::<u32>() + self.via.len() * std::mem::size_of::<f64>()
+    }
+
     /// Repairs the table after `m` changed on edges incident to the
-    /// `dirty` nodes: recomputes exactly those source rows (in parallel
-    /// over the dirty set, [`tivpar::resolve_threads`] semantics) and
-    /// patches the dirty destination slots of every clean row by
-    /// symmetry.
+    /// `dirty` nodes: rescans every pair with a dirty endpoint (in
+    /// parallel over the dirty set, [`tivpar::resolve_threads`]
+    /// semantics) with the full pass's kernel.
     ///
     /// The k-best list of `(a, c)` reads only delays incident to `a` or
     /// `c` (`via = d(a,b) + d(b,c)`), so an edge change can only affect
-    /// pairs touching one of its endpoints; and the relay scan visits
-    /// witnesses in the same ascending order for `(a, c)` and `(c, a)`
-    /// over a symmetric matrix, so the mirrored slots are bit-identical.
-    /// After this repair the table equals `DetourTable::compute(m, k, _)`
-    /// from scratch, bit for bit — pinned by `tivoid`'s
-    /// `flux_equivalence` test.
+    /// pairs touching one of its endpoints. After this repair the table
+    /// equals `DetourTable::compute(m, k, _)` from scratch, bit for bit
+    /// — pinned by `tivoid`'s `flux_equivalence` test.
     ///
     /// This is the O(|D|·n²·k) row path. The epoch builder runs
     /// [`DetourTable::repair_edges`] instead; this one stays as the
@@ -147,31 +152,22 @@ impl DetourTable {
         if let Some(&last) = dirty.last() {
             assert!(last < n, "dirty row {last} outside {n} nodes");
         }
-        // Recompute each dirty source row with the full pass's kernel on
-        // the full pass's scratch initial state (empty slots).
+        // Rescan every pair {d, x} of each dirty node d with the full
+        // pass's kernel on the full pass's initial state (empty slots).
         let rows: Vec<(Vec<u32>, Vec<f64>)> = tivpar::par_map_rows(dirty.len(), threads, |i| {
-            let a = dirty[i];
+            let d = dirty[i];
             let mut rrow = vec![NO_RELAY; n * k];
             let mut vrow = vec![f64::NAN; n * k];
-            detour_row(m, k, a, &mut rrow, &mut vrow);
+            for ((x, rslots), vslots) in (0..n).zip(rrow.chunks_mut(k)).zip(vrow.chunks_mut(k)) {
+                detour_of(m, d.min(x), d.max(x), rslots, vslots);
+            }
             (rrow, vrow)
         });
-        for (i, (rrow, vrow)) in rows.into_iter().enumerate() {
-            let a = dirty[i];
-            self.relays[a * n * k..(a + 1) * n * k].copy_from_slice(&rrow);
-            self.via[a * n * k..(a + 1) * n * k].copy_from_slice(&vrow);
-        }
-        // Mirror the dirty destinations into every clean source row.
-        let mut is_dirty = vec![false; n];
-        for &d in dirty {
-            is_dirty[d] = true;
-        }
-        for a in (0..n).filter(|&a| !is_dirty[a]) {
-            for &d in dirty {
-                for slot in 0..k {
-                    self.relays[(a * n + d) * k + slot] = self.relays[(d * n + a) * k + slot];
-                    self.via[(a * n + d) * k + slot] = self.via[(d * n + a) * k + slot];
-                }
+        for (&d, (rrow, vrow)) in dirty.iter().zip(rows) {
+            for x in 0..n {
+                let base = self.base(d, x);
+                self.relays[base..base + k].copy_from_slice(&rrow[x * k..(x + 1) * k]);
+                self.via[base..base + k].copy_from_slice(&vrow[x * k..(x + 1) * k]);
             }
         }
     }
@@ -191,7 +187,7 @@ impl DetourTable {
     ///   only if its new `via` ranks ahead of the k-th entry or the list
     ///   has room, by the same `(via, relay id)` order (O(k)).
     ///
-    /// The result is mirrored into `(x, a)`. Both steps keep the list
+    /// `(a, x)` and `(x, a)` share one list. Both steps keep the list
     /// equal to the k best of the delays seen so far, and no float is
     /// accumulated, so after the last edge the table equals
     /// `DetourTable::compute(m, k, _)` bit for bit. Cost O(|changed|·n·k).
@@ -212,17 +208,16 @@ impl DetourTable {
         }
     }
 
-    /// Brings the list of `(u, x)` up to date with relay `r`'s current
-    /// `via`, then mirrors it into `(x, u)`.
+    /// Brings the list of `{u, x}` up to date with relay `r`'s current
+    /// `via`.
     fn repair_relay(&mut self, m: &DelayMatrix, u: NodeId, x: NodeId, r: NodeId) {
-        let DetourTable { n, k, relays, via } = self;
-        let (n, k, id) = (*n, *k, r as u32);
-        let pair = (u * n + x) * k;
-        let (rslots, vslots) = (&mut relays[pair..pair + k], &mut via[pair..pair + k]);
+        let (base, k, id) = (self.base(u, x), self.k, r as u32);
+        let rslots = &mut self.relays[base..base + k];
+        let vslots = &mut self.via[base..base + k];
         if rslots.contains(&id) {
             rslots.fill(NO_RELAY);
             vslots.fill(f64::NAN);
-            detour_pair(m.row(u), m.row(x), u, x, k, rslots, vslots);
+            detour_of(m, u.min(x), u.max(x), rslots, vslots);
         } else {
             let alt = m.raw(u, r) + m.raw(r, x);
             if alt.is_nan() {
@@ -243,9 +238,6 @@ impl DetourTable {
             rslots[pos] = id;
             vslots[pos] = alt;
         }
-        let mirror = (x * n + u) * k;
-        relays.copy_within(pair..pair + k, mirror);
-        via.copy_within(pair..pair + k, mirror);
     }
 
     /// Number of nodes.
@@ -265,7 +257,7 @@ impl DetourTable {
 
     /// The ranked relays of `(a, c)`, best first (possibly empty).
     pub fn relays(&self, a: NodeId, c: NodeId) -> impl Iterator<Item = Relay> + '_ {
-        let base = (a * self.n + c) * self.k;
+        let base = self.base(a, c);
         let ids = &self.relays[base..base + self.k];
         let via = &self.via[base..base + self.k];
         ids.iter()
@@ -297,34 +289,13 @@ impl DetourTable {
     }
 }
 
-/// Fills one source row of the table: for every destination `c`, the
-/// `k` best relays of `(a, c)` by `(via, relay id)` order, written as a
-/// prefix of the pair's `k` slots — the kernel
-/// [`DetourTable::repair_rows`] runs per dirty row.
-fn detour_row(m: &DelayMatrix, k: usize, a: usize, rrow: &mut [u32], vrow: &mut [f64]) {
-    detour_row_from(m, k, a, 0, rrow, vrow);
-}
-
-/// Fills destinations `from..n` of source row `a` (slots below `from`
-/// are left untouched). `DetourTable::compute` passes `from == a + 1`
-/// to do only the upper triangle; the lower triangle is mirrored
-/// afterwards.
-fn detour_row_from(
-    m: &DelayMatrix,
-    k: usize,
-    a: usize,
-    from: usize,
-    rrow: &mut [u32],
-    vrow: &mut [f64],
-) {
-    let n = m.len();
-    let row_a = m.row(a);
-    for c in from..n {
-        if c == a {
-            continue; // no detour to yourself; slots stay empty
-        }
-        let base = c * k;
-        detour_pair(row_a, m.row(c), a, c, k, &mut rrow[base..base + k], &mut vrow[base..base + k]);
+/// Fills the empty `rslots`/`vslots` of the pair `(a, c)`, `a <= c`,
+/// with its k best relays by `(via, relay id)` order: the one kernel
+/// behind [`DetourTable::compute`] and both repairs. The diagonal has
+/// no detour, so its slots stay empty.
+fn detour_of(m: &DelayMatrix, a: usize, c: usize, rslots: &mut [u32], vslots: &mut [f64]) {
+    if a != c {
+        detour_pair(m.row(a), m.row(c), a, c, rslots.len(), rslots, vslots);
     }
 }
 
