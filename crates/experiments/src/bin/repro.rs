@@ -10,9 +10,6 @@
 //!             [--churn-prob P] [--spike-rate R] [--diurnal-amp A]
 //!             [--threshold F] [--k K] [--threads T] [--seed S]
 //!             [--out DIR]
-//! repro gate [--nodes N] [--replicas R] [--queries Q] [--batch B]
-//!            [--zipf Z] [--observe F] [--epoch-every K]
-//!            [--target-qps T] [--seed S]
 //! repro chaos [--nodes N] [--replicas R] [--queries Q] [--batch B]
 //!             [--observe F] [--publish-every K] [--target-qps T]
 //!             [--seed S] [--no-faults] [--no-apps]
@@ -50,12 +47,6 @@
 //! `--out` it writes the `churn-staleness` and `churn-rebuild` CSVs.
 //! See `experiments::churn`.
 //!
-//! `repro gate` spawns a multi-replica `tivgate` wire deployment (real
-//! TCP sockets, consistent-hash dispatch) and plays an open-loop
-//! socket workload against it, printing aggregate qps, p50/p99/p999
-//! batch latency, schedule health, and observation-delivery
-//! accounting. See `experiments::gate`.
-//!
 //! `repro chaos` drives the deterministic fault-injection harness
 //! (`tivchaos`) against a live multi-replica deployment — crash and
 //! restart mid-epoch, withheld publishes — under open-loop load,
@@ -73,7 +64,7 @@
 
 use experiments::chaos::{run_chaos_experiment, ChaosOptions};
 use experiments::churn::{run_churn, ChurnOptions};
-use experiments::gate::{run_gate, GateOptions};
+use experiments::figure::Figure;
 use experiments::lab::Lab;
 use experiments::route::{run_route, RouteOptions};
 use experiments::scale::ExperimentScale;
@@ -92,20 +83,49 @@ struct Args {
     threads: usize,
 }
 
-/// Parses the flags of the `serve` subcommand into [`ServeOptions`].
-fn parse_serve_args(argv: impl Iterator<Item = String>) -> Result<ServeOptions, String> {
-    fn value<T: std::str::FromStr>(
-        argv: &mut impl Iterator<Item = String>,
-        flag: &str,
-    ) -> Result<T, String>
-    where
-        T::Err: std::fmt::Display,
-    {
-        let v = argv.next().ok_or(format!("{flag} needs a value"))?;
-        v.parse().map_err(|e| format!("bad {flag} value: {e}"))
+/// Takes the value following `flag` off `argv` and parses it — the one
+/// flag-value rule every subcommand parser shares.
+fn value<T: std::str::FromStr>(
+    argv: &mut impl Iterator<Item = String>,
+    flag: &str,
+) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let v = argv.next().ok_or(format!("{flag} needs a value"))?;
+    v.parse().map_err(|e| format!("bad {flag} value: {e}"))
+}
+
+/// Prints a command-line error and fails the command.
+fn fail(e: String) -> ExitCode {
+    eprintln!("{e}");
+    ExitCode::FAILURE
+}
+
+/// Writes each figure as `<id>.csv` into `dir` (created first) and
+/// prints its path; without `--out` there is nothing to write.
+fn write_figures(dir: Option<PathBuf>, figures: &[Figure]) -> ExitCode {
+    let Some(dir) = dir else {
+        return ExitCode::SUCCESS;
+    };
+    if let Err(e) = std::fs::create_dir_all(&dir) {
+        eprintln!("cannot create {}: {e}", dir.display());
+        return ExitCode::FAILURE;
     }
+    for fig in figures {
+        let path = dir.join(format!("{}.csv", fig.id));
+        if let Err(e) = std::fs::write(&path, fig.to_csv()) {
+            eprintln!("cannot write {}: {e}", path.display());
+            return ExitCode::FAILURE;
+        }
+        println!("figure written to {}", path.display());
+    }
+    ExitCode::SUCCESS
+}
+
+/// Parses the flags of the `serve` subcommand into [`ServeOptions`].
+fn parse_serve_args(mut argv: impl Iterator<Item = String>) -> Result<ServeOptions, String> {
     let mut opts = ServeOptions::default();
-    let mut argv = argv;
     while let Some(arg) = argv.next() {
         match arg.as_str() {
             "--nodes" => opts.nodes = value(&mut argv, "--nodes")?,
@@ -148,31 +168,17 @@ fn parse_serve_args(argv: impl Iterator<Item = String>) -> Result<ServeOptions, 
 /// Parses the flags of the `route` subcommand into [`RouteOptions`]
 /// plus the optional output directory.
 fn parse_route_args(
-    argv: impl Iterator<Item = String>,
+    mut argv: impl Iterator<Item = String>,
 ) -> Result<(RouteOptions, Option<PathBuf>), String> {
-    fn value<T: std::str::FromStr>(
-        argv: &mut impl Iterator<Item = String>,
-        flag: &str,
-    ) -> Result<T, String>
-    where
-        T::Err: std::fmt::Display,
-    {
-        let v = argv.next().ok_or(format!("{flag} needs a value"))?;
-        v.parse().map_err(|e| format!("bad {flag} value: {e}"))
-    }
     let mut opts = RouteOptions::default();
     let mut out = None;
-    let mut argv = argv;
     while let Some(arg) = argv.next() {
         match arg.as_str() {
             "--nodes" => opts.nodes = value(&mut argv, "--nodes")?,
             "--k" => opts.k = value(&mut argv, "--k")?,
             "--threads" => opts.threads = value(&mut argv, "--threads")?,
             "--seed" => opts.seed = value(&mut argv, "--seed")?,
-            "--out" => {
-                let v = argv.next().ok_or("--out needs a directory")?;
-                out = Some(PathBuf::from(v));
-            }
+            "--out" => out = Some(PathBuf::from(argv.next().ok_or("--out needs a directory")?)),
             other => {
                 return Err(format!(
                     "unknown route argument: {other}\n\
@@ -193,21 +199,10 @@ fn parse_route_args(
 /// Parses the flags of the `churn` subcommand into [`ChurnOptions`]
 /// plus the optional output directory.
 fn parse_churn_args(
-    argv: impl Iterator<Item = String>,
+    mut argv: impl Iterator<Item = String>,
 ) -> Result<(ChurnOptions, Option<PathBuf>), String> {
-    fn value<T: std::str::FromStr>(
-        argv: &mut impl Iterator<Item = String>,
-        flag: &str,
-    ) -> Result<T, String>
-    where
-        T::Err: std::fmt::Display,
-    {
-        let v = argv.next().ok_or(format!("{flag} needs a value"))?;
-        v.parse().map_err(|e| format!("bad {flag} value: {e}"))
-    }
     let mut opts = ChurnOptions::default();
     let mut out = None;
-    let mut argv = argv;
     while let Some(arg) = argv.next() {
         match arg.as_str() {
             "--nodes" => opts.nodes = value(&mut argv, "--nodes")?,
@@ -221,10 +216,7 @@ fn parse_churn_args(
             "--k" => opts.detour_k = value(&mut argv, "--k")?,
             "--threads" => opts.threads = value(&mut argv, "--threads")?,
             "--seed" => opts.seed = value(&mut argv, "--seed")?,
-            "--out" => {
-                let v = argv.next().ok_or("--out needs a directory")?;
-                out = Some(PathBuf::from(v));
-            }
+            "--out" => out = Some(PathBuf::from(argv.next().ok_or("--out needs a directory")?)),
             other => {
                 return Err(format!(
                     "unknown churn argument: {other}\n\
@@ -262,21 +254,10 @@ fn parse_churn_args(
 /// Parses the flags of the `sparse` subcommand into [`SparseOptions`]
 /// plus the optional output directory.
 fn parse_sparse_args(
-    argv: impl Iterator<Item = String>,
+    mut argv: impl Iterator<Item = String>,
 ) -> Result<(SparseOptions, Option<PathBuf>), String> {
-    fn value<T: std::str::FromStr>(
-        argv: &mut impl Iterator<Item = String>,
-        flag: &str,
-    ) -> Result<T, String>
-    where
-        T::Err: std::fmt::Display,
-    {
-        let v = argv.next().ok_or(format!("{flag} needs a value"))?;
-        v.parse().map_err(|e| format!("bad {flag} value: {e}"))
-    }
     let mut opts = SparseOptions::default();
     let mut out = None;
-    let mut argv = argv;
     while let Some(arg) = argv.next() {
         match arg.as_str() {
             "--nodes" => opts.nodes = value(&mut argv, "--nodes")?,
@@ -285,10 +266,7 @@ fn parse_sparse_args(
             "--degree" => opts.degree = value(&mut argv, "--degree")?,
             "--threads" => opts.threads = value(&mut argv, "--threads")?,
             "--seed" => opts.seed = value(&mut argv, "--seed")?,
-            "--out" => {
-                let v = argv.next().ok_or("--out needs a directory")?;
-                out = Some(PathBuf::from(v));
-            }
+            "--out" => out = Some(PathBuf::from(argv.next().ok_or("--out needs a directory")?)),
             other => {
                 return Err(format!(
                     "unknown sparse argument: {other}\n\
@@ -314,19 +292,8 @@ fn parse_sparse_args(
 }
 
 /// Parses the flags of the `chaos` subcommand into [`ChaosOptions`].
-fn parse_chaos_args(argv: impl Iterator<Item = String>) -> Result<ChaosOptions, String> {
-    fn value<T: std::str::FromStr>(
-        argv: &mut impl Iterator<Item = String>,
-        flag: &str,
-    ) -> Result<T, String>
-    where
-        T::Err: std::fmt::Display,
-    {
-        let v = argv.next().ok_or(format!("{flag} needs a value"))?;
-        v.parse().map_err(|e| format!("bad {flag} value: {e}"))
-    }
+fn parse_chaos_args(mut argv: impl Iterator<Item = String>) -> Result<ChaosOptions, String> {
     let mut opts = ChaosOptions::default();
-    let mut argv = argv;
     while let Some(arg) = argv.next() {
         match arg.as_str() {
             "--nodes" => opts.nodes = value(&mut argv, "--nodes")?,
@@ -374,10 +341,7 @@ fn parse_chaos_args(argv: impl Iterator<Item = String>) -> Result<ChaosOptions, 
 fn run_chaos_command(argv: impl Iterator<Item = String>) -> ExitCode {
     let opts = match parse_chaos_args(argv) {
         Ok(opts) => opts,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(e),
     };
     match run_chaos_experiment(&opts) {
         Ok(summary) => {
@@ -396,164 +360,37 @@ fn run_chaos_command(argv: impl Iterator<Item = String>) -> ExitCode {
     }
 }
 
-/// Parses the flags of the `gate` subcommand into [`GateOptions`].
-fn parse_gate_args(argv: impl Iterator<Item = String>) -> Result<GateOptions, String> {
-    fn value<T: std::str::FromStr>(
-        argv: &mut impl Iterator<Item = String>,
-        flag: &str,
-    ) -> Result<T, String>
-    where
-        T::Err: std::fmt::Display,
-    {
-        let v = argv.next().ok_or(format!("{flag} needs a value"))?;
-        v.parse().map_err(|e| format!("bad {flag} value: {e}"))
-    }
-    let mut opts = GateOptions::default();
-    let mut argv = argv;
-    while let Some(arg) = argv.next() {
-        match arg.as_str() {
-            "--nodes" => opts.nodes = value(&mut argv, "--nodes")?,
-            "--replicas" => opts.replicas = value(&mut argv, "--replicas")?,
-            "--queries" => opts.queries = value(&mut argv, "--queries")?,
-            "--batch" => opts.batch = value(&mut argv, "--batch")?,
-            "--zipf" => opts.zipf_s = value(&mut argv, "--zipf")?,
-            "--observe" => opts.observe_frac = value(&mut argv, "--observe")?,
-            "--epoch-every" => opts.epoch_every = value(&mut argv, "--epoch-every")?,
-            "--target-qps" => opts.target_qps = value(&mut argv, "--target-qps")?,
-            "--seed" => opts.seed = value(&mut argv, "--seed")?,
-            other => {
-                return Err(format!(
-                    "unknown gate argument: {other}\n\
-                     usage: repro gate [--nodes N] [--replicas R] [--queries Q] [--batch B] \
-                     [--zipf Z] [--observe F] [--epoch-every K] [--target-qps T] [--seed S]"
-                ))
-            }
-        }
-    }
-    if opts.nodes < 2 {
-        return Err("--nodes must be at least 2".to_string());
-    }
-    if opts.replicas < 1 {
-        return Err("--replicas must be at least 1".to_string());
-    }
-    if !(0.0..1.0).contains(&opts.observe_frac) {
-        return Err("--observe must be in [0, 1)".to_string());
-    }
-    if opts.batch < 1 {
-        return Err("--batch must be at least 1".to_string());
-    }
-    if !opts.zipf_s.is_finite() || opts.zipf_s < 0.0 {
-        return Err("--zipf must be a finite non-negative exponent".to_string());
-    }
-    if !opts.target_qps.is_finite() || opts.target_qps < 0.0 {
-        return Err("--target-qps must be a finite non-negative rate (0 = unpaced)".to_string());
-    }
-    Ok(opts)
-}
-
-/// Runs the `gate` subcommand end to end.
-fn run_gate_command(argv: impl Iterator<Item = String>) -> ExitCode {
-    let opts = match parse_gate_args(argv) {
-        Ok(opts) => opts,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match run_gate(&opts) {
-        Ok(summary) => {
-            println!("{summary}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("gate run failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 /// Runs the `churn` subcommand end to end.
 fn run_churn_command(argv: impl Iterator<Item = String>) -> ExitCode {
     let (opts, out) = match parse_churn_args(argv) {
         Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(e),
     };
     let report = run_churn(&opts);
     print!("{report}");
-    if let Some(dir) = out {
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            eprintln!("cannot create {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
-        for fig in &report.figures {
-            let path = dir.join(format!("{}.csv", fig.id));
-            if let Err(e) = std::fs::write(&path, fig.to_csv()) {
-                eprintln!("cannot write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-            println!("figure written to {}", path.display());
-        }
-    }
-    ExitCode::SUCCESS
+    write_figures(out, &report.figures)
 }
 
 /// Runs the `sparse` subcommand end to end.
 fn run_sparse_command(argv: impl Iterator<Item = String>) -> ExitCode {
     let (opts, out) = match parse_sparse_args(argv) {
         Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(e),
     };
     let report = run_sparse(&opts);
     print!("{report}");
-    if let Some(dir) = out {
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            eprintln!("cannot create {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
-        for fig in &report.figures {
-            let path = dir.join(format!("{}.csv", fig.id));
-            if let Err(e) = std::fs::write(&path, fig.to_csv()) {
-                eprintln!("cannot write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-            println!("figure written to {}", path.display());
-        }
-    }
-    ExitCode::SUCCESS
+    write_figures(out, &report.figures)
 }
 
 /// Runs the `route` subcommand end to end.
 fn run_route_command(argv: impl Iterator<Item = String>) -> ExitCode {
     let (opts, out) = match parse_route_args(argv) {
         Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(e),
     };
     let report = run_route(&opts);
     print!("{report}");
-    if let Some(dir) = out {
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            eprintln!("cannot create {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
-        for fig in &report.figures {
-            let path = dir.join(format!("{}.csv", fig.id));
-            if let Err(e) = std::fs::write(&path, fig.to_csv()) {
-                eprintln!("cannot write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-            println!("figure written to {}", path.display());
-        }
-    }
-    ExitCode::SUCCESS
+    write_figures(out, &report.figures)
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -576,10 +413,7 @@ fn parse_args() -> Result<Args, String> {
                 let v = argv.next().ok_or("--threads needs a value")?;
                 threads = v.parse().map_err(|e| format!("bad thread count: {e}"))?;
             }
-            "--out" => {
-                let v = argv.next().ok_or("--out needs a directory")?;
-                out = Some(PathBuf::from(v));
-            }
+            "--out" => out = Some(PathBuf::from(argv.next().ok_or("--out needs a directory")?)),
             "--report" => {
                 let v = argv.next().ok_or("--report needs a file path")?;
                 report = Some(PathBuf::from(v));
@@ -600,8 +434,6 @@ fn parse_args() -> Result<Args, String> {
              (run the detour search)\n\
              \x20      repro churn [--nodes N] [--ticks T] [--epoch-ticks E] [--obs O] ... \
              (run the incremental epoch pipeline under churn)\n\
-             \x20      repro gate [--nodes N] [--replicas R] [--queries Q] [--target-qps T] ... \
-             (run the wire-protocol replica set)\n\
              \x20      repro chaos [--nodes N] [--replicas R] [--no-faults] [--no-apps] ... \
              (inject faults into a live deployment and verify recovery)\n\
              \x20      repro sparse [--nodes N] [--pairs P] [--scale-nodes M] [--degree D] ... \
@@ -656,10 +488,7 @@ fn main() -> ExitCode {
                     println!("{}", run_serve(&opts));
                     ExitCode::SUCCESS
                 }
-                Err(e) => {
-                    eprintln!("{e}");
-                    ExitCode::FAILURE
-                }
+                Err(e) => fail(e),
             };
         }
         Some("route") => {
@@ -669,10 +498,6 @@ fn main() -> ExitCode {
         Some("churn") => {
             argv.next();
             return run_churn_command(argv);
-        }
-        Some("gate") => {
-            argv.next();
-            return run_gate_command(argv);
         }
         Some("chaos") => {
             argv.next();
@@ -687,10 +512,7 @@ fn main() -> ExitCode {
     drop(argv);
     let args = match parse_args() {
         Ok(a) => a,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(e),
     };
     if let Some(dir) = &args.out {
         if let Err(e) = std::fs::create_dir_all(dir) {

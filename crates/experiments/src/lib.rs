@@ -23,14 +23,12 @@
 //! subcommand); [`route`] runs the TIV-exploiting one-hop detour
 //! search (the `repro route` subcommand); [`churn`] drives the
 //! incremental epoch pipeline against a churning delay space (the
-//! `repro churn` subcommand); [`gate`] drives a multi-replica
-//! `tivgate` wire deployment with an open-loop socket workload (the
-//! `repro gate` subcommand); [`chaos`] injects deterministic faults
-//! into a live deployment and runs the TIV-aware application workloads
-//! against it (the `repro chaos` subcommand); [`sparse`] sweeps
-//! sampled-severity
-//! accuracy against the exact kernel and sparse-store memory against
-//! the dense matrix (the `repro sparse` subcommand).
+//! `repro churn` subcommand); [`chaos`] injects deterministic faults
+//! into a live multi-replica `tivgate` deployment and runs the
+//! TIV-aware application workloads against it (the `repro chaos`
+//! subcommand); [`sparse`] sweeps sampled-severity accuracy against
+//! the exact kernel and sparse-store memory against the dense matrix
+//! (the `repro sparse` subcommand).
 //!
 //! Batches fan out over worker threads with [`suite::run_many`] (the
 //! `repro` binary's `--threads` flag); every figure is a pure function
@@ -52,7 +50,6 @@ pub mod ablations;
 pub mod chaos;
 pub mod churn;
 pub mod figure;
-pub mod gate;
 pub mod lab;
 pub mod penalty;
 pub mod report;

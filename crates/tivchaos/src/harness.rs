@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 use tivgate::client::GateClient;
 use tivgate::deploy::{Deployment, DeploymentHandle};
 use tivgate::proto::{to_wire_pairs, Request, Response};
-use tivserve::loadgen::{LoadReport, LoadSpec, QueryBatch, WorkloadConfig};
+use tivserve::loadgen::{generate, LoadReport, QueryBatch, WorkloadConfig};
 use tivserve::service::ServeConfig;
 use tivserve::EpochBuilder;
 
@@ -302,17 +302,16 @@ pub fn run_chaos(cfg: &ChaosConfig, plan: &FaultPlan) -> io::Result<ChaosReport>
         .into_matrix();
     let epoch_cfg = tivserve::EpochConfig { seed: cfg.seed, ..tivserve::EpochConfig::default() };
     let (builder, snapshot) = EpochBuilder::bootstrap(matrix.clone(), epoch_cfg);
-    let spec = LoadSpec {
-        workload: WorkloadConfig {
+    let batches = generate(
+        &WorkloadConfig {
             queries: cfg.queries,
             batch: cfg.batch,
             observe_frac: cfg.observe_frac,
             seed: cfg.seed,
             ..WorkloadConfig::default()
         },
-        target_qps: cfg.target_qps,
-    };
-    let batches = spec.batches(&matrix);
+        &matrix,
+    );
     let with_publisher = cfg.publish_every_batches > 0;
     let deployment = Deployment::new(snapshot, ServeConfig::default()).replicas(cfg.replicas);
     let handle = if with_publisher {

@@ -30,8 +30,8 @@ impl GateClient {
         Ok(GateClient { stream, buf: Vec::new() })
     }
 
-    /// Wraps an existing (blocking) stream — how the open-loop load
-    /// generator builds its response-reader half over a cloned fd.
+    /// Wraps an existing (blocking) stream, e.g. a response-reader
+    /// half built over a [`try_clone_stream`](GateClient::try_clone_stream) fd.
     pub fn from_stream(stream: TcpStream) -> GateClient {
         GateClient { stream, buf: Vec::new() }
     }
@@ -142,8 +142,8 @@ impl GateClient {
     }
 
     /// Clones the underlying stream (shared fd) so a reader thread can
-    /// drain responses while this handle keeps sending — the open-loop
-    /// load generator's split.
+    /// drain responses while this handle keeps sending (pipelined,
+    /// open-loop clients).
     pub fn try_clone_stream(&self) -> io::Result<TcpStream> {
         self.stream.try_clone()
     }

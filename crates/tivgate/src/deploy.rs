@@ -113,7 +113,7 @@ impl Cluster {
 }
 
 /// Builder for a multi-replica gate deployment — the construction
-/// path behind `repro gate`, `repro chaos` and the chaos harness. See
+/// path behind `repro chaos`, the chaos harness and tivmark. See
 /// the [module docs](self) for the full story.
 pub struct Deployment<B: EpochSource<Snapshot = EpochSnapshot> = EpochBuilder> {
     snapshot: EpochSnapshot,

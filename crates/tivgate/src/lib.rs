@@ -18,10 +18,11 @@
 //! - [`deploy`] — the [`Deployment`] builder: N full-copy replicas
 //!   plus an [`EpochSource`](tivserve::epoch::EpochSource)-driven
 //!   publisher in one handle, with the replica crash/restart and
-//!   publish-fault hooks the chaos harness drives;
-//! - [`loadgen`] — an open-loop socket load generator extending
-//!   tivserve's Zipf workload, reporting through the shared
-//!   [`LoadReport`](tivserve::loadgen::LoadReport) core.
+//!   publish-fault hooks the chaos harness drives.
+//!
+//! Timing the wire — codec, framing, dispatch, socket residual, paced
+//! open-loop load — is the benchmark's job (tivmark's `tivgate.*`
+//! layer, `benchmark/`); `repro chaos` drives a live deployment.
 //!
 //! The crate's contract — pinned by the `wire_equivalence` integration
 //! suite — is that a query answered over the wire is **byte-identical**
@@ -38,7 +39,6 @@ pub mod client;
 pub mod conn;
 pub mod deploy;
 pub mod front;
-pub mod loadgen;
 pub mod proto;
 pub mod server;
 pub mod testutil;
@@ -46,6 +46,5 @@ pub mod testutil;
 pub use client::GateClient;
 pub use deploy::{Deployment, DeploymentHandle};
 pub use front::{Front, HashRing};
-pub use loadgen::{run_open_loop, GateLoadReport};
 pub use proto::{to_node_pairs, to_wire_pairs, ErrorCode, Request, Response, WirePair};
 pub use server::{GateConfig, GateHandle, GateServer, GateStats};

@@ -17,7 +17,7 @@
 //! | routing | [`tivroute`] | k-best one-hop detour search, detour-gain statistics |
 //! | incremental | [`tivflux`] | dirty-row tracking, delta repair of the O(n³) analyses, rebuild policy |
 //! | serving | [`tivserve`] | sharded, epoch-snapshot estimation + routing service, incremental epoch builder, load generator |
-//! | wire | [`tivgate`] | length-prefixed binary protocol, non-blocking gate server, consistent-hash multi-replica front, open-loop socket loadgen, `Deployment` builder |
+//! | wire | [`tivgate`] | length-prefixed binary protocol, non-blocking gate server, consistent-hash multi-replica front, `Deployment` builder |
 //! | chaos | [`tivchaos`] | deterministic fault injection against a live deployment, bit-exact recovery checks, live application workloads |
 //! | harness | [`experiments`] | one function per figure of the paper, `repro` binary |
 //!
@@ -84,7 +84,7 @@ pub mod prelude {
 
     pub use tivflux::{BuildKind, DerivedState, DirtySet, RebuildPolicy, RefineConfig};
 
-    pub use tivserve::loadgen::{LoadReport, LoadSpec};
+    pub use tivserve::loadgen::LoadReport;
     pub use tivserve::{
         EdgeEstimate, EpochBuilder, EpochConfig, EpochSnapshot, EstimateConfig, FluxBuilder,
         FluxConfig, Observation, RouteEstimate, ServeConfig, TivServe, WorkloadConfig,

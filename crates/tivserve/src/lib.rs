@@ -74,9 +74,7 @@ pub use epoch::{
     spawn_with, EpochBuilder, EpochConfig, EpochSource, EpochStream, Feed, FeedSender, Observation,
 };
 pub use flux::{BuildOutcome, FluxBuilder, FluxConfig};
-pub use loadgen::{
-    percentile, ClosedLoopReport, LoadReport, LoadSpec, ObservePath, WorkloadConfig,
-};
+pub use loadgen::{percentile, ClosedLoopReport, LoadReport, ObservePath, WorkloadConfig};
 pub use query::{QueryBatch, ReplyBatch, SeverityEstimate};
 pub use service::{CacheStats, ServeConfig, TivServe};
 pub use snapshot::{

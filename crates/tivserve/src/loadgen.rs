@@ -13,14 +13,13 @@
 //! loop: the next batch is issued only when the previous one
 //! completed) and reports throughput and p50/p99 batch latency.
 //!
-//! The measurement vocabulary is shared across every load path:
-//! [`LoadSpec`] describes a workload (shape + pacing) for both this
-//! closed loop and `tivgate`'s open-loop socket client, and
+//! The measurement vocabulary is shared by this closed loop and the
+//! `tivchaos` harness: [`generate`] builds both workloads, and
 //! [`LoadReport`] is the one report core — the `observations ==
 //! delivered + undelivered` accounting identity and the percentile
 //! arithmetic ([`percentile`]) live here and nowhere else. Mode
-//! specific wrappers ([`ClosedLoopReport`], `tivgate::GateLoadReport`,
-//! `tivchaos`' chaos report) embed it rather than re-deriving it.
+//! specific wrappers ([`ClosedLoopReport`], `tivchaos`' chaos report)
+//! embed it rather than re-deriving it.
 
 use crate::epoch::{FeedSender, Observation};
 use crate::service::TivServe;
@@ -59,31 +58,6 @@ impl Default for WorkloadConfig {
             jitter_sigma: 0.05,
             seed: 42,
         }
-    }
-}
-
-/// A complete load description, shared by every load path: the
-/// workload shape plus the pacing discipline. `target_qps == 0` means
-/// unpaced — the closed loop always runs unpaced; the open-loop gate
-/// client schedules arrivals at `target_qps` when it is positive.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct LoadSpec {
-    /// Shape of the generated query/observation stream.
-    pub workload: WorkloadConfig,
-    /// Scheduled arrival rate in queries/s (0 = unpaced / closed).
-    pub target_qps: f64,
-}
-
-impl LoadSpec {
-    /// A spec with the given workload and no pacing.
-    pub fn unpaced(workload: WorkloadConfig) -> Self {
-        LoadSpec { workload, target_qps: 0.0 }
-    }
-
-    /// Generates the spec's batches against `matrix` — a pure function
-    /// of `(spec.workload, matrix)`, see [`generate`].
-    pub fn batches(&self, matrix: &DelayMatrix) -> Vec<QueryBatch> {
-        generate(&self.workload, matrix)
     }
 }
 
@@ -184,8 +158,8 @@ pub enum ObservePath<'a> {
 
 /// The latency at quantile `p` (`0.0..=1.0`) of an ascending-sorted
 /// sample, by nearest-rank on the closed interval — **the** percentile
-/// rule every load path reports with (closed loop, open-loop gate
-/// client, chaos harness). Returns 0 for an empty sample.
+/// rule every load path reports with (closed loop, chaos harness,
+/// tivmark). Returns 0 for an empty sample.
 pub fn percentile(sorted_ascending: &[f64], p: f64) -> f64 {
     if sorted_ascending.is_empty() {
         return 0.0;
@@ -197,8 +171,8 @@ pub fn percentile(sorted_ascending: &[f64], p: f64) -> f64 {
 /// The shared measurement core of every load run: counts, the
 /// observation-delivery accounting, throughput, and latency
 /// percentiles. Mode-specific reports ([`ClosedLoopReport`],
-/// `tivgate::GateLoadReport`) embed this rather than re-deriving any
-/// of it.
+/// `tivchaos`' chaos report) embed this rather than re-deriving any of
+/// it.
 #[derive(Clone, Copy, Debug)]
 pub struct LoadReport {
     /// Queries answered.
