@@ -11,7 +11,8 @@ use delayspace::matrix::DelayMatrix;
 use delayspace::synth::{Dataset, InternetDelaySpace};
 use std::fmt;
 use std::sync::Arc;
-use tivserve::epoch::{spawn_with, EpochBuilder, EpochConfig};
+use tivserve::epoch::{spawn_with, EpochConfig};
+use tivserve::flux::FluxBuilder;
 use tivserve::loadgen::{self, ClosedLoopReport, ObservePath, WorkloadConfig};
 use tivserve::service::{ServeConfig, TivServe};
 use tivserve::snapshot::EstimateConfig;
@@ -98,12 +99,12 @@ impl ServeOptions {
 /// callers can generate workloads against it. Pure in `(opts, shards)`
 /// — the equivalence tests rely on services built here differing only
 /// in shard count.
-pub fn build_service(opts: &ServeOptions, shards: usize) -> (TivServe, EpochBuilder, DelayMatrix) {
+pub fn build_service(opts: &ServeOptions, shards: usize) -> (TivServe, FluxBuilder, DelayMatrix) {
     let matrix = InternetDelaySpace::preset(Dataset::Ds2)
         .with_nodes(opts.nodes)
         .build(opts.seed)
         .into_matrix();
-    let (builder, snapshot) = EpochBuilder::bootstrap(matrix.clone(), opts.epoch_config());
+    let (builder, snapshot) = FluxBuilder::bootstrap(matrix.clone(), opts.epoch_config());
     let service = TivServe::new(opts.serve_config(shards), snapshot);
     (service, builder, matrix)
 }

@@ -31,7 +31,7 @@ use tivserve::loadgen::percentile;
 use tivserve::query::QueryBatch;
 use tivserve::service::ServeConfig;
 use tivserve::snapshot::EdgeEstimate;
-use tivserve::{EpochBuilder, EpochConfig};
+use tivserve::{EpochConfig, FluxBuilder};
 
 /// Everything the application workloads can tune.
 #[derive(Clone, Copy, Debug)]
@@ -238,7 +238,7 @@ fn serve_space(cfg: &AppConfig) -> io::Result<(DelayMatrix, tivgate::DeploymentH
         .build(cfg.seed)
         .into_matrix();
     let epoch_cfg = EpochConfig { seed: cfg.seed, ..EpochConfig::default() };
-    let (_, snapshot) = EpochBuilder::bootstrap(matrix.clone(), epoch_cfg);
+    let (_, snapshot) = FluxBuilder::bootstrap(matrix.clone(), epoch_cfg);
     let handle =
         Deployment::new(snapshot, ServeConfig::default()).replicas(cfg.replicas).spawn()?;
     let front = Front::connect(&handle.addrs())?;

@@ -31,7 +31,7 @@ use tivgate::deploy::{Deployment, DeploymentHandle};
 use tivgate::proto::{to_wire_pairs, Request, Response};
 use tivserve::loadgen::{generate, LoadReport, QueryBatch, WorkloadConfig};
 use tivserve::service::ServeConfig;
-use tivserve::EpochBuilder;
+use tivserve::FluxBuilder;
 
 /// Service-level objectives a chaos run is held to.
 #[derive(Clone, Copy, Debug)]
@@ -301,7 +301,7 @@ pub fn run_chaos(cfg: &ChaosConfig, plan: &FaultPlan) -> io::Result<ChaosReport>
         .build(cfg.seed)
         .into_matrix();
     let epoch_cfg = tivserve::EpochConfig { seed: cfg.seed, ..tivserve::EpochConfig::default() };
-    let (builder, snapshot) = EpochBuilder::bootstrap(matrix.clone(), epoch_cfg);
+    let (builder, snapshot) = FluxBuilder::bootstrap(matrix.clone(), epoch_cfg);
     let batches = generate(
         &WorkloadConfig {
             queries: cfg.queries,

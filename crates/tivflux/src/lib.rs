@@ -3,9 +3,9 @@
 //! The reproduced paper's central observation about *time* is that TIVs
 //! are not static: severities drift as delays drift, so a TIV-aware
 //! system must keep its derived state fresh under a continuous stream
-//! of RTT observations. The serving layer's original epoch builder
-//! recomputed everything from scratch on every publish — an O(n³)
-//! stall per epoch. This crate owns the machinery that makes epochs
+//! of RTT observations. The serving layer's first epoch builder (since
+//! deleted) recomputed everything from scratch on every publish — an
+//! O(n³) stall per epoch. This crate owns the machinery that makes epochs
 //! *incremental*:
 //!
 //! * [`DirtySet`] ([`dirty`]) — tracks which edges changed since the

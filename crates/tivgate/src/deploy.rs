@@ -8,10 +8,10 @@
 //!
 //! ```no_run
 //! # use tivgate::deploy::Deployment;
-//! # use tivserve::{EpochBuilder, EpochConfig, ServeConfig};
+//! # use tivserve::{EpochConfig, FluxBuilder, ServeConfig};
 //! # use delayspace::synth::{Dataset, InternetDelaySpace};
 //! let m = InternetDelaySpace::preset(Dataset::Ds2).with_nodes(64).build(7).into_matrix();
-//! let (builder, snapshot) = EpochBuilder::bootstrap(m, EpochConfig::default());
+//! let (builder, snapshot) = FluxBuilder::bootstrap(m, EpochConfig::default());
 //! let handle = Deployment::new(snapshot, ServeConfig::default())
 //!     .replicas(2)
 //!     .publisher(builder, 500)
@@ -55,9 +55,9 @@ use std::net::SocketAddr;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, MutexGuard};
 use tivserve::epoch::{spawn_with, EpochSource, EpochStream, FeedSender};
+use tivserve::flux::FluxBuilder;
 use tivserve::service::{ServeConfig, TivServe};
 use tivserve::snapshot::{EpochSnapshot, ServedSnapshot};
-use tivserve::EpochBuilder;
 
 /// One replica's slot in the deployment: its in-process service and
 /// gate while up, `None` of each while crashed, plus its publish-fault
@@ -112,10 +112,17 @@ impl Cluster {
     }
 }
 
+/// A lifecycle call named a replica the deployment does not have.
+/// (Indexing would panic under the state lock and poison it, which
+/// stops every later publish.)
+fn no_replica(replica: usize) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidInput, format!("no replica {replica}"))
+}
+
 /// Builder for a multi-replica gate deployment — the construction
 /// path behind `repro chaos`, the chaos harness and tivmark. See
 /// the [module docs](self) for the full story.
-pub struct Deployment<B: EpochSource<Snapshot = EpochSnapshot> = EpochBuilder> {
+pub struct Deployment<B: EpochSource<Snapshot = EpochSnapshot> = FluxBuilder> {
     snapshot: EpochSnapshot,
     serve_cfg: ServeConfig,
     gate_cfg: GateConfig,
@@ -208,8 +215,10 @@ impl<B: EpochSource<Snapshot = EpochSnapshot>> Deployment<B> {
 }
 
 /// A running deployment: the replica-lifecycle and fault-injection
-/// surface. Obtained from [`Deployment::spawn`].
-pub struct DeploymentHandle<B: EpochSource<Snapshot = EpochSnapshot> = EpochBuilder> {
+/// surface. Obtained from [`Deployment::spawn`]. A replica index past
+/// [`replicas`](Self::replicas) reads as `None` and fails a lifecycle
+/// call with [`io::ErrorKind::InvalidInput`].
+pub struct DeploymentHandle<B: EpochSource<Snapshot = EpochSnapshot> = FluxBuilder> {
     cluster: Arc<Cluster>,
     serve_cfg: ServeConfig,
     gate_cfg: GateConfig,
@@ -225,7 +234,7 @@ impl<B: EpochSource<Snapshot = EpochSnapshot>> DeploymentHandle<B> {
 
     /// The bound address of replica `i`, `None` while it is down.
     pub fn addr(&self, replica: usize) -> Option<SocketAddr> {
-        self.cluster.lock().slots[replica].gate.as_ref().map(GateHandle::addr)
+        self.cluster.lock().slots.get(replica)?.gate.as_ref().map(GateHandle::addr)
     }
 
     /// Addresses of every *live* replica, in slot order.
@@ -241,7 +250,7 @@ impl<B: EpochSource<Snapshot = EpochSnapshot>> DeploymentHandle<B> {
     /// The in-process service of replica `i`, `None` while it is down
     /// (equivalence tests compare wire answers against these).
     pub fn service(&self, replica: usize) -> Option<Arc<TivServe>> {
-        self.cluster.lock().slots[replica].service.clone()
+        self.cluster.lock().slots.get(replica)?.service.clone()
     }
 
     /// The observation feed of the attached publisher (`None` when the
@@ -273,7 +282,7 @@ impl<B: EpochSource<Snapshot = EpochSnapshot>> DeploymentHandle<B> {
     /// Epoch replica `i` last applied, `None` while it is down.
     pub fn replica_epoch(&self, replica: usize) -> Option<u64> {
         let st = self.cluster.lock();
-        let slot = &st.slots[replica];
+        let slot = st.slots.get(replica)?;
         slot.service.as_ref().map(|_| slot.epoch)
     }
 
@@ -281,7 +290,7 @@ impl<B: EpochSource<Snapshot = EpochSnapshot>> DeploymentHandle<B> {
     /// snapshot, `None` while it is down.
     pub fn staleness_epochs(&self, replica: usize) -> Option<u64> {
         let st = self.cluster.lock();
-        let slot = &st.slots[replica];
+        let slot = st.slots.get(replica)?;
         slot.service.as_ref().map(|_| st.latest.epoch().saturating_sub(slot.epoch))
     }
 
@@ -297,7 +306,7 @@ impl<B: EpochSource<Snapshot = EpochSnapshot>> DeploymentHandle<B> {
     pub fn crash(&self, replica: usize) -> io::Result<()> {
         let gate = {
             let mut st = self.cluster.lock();
-            let slot = &mut st.slots[replica];
+            let slot = st.slots.get_mut(replica).ok_or_else(|| no_replica(replica))?;
             let gate = slot.gate.take().ok_or_else(|| {
                 io::Error::new(io::ErrorKind::NotConnected, format!("replica {replica} is down"))
             })?;
@@ -319,7 +328,7 @@ impl<B: EpochSource<Snapshot = EpochSnapshot>> DeploymentHandle<B> {
     /// replica is still up.
     pub fn restart(&self, replica: usize) -> io::Result<SocketAddr> {
         let mut st = self.cluster.lock();
-        if st.slots[replica].gate.is_some() {
+        if st.slots.get(replica).ok_or_else(|| no_replica(replica))?.gate.is_some() {
             return Err(io::Error::new(
                 io::ErrorKind::AlreadyExists,
                 format!("replica {replica} is still up"),
@@ -340,8 +349,13 @@ impl<B: EpochSource<Snapshot = EpochSnapshot>> DeploymentHandle<B> {
     /// one — the replica simply serves a stale epoch until a publish
     /// gets through, which is exactly the staleness the chaos SLOs
     /// measure.
+    ///
+    /// # Panics
+    /// Panics when there is no replica `i` — after releasing the
+    /// deployment state, so publishing carries on.
     pub fn skip_publishes(&self, replica: usize, n: usize) {
-        self.cluster.lock().slots[replica].skip = n;
+        let gated = self.cluster.lock().slots.get_mut(replica).map(|slot| slot.skip = n);
+        assert!(gated.is_some(), "no replica {replica}");
     }
 
     /// Aggregate requests served across *live* replicas' gates.
@@ -392,7 +406,8 @@ mod tests {
     use super::*;
     use crate::client::GateClient;
     use crate::proto::{Request, Response};
-    use crate::testutil::small_builder;
+    use crate::testutil::{small_builder, SMALL_NODES};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use tivserve::epoch::Observation;
     use tivserve::query::QueryBatch;
 
@@ -514,6 +529,67 @@ mod tests {
         assert!(handle.crash(0).is_err(), "double crash is an error");
         assert!(handle.addrs().is_empty());
         handle.restart(0).unwrap();
+        handle.shutdown().unwrap();
+    }
+
+    #[test]
+    fn out_of_range_replica_leaves_the_deployment_serving() {
+        let (builder, snap, serve_cfg) = small_builder();
+        let handle =
+            Deployment::new(snap, serve_cfg).replicas(2).publisher(builder, 1000).spawn().unwrap();
+        let invalid = |e: io::Error| e.kind() == io::ErrorKind::InvalidInput;
+        assert!(handle.crash(5).is_err_and(invalid));
+        assert!(handle.restart(5).is_err_and(invalid));
+        assert_eq!(handle.addr(5), None);
+        assert!(handle.service(5).is_none());
+        assert_eq!(handle.replica_epoch(5), None);
+        assert_eq!(handle.staleness_epochs(5), None);
+        // The one hook that still panics does so outside the state lock.
+        assert!(catch_unwind(AssertUnwindSafe(|| handle.skip_publishes(5, 1))).is_err());
+        // Nothing is poisoned: the publish reaches both replicas.
+        assert_eq!(handle.publish_now(), Some(1));
+        assert_eq!((handle.replica_epoch(0), handle.replica_epoch(1)), (Some(1), Some(1)));
+        handle.shutdown().unwrap();
+    }
+
+    #[test]
+    fn default_deployment_publishes_table_backed_epochs() {
+        let (builder, snap, serve_cfg) = small_builder();
+        let handle =
+            Deployment::new(snap, serve_cfg).replicas(2).publisher(builder, 1000).spawn().unwrap();
+        let feed = handle.feed().unwrap();
+        feed.observe(Observation { src: 0, dst: 3, rtt_ms: 44.0 }).unwrap();
+        assert_eq!(handle.publish_now(), Some(1));
+        handle.crash(1).unwrap();
+        handle.restart(1).unwrap();
+        let nodes = SMALL_NODES as u32;
+        let pairs: Vec<(u32, u32)> =
+            (0..nodes).flat_map(|a| (0..nodes).map(move |c| (a, c))).collect();
+        for r in 0..2 {
+            let snapshot = handle.service(r).unwrap().snapshot();
+            assert!(snapshot.derived().is_some(), "replica {r} serves without tables");
+            let mut client = GateClient::connect(handle.addr(r).unwrap()).unwrap();
+            let Response::Route { items, .. } =
+                client.call(&Request::Route { id: 1, pairs: pairs.clone() }).unwrap()
+            else {
+                panic!("wrong kind");
+            };
+            assert_eq!(items.len(), pairs.len());
+            for (&(a, c), got) in pairs.iter().zip(&items) {
+                let (a, c) = (a as usize, c as usize);
+                let best = tivroute::best_detour(snapshot.matrix(), a, c);
+                let (direct, via) = (snapshot.matrix().get(a, c), best.map(|b| b.via_ms));
+                let saving = direct.zip(via).map(|(d, v)| d - v);
+                let frac = direct.zip(via).map(|(d, v)| if d > 0.0 { (d - v) / d } else { 0.0 });
+                let want = [direct, via, saving, frac].map(|x| x.map(f64::to_bits));
+                let bits = [got.direct_ms, got.via_ms, got.saving_ms, got.saving_frac];
+                assert_eq!(
+                    (got.epoch, got.relay, bits.map(|x| x.map(f64::to_bits))),
+                    (1, best.map(|b| b.relay), want),
+                    "replica {r}, pair ({a},{c})"
+                );
+            }
+        }
         handle.shutdown().unwrap();
     }
 }

@@ -8,7 +8,8 @@
 use delayspace::matrix::DelayMatrix;
 use delayspace::synth::{Dataset, InternetDelaySpace};
 use std::sync::Arc;
-use tivserve::epoch::{EpochBuilder, EpochConfig};
+use tivserve::epoch::EpochConfig;
+use tivserve::flux::FluxBuilder;
 use tivserve::service::{ServeConfig, TivServe};
 use tivserve::snapshot::EpochSnapshot;
 
@@ -20,16 +21,16 @@ pub fn small_matrix() -> DelayMatrix {
     InternetDelaySpace::preset(Dataset::Ds2).with_nodes(SMALL_NODES).build(11).into_matrix()
 }
 
-/// An epoch config with short embedding runs — fast, still exercising
-/// every code path.
+/// An epoch config with a short bootstrap embedding — fast, still
+/// exercising every code path.
 pub fn fast_epochs() -> EpochConfig {
-    EpochConfig { bootstrap_rounds: 12, epoch_rounds: 6, seed: 7, ..EpochConfig::default() }
+    EpochConfig { bootstrap_rounds: 12, seed: 7, ..EpochConfig::default() }
 }
 
 /// Bootstrapped builder + epoch-0 snapshot + a small serve config, the
 /// standard trio for spawning fixture services and replica sets.
-pub fn small_builder() -> (EpochBuilder, EpochSnapshot, ServeConfig) {
-    let (builder, snapshot) = EpochBuilder::bootstrap(small_matrix(), fast_epochs());
+pub fn small_builder() -> (FluxBuilder, EpochSnapshot, ServeConfig) {
+    let (builder, snapshot) = FluxBuilder::bootstrap(small_matrix(), fast_epochs());
     let serve_cfg = ServeConfig { shards: 2, ..ServeConfig::default() };
     (builder, snapshot, serve_cfg)
 }
@@ -37,6 +38,6 @@ pub fn small_builder() -> (EpochBuilder, EpochSnapshot, ServeConfig) {
 /// A ready in-process service over an `n`-node synthetic snapshot.
 pub fn small_service(n: usize) -> Arc<TivServe> {
     let matrix = InternetDelaySpace::preset(Dataset::Ds2).with_nodes(n).build(11).into_matrix();
-    let (_, snapshot) = EpochBuilder::bootstrap(matrix, fast_epochs());
+    let (_, snapshot) = FluxBuilder::bootstrap(matrix, fast_epochs());
     Arc::new(TivServe::new(ServeConfig { shards: 2, ..ServeConfig::default() }, snapshot))
 }

@@ -86,8 +86,8 @@ pub mod prelude {
 
     pub use tivserve::loadgen::LoadReport;
     pub use tivserve::{
-        EdgeEstimate, EpochBuilder, EpochConfig, EpochSnapshot, EstimateConfig, FluxBuilder,
-        FluxConfig, Observation, RouteEstimate, ServeConfig, TivServe, WorkloadConfig,
+        EdgeEstimate, EpochConfig, EpochSnapshot, EstimateConfig, FluxBuilder, FluxConfig,
+        Observation, RouteEstimate, ServeConfig, TivServe, WorkloadConfig,
     };
 
     pub use tivgate::{

@@ -19,7 +19,8 @@ use tivoid::tivgate::client::GateClient;
 use tivoid::tivgate::proto::{encode_response, Request, Response};
 use tivoid::tivgate::testutil::{fast_epochs, small_builder, small_matrix, SMALL_NODES};
 use tivoid::tivgate::{Deployment, DeploymentHandle, Front};
-use tivoid::tivserve::epoch::{EpochBuilder, Observation};
+use tivoid::tivserve::epoch::Observation;
+use tivoid::tivserve::flux::FluxBuilder;
 use tivoid::tivserve::loadgen::{generate, WorkloadConfig};
 use tivoid::tivserve::query::QueryBatch;
 use tivoid::tivserve::service::{ServeConfig, TivServe};
@@ -120,7 +121,7 @@ fn wire_equivalence_at(replicas: usize) {
     // The reference service and its builder are bootstrapped
     // independently from the same seeds — the purity of the fixtures is
     // exactly what is under test here.
-    let (mut reference_builder, snap) = EpochBuilder::bootstrap(small_matrix(), fast_epochs());
+    let (mut reference_builder, snap) = FluxBuilder::bootstrap(small_matrix(), fast_epochs());
     let reference = TivServe::new(serve_cfg, snap);
     let mut clients: Vec<GateClient> =
         handle.addrs().into_iter().map(|a| GateClient::connect(a).expect("connect")).collect();

@@ -1,14 +1,15 @@
-//! The epoch builder: folds streamed RTT observations into the next
-//! snapshot.
+//! The epoch engine: streams RTT observations into a builder and
+//! publishes the snapshots it builds.
 //!
-//! Readers only ever see immutable [`EpochSnapshot`]s; all mutation
-//! lives here. An [`EpochBuilder`] owns the working delay matrix, the
-//! last embedding, and one [`TivMonitor`] per node (the paper's §5.1
-//! hysteresis alarm, reused verbatim): each observation updates the
-//! source node's monitor against the *current* embedding's prediction
-//! and folds the smoothed RTT back into the matrix. [`EpochBuilder::build`]
-//! then re-embeds and freezes everything into the next snapshot, which
-//! the caller publishes into a [`TivServe`](crate::TivServe) — readers
+//! Readers only ever see immutable
+//! [`EpochSnapshot`](crate::snapshot::EpochSnapshot)s; all mutation
+//! lives in a builder behind the [`EpochSource`] trait. There is one
+//! dense builder, [`FluxBuilder`]: each observation updates the source
+//! node's [`TivMonitor`](tivcore::TivMonitor) (the paper's §5.1
+//! hysteresis alarm, reused verbatim) against the current embedding's
+//! prediction and folds the smoothed RTT back into the working matrix;
+//! each build freezes everything into the next snapshot, which the
+//! caller publishes into a [`TivServe`](crate::TivServe) — readers
 //! never stall, they just keep answering from the previous epoch until
 //! the swap.
 //!
@@ -21,13 +22,13 @@
 //! streams observations in and can force a synchronous build+publish
 //! with [`FeedSender::flush`].
 
-use crate::snapshot::{EpochSnapshot, ServedSnapshot};
-use delayspace::matrix::{DelayMatrix, NodeId};
-use simnet::net::{JitterModel, Network};
+use crate::flux::FluxBuilder;
+use crate::snapshot::ServedSnapshot;
+use delayspace::matrix::NodeId;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
-use tivcore::{MonitorConfig, TivMonitor};
-use vivaldi::{Embedding, VivaldiConfig, VivaldiSystem};
+use tivcore::MonitorConfig;
+use vivaldi::VivaldiConfig;
 
 /// One streamed RTT measurement: `src` measured `rtt_ms` to `dst`.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -60,14 +61,11 @@ impl Observation {
 pub struct EpochConfig {
     /// Hysteresis monitor configuration (per node).
     pub monitor: MonitorConfig,
-    /// Vivaldi parameters of the re-embedding.
+    /// Vivaldi parameters of the bootstrap embedding.
     pub vivaldi: VivaldiConfig,
-    /// Rounds of the initial bootstrap embedding.
+    /// Rounds of the bootstrap embedding.
     pub bootstrap_rounds: usize,
-    /// Rounds of each per-epoch re-embedding.
-    pub epoch_rounds: usize,
-    /// Seed of the embedding runs (folded with the epoch number, so
-    /// every epoch is still a pure function of the builder's inputs).
+    /// Seed of the bootstrap embedding.
     pub seed: u64,
 }
 
@@ -77,16 +75,14 @@ impl Default for EpochConfig {
             monitor: MonitorConfig::default(),
             vivaldi: VivaldiConfig::default(),
             bootstrap_rounds: 60,
-            epoch_rounds: 30,
             seed: 0,
         }
     }
 }
 
 /// Anything that can fold streamed observations into successive epoch
-/// snapshots: the classic full-rebuild [`EpochBuilder`], the
-/// incremental [`FluxBuilder`](crate::flux::FluxBuilder) (both dense,
-/// `Snapshot = EpochSnapshot`), and the million-node
+/// snapshots: the dense [`FluxBuilder`] (`Snapshot = EpochSnapshot`)
+/// and the million-node
 /// [`SparseEpochBuilder`](crate::sparse::SparseEpochBuilder)
 /// (`Snapshot = SparseSnapshot` — never materializes n²). The
 /// background publish loop ([`spawn_with`]) is generic over this, so
@@ -111,122 +107,11 @@ pub trait EpochSource: Send + 'static {
     fn build(&mut self) -> Self::Snapshot;
 }
 
-/// Builds successive epoch snapshots from streamed observations.
-#[derive(Clone, Debug)]
-pub struct EpochBuilder {
-    cfg: EpochConfig,
-    matrix: DelayMatrix,
-    embedding: Embedding,
-    monitors: Vec<TivMonitor>,
-    epoch: u64,
-    pending: usize,
-    ingested_total: u64,
-}
-
-impl EpochBuilder {
-    /// Bootstraps a builder from a measured delay matrix: embeds it
-    /// once (`bootstrap_rounds`) and returns the builder together with
-    /// the epoch-0 snapshot to start a service on.
-    pub fn bootstrap(matrix: DelayMatrix, cfg: EpochConfig) -> (Self, EpochSnapshot) {
-        let embedding = embed(&matrix, &cfg, cfg.bootstrap_rounds, 0);
-        let monitors = vec![TivMonitor::new(cfg.monitor); matrix.len()];
-        let builder = EpochBuilder {
-            cfg,
-            matrix: matrix.clone(),
-            embedding: embedding.clone(),
-            monitors,
-            epoch: 0,
-            pending: 0,
-            ingested_total: 0,
-        };
-        let snapshot = EpochSnapshot::without_monitors(0, matrix, embedding);
-        (builder, snapshot)
-    }
-
-    /// Observations folded in since the last [`build`](Self::build).
-    pub fn pending(&self) -> usize {
-        self.pending
-    }
-
-    /// Total observations ever folded in.
-    pub fn ingested_total(&self) -> u64 {
-        self.ingested_total
-    }
-
-    /// Epoch of the last built snapshot (0 = bootstrap).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Folds one observation in: the source node's monitor absorbs the
-    /// sample (hysteresis alert state updates against the current
-    /// embedding's prediction), and the smoothed RTT is written back to
-    /// the working matrix.
-    ///
-    /// # Panics
-    /// Panics on self-loops, out-of-range nodes, or a non-positive RTT
-    /// (the monitor's own contract).
-    pub fn ingest(&mut self, obs: Observation) {
-        let n = self.matrix.len();
-        assert!(
-            obs.src < n && obs.dst < n,
-            "observation ({},{}) outside {n} nodes",
-            obs.src,
-            obs.dst
-        );
-        assert_ne!(obs.src, obs.dst, "self-observation at node {}", obs.src);
-        let predicted = self.embedding.predicted(obs.src, obs.dst);
-        self.monitors[obs.src].observe(obs.dst, obs.rtt_ms, predicted);
-        let smoothed = self.monitors[obs.src].rtt(obs.dst).expect("observe tracked the peer");
-        self.matrix.set(obs.src, obs.dst, smoothed);
-        self.pending += 1;
-        self.ingested_total += 1;
-    }
-
-    /// Builds the next snapshot: re-embeds the working matrix
-    /// (`epoch_rounds`, seeded by `seed ⊕ epoch`) and freezes the
-    /// monitor summaries. Resets the pending counter.
-    pub fn build(&mut self) -> EpochSnapshot {
-        self.epoch += 1;
-        self.embedding = embed(&self.matrix, &self.cfg, self.cfg.epoch_rounds, self.epoch);
-        self.pending = 0;
-        let summaries = self.monitors.iter().map(TivMonitor::summaries).collect();
-        EpochSnapshot::new(self.epoch, self.matrix.clone(), self.embedding.clone(), summaries)
-    }
-}
-
-impl EpochSource for EpochBuilder {
-    type Snapshot = EpochSnapshot;
-    fn node_count(&self) -> usize {
-        self.matrix.len()
-    }
-    fn ingest(&mut self, obs: Observation) {
-        EpochBuilder::ingest(self, obs);
-    }
-    fn pending(&self) -> usize {
-        EpochBuilder::pending(self)
-    }
-    fn ingested_total(&self) -> u64 {
-        EpochBuilder::ingested_total(self)
-    }
-    fn build(&mut self) -> EpochSnapshot {
-        EpochBuilder::build(self)
-    }
-}
-
-/// Runs one deterministic Vivaldi embedding of `matrix`.
-pub(crate) fn embed(
-    matrix: &DelayMatrix,
-    cfg: &EpochConfig,
-    rounds: usize,
-    epoch: u64,
-) -> Embedding {
-    let seed = cfg.seed ^ epoch.wrapping_mul(0x2545_f491_4f6c_dd1d);
-    let mut sys = VivaldiSystem::new(cfg.vivaldi, matrix.len(), seed);
-    let mut net = Network::new(matrix, JitterModel::None, seed);
-    sys.run_rounds(&mut net, rounds);
-    sys.embedding()
-}
+/// Kept only because tivmark's `tivserve.epoch_build` layer imports
+/// the name (`benchmark/src/layers.rs`), which now times a
+/// [`FluxBuilder`] build; the benchmark slice that retires that layer
+/// (ROADMAP item 4) deletes it. Nothing in `crates/` may use it.
+pub type EpochBuilder = FluxBuilder;
 
 /// One message into the publish engine's feed channel.
 ///
@@ -306,7 +191,7 @@ impl FeedSender {
 }
 
 /// Handle to a background epoch-builder (publish engine) thread.
-pub struct EpochStream<B: EpochSource = EpochBuilder> {
+pub struct EpochStream<B: EpochSource = FluxBuilder> {
     tx: FeedSender,
     handle: std::thread::JoinHandle<B>,
     rejected: Arc<AtomicU64>,
@@ -348,10 +233,10 @@ impl<B: EpochSource> EpochStream<B> {
 /// routes each snapshot through its per-replica fault gates — each is
 /// just a different `publish` closure.
 ///
-/// A build-and-publish can take a while (a full O(n³) rebuild on the
-/// classic builder); observations that arrive during it are **never
-/// dropped** — they queue in the channel and are folded into the *next*
-/// epoch on the following loop pass. The loop drains the channel
+/// A build-and-publish can take a while (a full O(n³) rebuild when the
+/// dense builder's policy falls back to one); observations that arrive
+/// during it are **never dropped** — they queue in the channel and are
+/// folded into the *next* epoch on the following loop pass. The loop drains the channel
 /// non-blockingly between publishes so a burst arriving mid-build is
 /// absorbed in one sweep, and the no-loss accounting
 /// (`ingested_total == observations sent`) is pinned by the
@@ -433,11 +318,11 @@ mod tests {
     use super::*;
     use crate::query::QueryBatch;
     use crate::service::{ServeConfig, TivServe};
+    use delayspace::matrix::DelayMatrix;
     use delayspace::synth::{Dataset, InternetDelaySpace};
-    use std::sync::Arc;
 
     /// The engine publishing into one in-process service.
-    fn spawn_into(service: &Arc<TivServe>, builder: EpochBuilder, per_epoch: usize) -> EpochStream {
+    fn spawn_into(service: &Arc<TivServe>, builder: FluxBuilder, per_epoch: usize) -> EpochStream {
         let service = Arc::clone(service);
         spawn_with(builder, per_epoch, move |snapshot| {
             service.publish(snapshot);
@@ -449,12 +334,12 @@ mod tests {
     }
 
     fn cfg() -> EpochConfig {
-        EpochConfig { bootstrap_rounds: 20, epoch_rounds: 10, seed: 3, ..EpochConfig::default() }
+        EpochConfig { bootstrap_rounds: 20, seed: 3, ..EpochConfig::default() }
     }
 
     #[test]
     fn bootstrap_yields_epoch_zero() {
-        let (builder, snap) = EpochBuilder::bootstrap(ds2(30, 1), cfg());
+        let (builder, snap) = FluxBuilder::bootstrap(ds2(30, 1), cfg());
         assert_eq!(snap.epoch(), 0);
         assert_eq!(builder.epoch(), 0);
         assert_eq!(builder.pending(), 0);
@@ -464,8 +349,8 @@ mod tests {
     #[test]
     fn ingest_then_build_advances_epoch_deterministically() {
         let m = ds2(30, 2);
-        let (mut a, _) = EpochBuilder::bootstrap(m.clone(), cfg());
-        let (mut b, _) = EpochBuilder::bootstrap(m, cfg());
+        let (mut a, _) = FluxBuilder::bootstrap(m.clone(), cfg());
+        let (mut b, _) = FluxBuilder::bootstrap(m, cfg());
         let obs = [
             Observation { src: 0, dst: 5, rtt_ms: 80.0 },
             Observation { src: 0, dst: 5, rtt_ms: 90.0 },
@@ -494,7 +379,7 @@ mod tests {
 
     #[test]
     fn observations_move_the_matrix_and_raise_alerts() {
-        let (mut builder, snap) = EpochBuilder::bootstrap(ds2(30, 4), cfg());
+        let (mut builder, snap) = FluxBuilder::bootstrap(ds2(30, 4), cfg());
         // Repeatedly report a much larger RTT than the snapshot has for
         // (3, 9): the smoothed matrix entry climbs and, because the
         // prediction ratio collapses, the monitor alerts.
@@ -513,7 +398,7 @@ mod tests {
 
     #[test]
     fn background_stream_publishes_epochs() {
-        let (builder, snap) = EpochBuilder::bootstrap(ds2(30, 5), cfg());
+        let (builder, snap) = FluxBuilder::bootstrap(ds2(30, 5), cfg());
         let service = Arc::new(TivServe::new(ServeConfig::default(), snap));
         let stream = spawn_into(&service, builder, 4);
         let tx = stream.sender();
@@ -537,7 +422,7 @@ mod tests {
         // folded into *some* epoch — none dropped on the floor during a
         // swap. The builder thread is deliberately forced through many
         // small epochs so sends race publishes constantly.
-        let (builder, snap) = EpochBuilder::bootstrap(ds2(30, 8), cfg());
+        let (builder, snap) = FluxBuilder::bootstrap(ds2(30, 8), cfg());
         let service = Arc::new(TivServe::new(ServeConfig::default(), snap));
         let stream = spawn_into(&service, builder, 3);
         let tx = stream.sender();
@@ -561,7 +446,7 @@ mod tests {
 
     #[test]
     fn synchronous_interleave_accounts_every_observation() {
-        let (mut builder, _) = EpochBuilder::bootstrap(ds2(20, 9), cfg());
+        let (mut builder, _) = FluxBuilder::bootstrap(ds2(20, 9), cfg());
         let mut sent = 0u64;
         for round in 0..10u64 {
             for k in 0..(round % 4 + 1) {
@@ -578,7 +463,7 @@ mod tests {
 
     #[test]
     fn flush_forces_synchronous_publishes() {
-        let (builder, snap) = EpochBuilder::bootstrap(ds2(30, 10), cfg());
+        let (builder, snap) = FluxBuilder::bootstrap(ds2(30, 10), cfg());
         let service = Arc::new(TivServe::new(ServeConfig::default(), snap));
         // Threshold far above anything sent: only flushes publish.
         let stream = spawn_into(&service, builder, 1_000_000);
@@ -604,7 +489,7 @@ mod tests {
 
     #[test]
     fn poisoned_observations_are_dropped_and_counted() {
-        let (builder, snap) = EpochBuilder::bootstrap(ds2(30, 12), cfg());
+        let (builder, snap) = FluxBuilder::bootstrap(ds2(30, 12), cfg());
         let service = Arc::new(TivServe::new(ServeConfig::default(), snap));
         let stream = spawn_into(&service, builder, 1_000_000);
         let tx = stream.sender();
@@ -646,7 +531,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "self-observation")]
     fn self_observation_rejected() {
-        let (mut builder, _) = EpochBuilder::bootstrap(ds2(10, 6), cfg());
+        let (mut builder, _) = FluxBuilder::bootstrap(ds2(10, 6), cfg());
         builder.ingest(Observation { src: 2, dst: 2, rtt_ms: 10.0 });
     }
 }

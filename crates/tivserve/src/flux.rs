@@ -1,14 +1,11 @@
-//! The delta epoch builder: incremental snapshots for churning delay
+//! The dense epoch builder: incremental snapshots for churning delay
 //! spaces.
 //!
-//! [`FluxBuilder`] is the incremental sibling of
-//! [`EpochBuilder`](crate::epoch::EpochBuilder). Both fold streamed RTT
-//! observations through per-node hysteresis monitors into a working
-//! matrix; where the classic builder re-embeds everything and leaves
-//! the O(n³) analyses to be computed per query, the flux builder keeps
-//! the *exact* severity matrix and the k-best detour table materialised
-//! across epochs and brings them up to date with the change, not the
-//! matrix size:
+//! [`FluxBuilder`] folds streamed RTT observations through per-node
+//! hysteresis monitors into a working matrix, and keeps the *exact*
+//! severity matrix and the k-best detour table materialised across
+//! epochs, bringing them up to date with the change, not the matrix
+//! size:
 //!
 //! 1. every [`ingest`](FluxBuilder::ingest) that actually changes a
 //!    matrix entry records the edge, with its delay at the start of
@@ -38,25 +35,25 @@
 //! fresh 4·n²-word allocation per epoch. A reader still pinning that
 //! epoch just gets a fresh allocation, as every epoch did before.
 //!
-//! `FluxBuilder` implements [`EpochSource`],
-//! so [`crate::epoch::spawn_with`] runs it on a background thread with the
-//! same no-observation-loss guarantees as the classic builder.
+//! `FluxBuilder` implements [`EpochSource`], so
+//! [`crate::epoch::spawn_with`] runs it on a background thread without
+//! losing an observation.
 
-use crate::epoch::{embed, EpochConfig, EpochSource, Observation};
+use crate::epoch::{EpochConfig, EpochSource, Observation};
 use crate::snapshot::{DenseParts, EpochSnapshot, ServedSnapshot};
 use delayspace::matrix::DelayMatrix;
+use simnet::net::{JitterModel, Network};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use tivcore::TivMonitor;
 use tivflux::{refine_embedding, BuildKind, DerivedState, DirtySet, RebuildPolicy, RefineConfig};
-use vivaldi::Embedding;
+use vivaldi::{Embedding, VivaldiSystem};
 
 /// Construction parameters of the incremental builder.
 #[derive(Clone, Copy, Debug)]
 pub struct FluxConfig {
-    /// The classic epoch parameters (monitors, bootstrap embedding,
-    /// seed). `epoch_rounds` is unused — per-epoch re-embedding is
-    /// replaced by the dirty-local refinement below.
+    /// The monitors and the bootstrap embedding; every later epoch
+    /// refines the dirty nodes' coordinates instead (`refine`).
     pub epoch: EpochConfig,
     /// Relays kept per ordered pair in the materialised detour table
     /// (rank 0 answers [`QueryBatch::Route`](crate::QueryBatch::Route)).
@@ -80,6 +77,13 @@ impl Default for FluxConfig {
             policy: RebuildPolicy::default(),
             threads: 0,
         }
+    }
+}
+
+/// The default flux parameters around `epoch`.
+impl From<EpochConfig> for FluxConfig {
+    fn from(epoch: EpochConfig) -> Self {
+        FluxConfig { epoch, ..FluxConfig::default() }
     }
 }
 
@@ -127,9 +131,10 @@ impl FluxBuilder {
     /// analyses, returned together with the epoch-0 snapshot (which
     /// already carries the derived state, so route queries are
     /// table-served from the first epoch).
-    pub fn bootstrap(matrix: DelayMatrix, cfg: FluxConfig) -> (Self, EpochSnapshot) {
+    pub fn bootstrap(matrix: DelayMatrix, cfg: impl Into<FluxConfig>) -> (Self, EpochSnapshot) {
+        let cfg = cfg.into();
         assert!(cfg.detour_k >= 1, "the detour table needs k >= 1");
-        let embedding = embed(&matrix, &cfg.epoch, cfg.epoch.bootstrap_rounds, 0);
+        let embedding = embed(&matrix, &cfg.epoch);
         let derived = DerivedState::compute(&matrix, cfg.detour_k, cfg.threads);
         let n = matrix.len();
         let builder = FluxBuilder {
@@ -181,13 +186,14 @@ impl FluxBuilder {
         &self.cfg
     }
 
-    /// Folds one observation in, exactly like
-    /// [`EpochBuilder::ingest`](crate::epoch::EpochBuilder::ingest) —
-    /// and additionally records the edge as changed (with the delay it
-    /// had at the start of the epoch, marking both endpoint rows dirty)
-    /// whenever the smoothed value actually changes the working matrix
-    /// (an observation confirming the stored value to the bit dirties
-    /// nothing, so a steady stream over a quiet space stays cheap).
+    /// Folds one observation in: the source node's monitor absorbs the
+    /// sample (its hysteresis alert state updates against the current
+    /// embedding's prediction) and the smoothed RTT is written back to
+    /// the working matrix. When that changes the stored value, the edge
+    /// is recorded as changed (with the delay it had at the start of
+    /// the epoch, marking both endpoint rows dirty); an observation
+    /// confirming the stored value to the bit dirties nothing, so a
+    /// steady stream over a quiet space stays cheap.
     ///
     /// # Panics
     /// Panics on self-loops, out-of-range nodes, or a non-positive RTT
@@ -262,6 +268,15 @@ impl FluxBuilder {
         };
         EpochSnapshot::assemble(self.epoch, parts)
     }
+}
+
+/// The bootstrap embedding: `cfg.bootstrap_rounds` deterministic
+/// Vivaldi rounds over `matrix`, seeded by `cfg.seed`.
+pub(crate) fn embed(matrix: &DelayMatrix, cfg: &EpochConfig) -> Embedding {
+    let mut sys = VivaldiSystem::new(cfg.vivaldi, matrix.len(), cfg.seed);
+    let mut net = Network::new(matrix, JitterModel::None, cfg.seed);
+    sys.run_rounds(&mut net, cfg.bootstrap_rounds);
+    sys.embedding()
 }
 
 /// `src` behind an `Arc`: copied into `spare`'s buffers when no reader

@@ -4,14 +4,14 @@
 //! (predicted RTTs, prediction ratios, TIV severity, alert states);
 //! this crate *serves* them, the way the paper's §5 deployments assume
 //! an online component applications can query. The design is built
-//! around three ideas:
+//! around four ideas:
 //!
 //! 1. **Immutable epoch snapshots** ([`snapshot::EpochSnapshot`]):
 //!    a frozen `(delay matrix, Vivaldi embedding, per-node
-//!    [`TivMonitor`](tivcore::TivMonitor) summaries)` triple behind an
-//!    `Arc`, swapped wholesale when a new epoch is published — readers
-//!    never lock while computing and never observe a half-updated
-//!    state.
+//!    [`TivMonitor`](tivcore::TivMonitor) summaries)` triple, plus the
+//!    exact severity and detour tables, behind an `Arc`, swapped
+//!    wholesale when a new epoch is published — readers never lock
+//!    while computing and never observe a half-updated state.
 //! 2. **Batch-first reads** ([`service::TivServe`]): all kinds go
 //!    through **one query surface** — [`TivServe::query`] over
 //!    [`query::QueryBatch`] / [`query::ReplyBatch`] — and one path:
@@ -19,20 +19,18 @@
 //!    snapshot's per-pair function (inline for small batches). Every
 //!    answer is a pure function of the snapshot, so results are
 //!    **bit-identical at every fan-out width**.
-//! 3. **A background epoch builder** ([`epoch::EpochBuilder`]):
-//!    streamed RTT observations update per-node hysteresis monitors
-//!    (reusing `tivcore::monitor`) and the working matrix; a rebuilt
-//!    snapshot is published without stalling readers — and
+//! 3. **One dense epoch builder** ([`flux::FluxBuilder`]): streamed
+//!    RTT observations update per-node hysteresis monitors (reusing
+//!    `tivcore::monitor`) and the working matrix, and each epoch
+//!    refines only the dirty nodes' coordinates and repairs the exact
+//!    severity and detour tables edge by edge — O(n) per changed edge
+//!    plus O(n) per pair whose answer can move, with a bit-identical
+//!    full rebuild past a dirtiness threshold (see `tivflux` and
+//!    `ARCHITECTURE.md`). The background engine
+//!    ([`epoch::spawn_with`]) publishes without stalling readers, and
 //!    observations arriving *during* a publish are buffered into the
 //!    next epoch, never dropped.
-//! 4. **Incremental epochs** ([`flux::FluxBuilder`]): the delta
-//!    builder keeps the O(n³) derived analyses (exact severity, detour
-//!    table) materialised across epochs and repairs only the rows
-//!    dirtied since the last publish (falling back to a full rebuild
-//!    past a dirtiness threshold), so a lightly-churning space pays
-//!    O(dirty·n²) per epoch instead of O(n³). Both paths are
-//!    bit-identical — see `tivflux` and `ARCHITECTURE.md`.
-//! 5. **A sparse million-node path** ([`sparse`]): snapshots over a
+//! 4. **A sparse million-node path** ([`sparse`]): snapshots over a
 //!    [`delayspace::SparseDelayStore`] of *observed edges*, answering
 //!    sampled severity (with confidence intervals) and sampled detour
 //!    queries in O(witnesses) per pair — the same
@@ -46,13 +44,14 @@
 //!
 //! ```
 //! use delayspace::synth::{Dataset, InternetDelaySpace};
-//! use tivserve::epoch::{EpochBuilder, EpochConfig};
+//! use tivserve::epoch::EpochConfig;
+//! use tivserve::flux::FluxBuilder;
 //! use tivserve::query::QueryBatch;
 //! use tivserve::service::{ServeConfig, TivServe};
 //!
 //! let m = InternetDelaySpace::preset(Dataset::Ds2).with_nodes(40).build(7).into_matrix();
 //! let cfg = EpochConfig { bootstrap_rounds: 15, ..EpochConfig::default() };
-//! let (_builder, snapshot) = EpochBuilder::bootstrap(m, cfg);
+//! let (_builder, snapshot) = FluxBuilder::bootstrap(m, cfg);
 //! let service = TivServe::new(ServeConfig::default(), snapshot);
 //! let answers = service.query(&QueryBatch::Estimate(vec![(0, 1), (2, 3)])).into_estimates();
 //! assert_eq!(answers.len(), 2);
@@ -70,9 +69,7 @@ pub mod service;
 pub mod snapshot;
 pub mod sparse;
 
-pub use epoch::{
-    spawn_with, EpochBuilder, EpochConfig, EpochSource, EpochStream, Feed, FeedSender, Observation,
-};
+pub use epoch::{spawn_with, EpochConfig, EpochSource, EpochStream, Feed, FeedSender, Observation};
 pub use flux::{BuildOutcome, FluxBuilder, FluxConfig};
 pub use loadgen::{percentile, ClosedLoopReport, LoadReport, ObservePath, WorkloadConfig};
 pub use query::{QueryBatch, ReplyBatch, SeverityEstimate};

@@ -302,12 +302,19 @@ pub fn run_closed_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::epoch::{EpochBuilder, EpochConfig};
+    use crate::epoch::EpochConfig;
+    use crate::flux::FluxBuilder;
     use crate::service::{ServeConfig, TivServe};
     use delayspace::synth::{Dataset, InternetDelaySpace};
 
     fn ds2(n: usize, seed: u64) -> DelayMatrix {
         InternetDelaySpace::preset(Dataset::Ds2).with_nodes(n).build(seed).into_matrix()
+    }
+
+    /// A default service over a quick bootstrap of `m`.
+    fn serve(m: &DelayMatrix) -> TivServe {
+        let cfg = EpochConfig { bootstrap_rounds: 15, ..EpochConfig::default() };
+        TivServe::new(ServeConfig::default(), FluxBuilder::bootstrap(m.clone(), cfg).1)
     }
 
     #[test]
@@ -375,11 +382,7 @@ mod tests {
     #[test]
     fn observation_accounting_balances_with_a_live_channel() {
         let m = ds2(40, 6);
-        let (_, snap) = EpochBuilder::bootstrap(
-            m.clone(),
-            EpochConfig { bootstrap_rounds: 15, ..EpochConfig::default() },
-        );
-        let service = TivServe::new(ServeConfig::default(), snap);
+        let service = serve(&m);
         let cfg = WorkloadConfig {
             queries: 300,
             batch: 50,
@@ -408,11 +411,7 @@ mod tests {
     #[test]
     fn dead_builder_shows_up_as_undelivered_not_silence() {
         let m = ds2(40, 6);
-        let (_, snap) = EpochBuilder::bootstrap(
-            m.clone(),
-            EpochConfig { bootstrap_rounds: 15, ..EpochConfig::default() },
-        );
-        let service = TivServe::new(ServeConfig::default(), snap);
+        let service = serve(&m);
         let cfg = WorkloadConfig {
             queries: 300,
             batch: 50,
@@ -437,11 +436,7 @@ mod tests {
     #[test]
     fn closed_loop_reports_and_answers() {
         let m = ds2(40, 5);
-        let (_, snap) = EpochBuilder::bootstrap(
-            m.clone(),
-            EpochConfig { bootstrap_rounds: 15, ..EpochConfig::default() },
-        );
-        let service = TivServe::new(ServeConfig::default(), snap);
+        let service = serve(&m);
         let cfg = WorkloadConfig { queries: 300, batch: 50, ..WorkloadConfig::default() };
         let batches = generate(&cfg, &m);
         let (report, answers) = run_closed_loop(&service, &batches, ObservePath::Drop);

@@ -247,12 +247,13 @@ mod tests {
 
     #[test]
     fn selected_shares_gather_back_into_the_whole_reply() {
-        use crate::epoch::{EpochBuilder, EpochConfig};
+        use crate::epoch::EpochConfig;
+        use crate::flux::FluxBuilder;
         use crate::service::{ServeConfig, TivServe};
         use delayspace::synth::{Dataset, InternetDelaySpace};
         let m = InternetDelaySpace::preset(Dataset::Ds2).with_nodes(30).build(5).into_matrix();
         let cfg = EpochConfig { bootstrap_rounds: 10, ..EpochConfig::default() };
-        let service = TivServe::new(ServeConfig::default(), EpochBuilder::bootstrap(m, cfg).1);
+        let service = TivServe::new(ServeConfig::default(), FluxBuilder::bootstrap(m, cfg).1);
         let pairs: Vec<NodePair> = (0..40).map(|i| (i % 30, (i * 7 + 1) % 30)).collect();
         let queries = [
             QueryBatch::Estimate(pairs.clone()),

@@ -96,9 +96,9 @@ pub struct EdgeEstimate {
 /// [`SparseSnapshot`](crate::sparse::SparseSnapshot).
 ///
 /// The trait is the **one constructor surface** for snapshots: every
-/// build path — the classic epoch builder, the incremental flux
-/// builder, the sparse builder, and a chaos restart rebuilding a
-/// replica from the deployment's retained state — goes through
+/// build path — the dense flux builder, the sparse builder, and a
+/// chaos restart rebuilding a replica from the deployment's retained
+/// state — goes through
 /// [`assemble`](ServedSnapshot::assemble), so dense and sparse
 /// snapshots are constructed (and reconstructed) uniformly.
 /// [`into_parts`](ServedSnapshot::into_parts) is the inverse; a
@@ -134,8 +134,8 @@ pub struct DenseParts {
     /// `monitors[i]` is node `i`'s exported monitor state, sorted by
     /// peer id (possibly empty).
     pub monitors: Vec<Vec<MonitorSummary>>,
-    /// Precomputed O(n³) analyses, when the incremental pipeline
-    /// maintains them.
+    /// Precomputed O(n³) analyses, which the flux builder maintains
+    /// (`None` makes `route` scan).
     pub derived: Option<Arc<DerivedState>>,
 }
 
@@ -150,11 +150,11 @@ pub struct EpochSnapshot {
     /// sorted by peer id (possibly empty).
     monitors: Vec<Vec<MonitorSummary>>,
     /// Precomputed O(n³) analyses (exact severity + detour table) kept
-    /// fresh by the incremental epoch pipeline. When present, `route`
-    /// answers from the table's rank 0 — bit-identical to the O(n)
-    /// scan, O(1) per query — and [`EpochSnapshot::exact_severity`]
-    /// serves the exact metric. Snapshots from the classic builder
-    /// carry `None` and keep the scan path.
+    /// fresh by the flux builder. When present, `route` answers from
+    /// the table's rank 0 — bit-identical to the O(n) scan, O(1) per
+    /// query — and [`EpochSnapshot::exact_severity`] serves the exact
+    /// metric. A snapshot assembled without them (the scan reference
+    /// the table is pinned against) keeps the scan path.
     derived: Option<Arc<DerivedState>>,
 }
 
@@ -162,10 +162,8 @@ impl ServedSnapshot for EpochSnapshot {
     type Parts = DenseParts;
 
     /// Freezes a dense snapshot — the single validated construction
-    /// path behind [`EpochSnapshot::new`],
-    /// [`EpochSnapshot::without_monitors`] and
-    /// [`EpochSnapshot::with_derived`], and the one both the flux
-    /// builder and a chaos restart rebuild through.
+    /// path behind [`EpochSnapshot::without_monitors`], and the one
+    /// the flux builder and a chaos restart build through.
     ///
     /// # Panics
     /// Panics when the matrix, embedding, monitor table or derived
@@ -204,39 +202,8 @@ impl ServedSnapshot for EpochSnapshot {
 }
 
 impl EpochSnapshot {
-    /// Freezes a snapshot (no derived state); routes through
-    /// [`ServedSnapshot::assemble`].
-    ///
-    /// # Panics
-    /// Panics when the matrix, embedding and monitor table disagree on
-    /// the node count, or when a monitor export is not sorted by peer.
-    pub fn new(
-        epoch: u64,
-        matrix: DelayMatrix,
-        embedding: Embedding,
-        monitors: Vec<Vec<MonitorSummary>>,
-    ) -> Self {
-        let matrix = Arc::new(matrix);
-        Self::assemble(epoch, DenseParts { matrix, embedding, monitors, derived: None })
-    }
-
-    /// Attaches precomputed derived state (the incremental pipeline's
-    /// exact severity matrix and detour table). The caller contracts
-    /// that the state was computed from **this snapshot's matrix** —
-    /// the `FluxBuilder` construction path guarantees it, and the
-    /// `flux_equivalence` test pins that table-served answers equal the
-    /// scan-served ones. Routes through [`ServedSnapshot::assemble`].
-    ///
-    /// # Panics
-    /// Panics when the derived state covers a different node count.
-    pub fn with_derived(self, derived: Arc<DerivedState>) -> Self {
-        let (epoch, mut parts) = self.into_parts();
-        parts.derived = Some(derived);
-        Self::assemble(epoch, parts)
-    }
-
-    /// The attached derived state, when the snapshot was built by the
-    /// incremental pipeline.
+    /// The attached derived state (`None` only for a snapshot assembled
+    /// without it, such as [`EpochSnapshot::without_monitors`]).
     pub fn derived(&self) -> Option<&DerivedState> {
         self.derived.as_deref()
     }
@@ -251,10 +218,11 @@ impl EpochSnapshot {
     }
 
     /// A snapshot with no monitor state (alerts fall back to the ratio
-    /// rule for every edge).
+    /// rule for every edge) and no derived state (`route` scans).
     pub fn without_monitors(epoch: u64, matrix: DelayMatrix, embedding: Embedding) -> Self {
-        let n = matrix.len();
-        Self::new(epoch, matrix, embedding, vec![Vec::new(); n])
+        let monitors = vec![Vec::new(); matrix.len()];
+        let parts = DenseParts { matrix: Arc::new(matrix), embedding, monitors, derived: None };
+        Self::assemble(epoch, parts)
     }
 
     /// The epoch tag.
@@ -432,7 +400,8 @@ mod tests {
         }
         let mut monitors = vec![Vec::new(); m.len()];
         monitors[0] = mon.summaries();
-        let snap = EpochSnapshot::new(1, m, emb, monitors);
+        let parts = DenseParts { matrix: Arc::new(m), embedding: emb, monitors, derived: None };
+        let snap = EpochSnapshot::assemble(1, parts);
         let cfg = EstimateConfig { alert_threshold: 0.0, ..EstimateConfig::default() };
         // Threshold 0 never alerts by ratio, yet (0, 1) alerts via the
         // monitor; (1, 0) has no monitor state and stays quiet.
@@ -515,8 +484,10 @@ mod tests {
     fn derived_route_matches_scan_route_bitwise() {
         let (m, emb) = fixture(60, 13);
         let scan = EpochSnapshot::without_monitors(2, m.clone(), emb.clone());
-        let derived = Arc::new(DerivedState::compute(&m, 1, 2));
-        let table = EpochSnapshot::without_monitors(2, m.clone(), emb).with_derived(derived);
+        let derived = Some(Arc::new(DerivedState::compute(&m, 1, 2)));
+        let monitors = vec![Vec::new(); m.len()];
+        let parts = DenseParts { matrix: Arc::new(m.clone()), embedding: emb, monitors, derived };
+        let table = EpochSnapshot::assemble(2, parts);
         for a in 0..60 {
             for c in 0..60 {
                 assert_eq!(table.route(a, c), scan.route(a, c), "pair ({a},{c})");
@@ -540,14 +511,18 @@ mod tests {
     fn mismatched_derived_state_rejected() {
         let (m, emb) = fixture(30, 2);
         let small = DelayMatrix::from_complete_fn(5, |i, j| (i + j) as f64 + 1.0);
-        let derived = Arc::new(DerivedState::compute(&small, 1, 1));
-        let _ = EpochSnapshot::without_monitors(0, m, emb).with_derived(derived);
+        let derived = Some(Arc::new(DerivedState::compute(&small, 1, 1)));
+        let monitors = vec![Vec::new(); m.len()];
+        let parts = DenseParts { matrix: Arc::new(m), embedding: emb, monitors, derived };
+        let _ = EpochSnapshot::assemble(0, parts);
     }
 
     #[test]
     #[should_panic(expected = "monitor table covers")]
     fn mismatched_monitor_table_rejected() {
         let (m, emb) = fixture(30, 2);
-        EpochSnapshot::new(0, m, emb, vec![Vec::new(); 7]);
+        let monitors = vec![Vec::new(); 7];
+        let parts = DenseParts { matrix: Arc::new(m), embedding: emb, monitors, derived: None };
+        EpochSnapshot::assemble(0, parts);
     }
 }

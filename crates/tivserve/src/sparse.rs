@@ -148,12 +148,12 @@ impl SparseSnapshot {
 
 /// Folds streamed observations into successive [`SparseSnapshot`]s.
 ///
-/// Unlike [`EpochBuilder`](crate::EpochBuilder) there is no embedding
-/// step and no per-node monitor state — both are O(n²)-ish luxuries the
-/// million-node regime cannot afford. An observation is written
-/// straight into the sparse store (last write wins, symmetric), and
-/// [`build`](Self::build) freezes the store as the next epoch in
-/// O(observed edges).
+/// Unlike the dense [`FluxBuilder`](crate::FluxBuilder) there is no
+/// embedding step and no per-node monitor state — both are O(n²)-ish
+/// luxuries the million-node regime cannot afford. An observation is
+/// written straight into the sparse store (last write wins,
+/// symmetric), and [`build`](Self::build) freezes the store as the
+/// next epoch in O(observed edges).
 #[derive(Debug)]
 pub struct SparseEpochBuilder {
     store: SparseDelayStore,
@@ -202,7 +202,7 @@ impl SparseEpochBuilder {
     /// Folds one observation into the working store. Panics on
     /// out-of-range nodes, self-observations, and non-finite or
     /// non-positive RTTs — the same contract as
-    /// [`EpochBuilder::ingest`](crate::EpochBuilder::ingest), minus the
+    /// [`FluxBuilder::ingest`](crate::FluxBuilder::ingest), minus the
     /// monitor smoothing (the raw last observation wins).
     pub fn ingest(&mut self, obs: Observation) {
         let n = self.store.len();
@@ -330,7 +330,8 @@ mod tests {
     fn sparse_snapshot_matches_dense_bitwise() {
         let m = ds2(40, 3);
         let sparse = SparseSnapshot::new(5, SparseDelayStore::from_matrix(&m));
-        let emb = crate::epoch::embed(&m, &crate::EpochConfig::default(), 4, 5);
+        let epochs = crate::EpochConfig { bootstrap_rounds: 4, seed: 5, ..Default::default() };
+        let emb = crate::flux::embed(&m, &epochs);
         let dense = EpochSnapshot::without_monitors(5, m, emb);
         let cfg = EstimateConfig::default();
         for (a, c) in [(0usize, 1usize), (3, 17), (39, 2), (12, 12)] {
