@@ -1,10 +1,7 @@
-//! `repro` — regenerate the paper's figures, or serve them.
+//! `repro` — regenerate the paper's figures and drive the serving stack.
 //!
 //! ```text
 //! repro <figN | all> [--full] [--seed S] [--out DIR] [--threads N]
-//! repro serve [--nodes N] [--shards S] [--queries Q] [--batch B]
-//!             [--zipf Z] [--observe F] [--epoch-every K]
-//!             [--witnesses W] [--seed S]
 //! repro route [--nodes N] [--k K] [--threads T] [--seed S] [--out DIR]
 //! repro churn [--nodes N] [--ticks T] [--epoch-ticks E] [--obs O]
 //!             [--churn-prob P] [--spike-rate R] [--diurnal-amp A]
@@ -29,12 +26,6 @@
 //!   available parallelism). Results are identical at any thread
 //!   count; `--threads 1` keeps the classic serial loop with one
 //!   shared artifact cache.
-//!
-//! `repro serve` runs the `tivserve` estimation service against a
-//! synthetic DS²-style space under a Zipf-skewed closed-loop workload
-//! and prints throughput and batch-latency percentiles. Batched
-//! answers are bit-identical at every `--shards` value; see
-//! `experiments::serve` for the flag semantics.
 //!
 //! `repro route` runs the TIV-exploiting one-hop detour search over a
 //! DS²-style space and prints the detour-gain summary; with `--out` it
@@ -68,7 +59,6 @@ use experiments::figure::Figure;
 use experiments::lab::Lab;
 use experiments::route::{run_route, RouteOptions};
 use experiments::scale::ExperimentScale;
-use experiments::serve::{run_serve, ServeOptions};
 use experiments::sparse::{run_sparse, SparseOptions};
 use experiments::suite;
 use std::path::PathBuf;
@@ -121,48 +111,6 @@ fn write_figures(dir: Option<PathBuf>, figures: &[Figure]) -> ExitCode {
         println!("figure written to {}", path.display());
     }
     ExitCode::SUCCESS
-}
-
-/// Parses the flags of the `serve` subcommand into [`ServeOptions`].
-fn parse_serve_args(mut argv: impl Iterator<Item = String>) -> Result<ServeOptions, String> {
-    let mut opts = ServeOptions::default();
-    while let Some(arg) = argv.next() {
-        match arg.as_str() {
-            "--nodes" => opts.nodes = value(&mut argv, "--nodes")?,
-            "--shards" => opts.shards = value(&mut argv, "--shards")?,
-            "--queries" => opts.queries = value(&mut argv, "--queries")?,
-            "--batch" => opts.batch = value(&mut argv, "--batch")?,
-            "--zipf" => opts.zipf_s = value(&mut argv, "--zipf")?,
-            "--observe" => opts.observe_frac = value(&mut argv, "--observe")?,
-            "--epoch-every" => opts.epoch_every = value(&mut argv, "--epoch-every")?,
-            "--witnesses" => opts.witnesses = value(&mut argv, "--witnesses")?,
-            "--seed" => opts.seed = value(&mut argv, "--seed")?,
-            other => {
-                return Err(format!(
-                    "unknown serve argument: {other}\n\
-                     usage: repro serve [--nodes N] [--shards S] [--queries Q] [--batch B] \
-                     [--zipf Z] [--observe F] [--epoch-every K] [--witnesses W] \
-                     [--seed S]"
-                ))
-            }
-        }
-    }
-    if opts.nodes < 2 {
-        return Err("--nodes must be at least 2".to_string());
-    }
-    if opts.shards < 1 {
-        return Err("--shards must be at least 1".to_string());
-    }
-    if !(0.0..1.0).contains(&opts.observe_frac) {
-        return Err("--observe must be in [0, 1)".to_string());
-    }
-    if opts.batch < 1 {
-        return Err("--batch must be at least 1".to_string());
-    }
-    if !opts.zipf_s.is_finite() || opts.zipf_s < 0.0 {
-        return Err("--zipf must be a finite non-negative exponent".to_string());
-    }
-    Ok(opts)
 }
 
 /// Parses the flags of the `route` subcommand into [`RouteOptions`]
@@ -428,8 +376,6 @@ fn parse_args() -> Result<Args, String> {
         return Err(format!(
             "usage: repro <figN | all | ablations> [--full] [--seed S] [--out DIR] \
              [--report FILE] [--threads N]\n\
-             \x20      repro serve [--nodes N] [--shards S] [--queries Q] ... \
-             (run the estimation service)\n\
              \x20      repro route [--nodes N] [--k K] [--threads T] [--seed S] [--out DIR] \
              (run the detour search)\n\
              \x20      repro churn [--nodes N] [--ticks T] [--epoch-ticks E] [--obs O] ... \
@@ -481,16 +427,6 @@ fn emit(
 fn main() -> ExitCode {
     let mut argv = std::env::args().skip(1).peekable();
     match argv.peek().map(String::as_str) {
-        Some("serve") => {
-            argv.next();
-            return match parse_serve_args(argv) {
-                Ok(opts) => {
-                    println!("{}", run_serve(&opts));
-                    ExitCode::SUCCESS
-                }
-                Err(e) => fail(e),
-            };
-        }
         Some("route") => {
             argv.next();
             return run_route_command(argv);

@@ -5,8 +5,7 @@
 //! The heavy lifting lives in [`tivchaos`]; this module is the glue
 //! the `repro` binary's `chaos` subcommand and the `chaos_equivalence`
 //! tests share, so the CLI and the tests exercise exactly the same
-//! construction path — the same contract `repro serve` and `repro
-//! gate` already keep.
+//! construction path.
 
 use std::fmt;
 use std::io;

@@ -19,7 +19,8 @@
 //! [`figure`] is the series/CSV output type; [`report`] renders the
 //! headline-number comparison; [`penalty`] and [`ablations`] hold the
 //! shared penalty metrics and the beyond-the-paper sweeps; [`serve`]
-//! drives the sharded `tivserve` estimation service (the `repro serve`
+//! builds the sharded `tivserve` estimation service the equivalence
+//! suites compare (its timing is tivmark's `tivserve.*` layer, not a
 //! subcommand); [`route`] runs the TIV-exploiting one-hop detour
 //! search (the `repro route` subcommand); [`churn`] drives the
 //! incremental epoch pipeline against a churning delay space (the

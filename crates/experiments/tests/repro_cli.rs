@@ -4,7 +4,7 @@
 
 use std::process::Command;
 
-const SUBCOMMANDS: [&str; 5] = ["serve", "route", "churn", "chaos", "sparse"];
+const SUBCOMMANDS: [&str; 4] = ["route", "churn", "chaos", "sparse"];
 
 /// Runs `repro` with `args` and returns (exit code, stdout, stderr).
 fn repro(args: &[&str]) -> (Option<i32>, String, String) {
@@ -29,6 +29,11 @@ fn gate_is_not_a_subcommand() {
 }
 
 #[test]
+fn serve_is_not_a_subcommand() {
+    assert_rejected(&["serve"], "unknown argument: serve");
+}
+
+#[test]
 fn bare_repro_prints_usage_without_gate() {
     let (code, stdout, stderr) = repro(&[]);
     assert_eq!(code, Some(1));
@@ -38,6 +43,7 @@ fn bare_repro_prints_usage_without_gate() {
         assert!(stderr.contains(&format!("repro {cmd} [")), "usage lacks {cmd}: {stderr}");
     }
     assert!(!stderr.contains("gate"), "usage still lists gate: {stderr}");
+    assert!(!stderr.contains("repro serve"), "usage still lists serve: {stderr}");
 }
 
 #[test]
@@ -57,7 +63,7 @@ fn every_subcommand_rejects_an_unknown_flag() {
 
 #[test]
 fn range_checks_keep_their_messages() {
-    assert_rejected(&["serve", "--observe", "1.0"], "--observe must be in [0, 1)");
+    assert_rejected(&["chaos", "--observe", "1.0"], "--observe must be in [0, 1)");
     assert_rejected(
         &["chaos", "--target-qps", "-1"],
         "--target-qps must be a finite non-negative rate (0 = unpaced)",

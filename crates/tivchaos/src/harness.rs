@@ -293,9 +293,32 @@ fn check_bitexact_recovery(
 /// workload through the plan's faults, heal, and verify bit-exact
 /// recovery. Errors surface I/O failures of the harness itself (a
 /// fault that fails to inject, a probe that fails post-heal) — faults
-/// *experienced by the workload* are measurements, not errors.
+/// *experienced by the workload* are measurements, not errors. An
+/// invalid plan or a pacing schedule that cannot be kept (a zero
+/// batch, a NaN or negative rate, or a schedule that overflows a
+/// `Duration`) is rejected with `InvalidInput` before anything starts.
 pub fn run_chaos(cfg: &ChaosConfig, plan: &FaultPlan) -> io::Result<ChaosReport> {
-    plan.validate(cfg.replicas).map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
+    let invalid = |e: String| io::Error::new(io::ErrorKind::InvalidInput, e);
+    plan.validate(cfg.replicas).map_err(invalid)?;
+    if cfg.batch == 0 || cfg.target_qps.is_nan() || cfg.target_qps < 0.0 {
+        return Err(invalid(format!(
+            "unschedulable pacing: batch {}, target_qps {:?}",
+            cfg.batch, cfg.target_qps
+        )));
+    }
+    // Open-loop send interval (zero = unpaced). The whole schedule must
+    // fit a Duration, so the loop's `interval * bi` cannot overflow.
+    let interval = if cfg.target_qps > 0.0 {
+        let batches_total = u32::try_from(cfg.queries.div_ceil(cfg.batch)).ok();
+        Duration::try_from_secs_f64(cfg.batch as f64 / cfg.target_qps)
+            .ok()
+            .filter(|i| batches_total.and_then(|n| i.checked_mul(n)).is_some())
+            .ok_or_else(|| {
+                invalid(format!("target_qps {:?} paces the run beyond a Duration", cfg.target_qps))
+            })?
+    } else {
+        Duration::ZERO
+    };
     let matrix = InternetDelaySpace::preset(Dataset::Ds2)
         .with_nodes(cfg.nodes)
         .build(cfg.seed)
@@ -337,11 +360,6 @@ pub fn run_chaos(cfg: &ChaosConfig, plan: &FaultPlan) -> io::Result<ChaosReport>
     let mut undelivered = 0usize;
     let mut latencies_us: Vec<f64> = Vec::with_capacity(batches.len());
 
-    let interval = if cfg.target_qps > 0.0 {
-        Duration::from_secs_f64(cfg.batch as f64 / cfg.target_qps)
-    } else {
-        Duration::ZERO
-    };
     let start = Instant::now();
     for (bi, batch) in batches.iter().enumerate() {
         for event in plan.events_at(bi) {
@@ -504,5 +522,14 @@ mod tests {
         };
         let err = run_chaos(&cfg, &bad).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+    }
+
+    #[test]
+    fn unschedulable_pacing_is_rejected_up_front() {
+        for target_qps in [1e-300, -1.0, f64::NAN] {
+            let cfg = ChaosConfig { target_qps, ..tiny() };
+            let err = run_chaos(&cfg, &FaultPlan::none()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "target_qps {target_qps}");
+        }
     }
 }

@@ -155,7 +155,6 @@ fn route_equivalence_survives_epoch_publishes() {
         batch: 50,
         observe_frac: 0.15,
         parallel_threshold: 0,
-        epoch_every: 0,
         ..ServeOptions::default()
     };
     let services: Vec<_> = SHARDS.iter().map(|&s| build_service(&o, s)).collect();

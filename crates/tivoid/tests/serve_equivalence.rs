@@ -1,14 +1,12 @@
-//! Cross-shard equivalence of the `tivserve` service (ISSUE-3
-//! acceptance): the exact same closed-loop workload, replayed against
-//! services that differ only in shard count, must produce
-//! **bit-identical batched answers** — the fan-out width is allowed to
-//! change latency, never a result. The services
-//! are built through `experiments::serve::build_service`, the same
-//! construction path `repro serve` uses, so this pins the CLI surface
-//! too.
+//! Cross-shard equivalence of the `tivserve` service: the exact same
+//! workload, replayed against services that differ only in shard
+//! count, must produce **bit-identical batched answers** — the fan-out
+//! width is allowed to change latency, never a result. The services
+//! are built through `experiments::serve::build_service`, the
+//! construction path the query and route equivalence suites share.
 
 use tivoid::experiments::serve::{build_service, ServeOptions};
-use tivoid::tivserve::loadgen::{self, ObservePath};
+use tivoid::tivserve::loadgen;
 use tivoid::tivserve::query::{QueryBatch, ReplyBatch};
 use tivoid::tivserve::snapshot::EdgeEstimate;
 use tivoid::tivserve::TivServe;
@@ -43,8 +41,14 @@ fn assert_bit_identical(a: &EdgeEstimate, b: &EdgeEstimate, what: &str) {
 }
 
 fn run_queries(service: &TivServe, batches: &[loadgen::QueryBatch]) -> Vec<Vec<EdgeEstimate>> {
-    let (report, answers) = loadgen::run_closed_loop(service, batches, ObservePath::Drop);
-    assert_eq!(report.load.queries, batches.iter().map(|b| b.pairs.len()).sum::<usize>());
+    let answers: Vec<Vec<EdgeEstimate>> = batches
+        .iter()
+        .map(|b| service.query(&QueryBatch::Estimate(b.pairs.clone())).into_estimates())
+        .collect();
+    assert_eq!(
+        answers.iter().map(Vec::len).sum::<usize>(),
+        batches.iter().map(|b| b.pairs.len()).sum::<usize>()
+    );
     answers
 }
 
@@ -74,7 +78,7 @@ fn equivalence_survives_epoch_publishes() {
     // the same points (synchronously, so the publish happens between
     // the same two batches everywhere) and re-check equivalence across
     // epochs — including monitor-driven alert state.
-    let o = ServeOptions { epoch_every: 0, ..opts() };
+    let o = opts();
     let services: Vec<_> = SHARDS.iter().map(|&s| build_service(&o, s)).collect();
     let matrix = services[0].2.clone();
     let batches = loadgen::generate(&o.workload(), &matrix);

@@ -37,10 +37,11 @@
 //!    [`epoch::spawn_with`] loop streams sparse epochs, never
 //!    materialising n².
 //!
-//! [`loadgen`] generates Zipf-skewed closed-loop workloads and
-//! measures throughput and batch-latency percentiles; the `repro
-//! serve` subcommand drives it and tivmark (`benchmark/`) generates
-//! its query and observation lists with it.
+//! [`loadgen`] generates Zipf-skewed workloads and holds the one
+//! percentile rule; it times nothing. Serving is timed from outside
+//! the program by tivmark (`benchmark/`): its `tivserve.*` layer and
+//! its wire workloads, whose query and observation lists come from
+//! [`loadgen::generate`].
 //!
 //! ```
 //! use delayspace::synth::{Dataset, InternetDelaySpace};
@@ -71,7 +72,7 @@ pub mod sparse;
 
 pub use epoch::{spawn_with, EpochConfig, EpochSource, EpochStream, Feed, FeedSender, Observation};
 pub use flux::{BuildOutcome, FluxBuilder, FluxConfig};
-pub use loadgen::{percentile, ClosedLoopReport, LoadReport, ObservePath, WorkloadConfig};
+pub use loadgen::{percentile, LoadReport, WorkloadConfig};
 pub use query::{QueryBatch, ReplyBatch, SeverityEstimate};
 pub use service::{CacheStats, ServeConfig, TivServe};
 pub use snapshot::{

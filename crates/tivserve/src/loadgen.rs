@@ -1,4 +1,4 @@
-//! Closed-loop workload generation and measurement.
+//! Workload generation and the shared load-report arithmetic.
 //!
 //! The generator models application query traffic against the service:
 //! node popularity is Zipf-skewed (a few hot sources dominate, the
@@ -9,20 +9,13 @@
 //! can be replayed against services with different shard counts — the
 //! equivalence tests depend on this.
 //!
-//! [`run_closed_loop`] then plays the batches back-to-back (closed
-//! loop: the next batch is issued only when the previous one
-//! completed) and reports throughput and p50/p99 batch latency.
-//!
-//! The measurement vocabulary is shared by this closed loop and the
-//! `tivchaos` harness: [`generate`] builds both workloads, and
-//! [`LoadReport`] is the one report core — the `observations ==
-//! delivered + undelivered` accounting identity and the percentile
-//! arithmetic ([`percentile`]) live here and nowhere else. Mode
-//! specific wrappers ([`ClosedLoopReport`], `tivchaos`' chaos report)
-//! embed it rather than re-deriving it.
+//! Nothing here times the service: tivmark's `tivserve.*` layer and
+//! its wire workloads do. [`generate`] feeds those workloads, the
+//! equivalence suites and the `tivchaos` harness; [`percentile`] is
+//! the one percentile rule they report with; and [`LoadReport`] is the
+//! report core the chaos harness fills.
 
-use crate::epoch::{FeedSender, Observation};
-use crate::service::TivServe;
+use crate::epoch::Observation;
 use delayspace::matrix::{DelayMatrix, NodeId};
 use delayspace::rng::{self, DetRng};
 use rand::Rng;
@@ -148,18 +141,10 @@ pub fn generate(cfg: &WorkloadConfig, matrix: &DelayMatrix) -> Vec<QueryBatch> {
     batches
 }
 
-/// Where a batch's observations go.
-pub enum ObservePath<'a> {
-    /// Discard them (read-only benchmark runs).
-    Drop,
-    /// Stream them into a publish engine's feed.
-    Channel(&'a FeedSender),
-}
-
 /// The latency at quantile `p` (`0.0..=1.0`) of an ascending-sorted
 /// sample, by nearest-rank on the closed interval — **the** percentile
-/// rule every load path reports with (closed loop, chaos harness,
-/// tivmark). Returns 0 for an empty sample.
+/// rule every load path reports with (chaos harness, tivmark).
+/// Returns 0 for an empty sample.
 pub fn percentile(sorted_ascending: &[f64], p: f64) -> f64 {
     if sorted_ascending.is_empty() {
         return 0.0;
@@ -168,10 +153,9 @@ pub fn percentile(sorted_ascending: &[f64], p: f64) -> f64 {
     sorted_ascending[idx]
 }
 
-/// The shared measurement core of every load run: counts, the
-/// observation-delivery accounting, throughput, and latency
-/// percentiles. Mode-specific reports ([`ClosedLoopReport`],
-/// `tivchaos`' chaos report) embed this rather than re-deriving any of
+/// The measurement core of a load run: counts, the observation
+/// delivery accounting, throughput, and latency percentiles.
+/// `tivchaos`' chaos report embeds it rather than re-deriving any of
 /// it.
 #[derive(Clone, Copy, Debug)]
 pub struct LoadReport {
@@ -179,8 +163,7 @@ pub struct LoadReport {
     pub queries: usize,
     /// Batches issued.
     pub batches: usize,
-    /// Observations the workload attempted to stream (or deliberately
-    /// dropped via [`ObservePath::Drop`]).
+    /// Observations the workload attempted to stream.
     pub observations: usize,
     /// Observations that could not be delivered to the epoch builder
     /// (its feed was closed — e.g. the builder thread died). Always
@@ -224,97 +207,15 @@ impl LoadReport {
             p999_us: percentile(&latencies_us, 0.999),
         }
     }
-
-    /// Observations that actually reached the epoch builder. Together
-    /// with [`observations_undelivered`](LoadReport::observations_undelivered)
-    /// this partitions the attempt count exactly:
-    /// `observations == delivered + undelivered` — the accounting
-    /// identity the loadgen tests pin (a wedged builder shows up as a
-    /// non-zero undelivered count, never as silent loss).
-    pub fn observations_delivered(&self) -> usize {
-        self.observations - self.observations_undelivered
-    }
-}
-
-/// The measured outcome of a closed-loop run: the shared
-/// [`LoadReport`] core plus what only an in-process closed loop can
-/// see (the served epoch).
-#[derive(Clone, Copy, Debug)]
-pub struct ClosedLoopReport {
-    /// The shared measurement core.
-    pub load: LoadReport,
-    /// Epoch of the last batch's answers.
-    pub final_epoch: u64,
-}
-
-/// Plays the workload against the service, one batch at a time
-/// (closed loop), and measures it.
-///
-/// Returns the report together with every batch's answers, in order —
-/// the answers are what the cross-shard equivalence tests compare.
-pub fn run_closed_loop(
-    service: &TivServe,
-    batches: &[QueryBatch],
-    observe: ObservePath<'_>,
-) -> (ClosedLoopReport, Vec<Vec<crate::snapshot::EdgeEstimate>>) {
-    let mut latencies_us = Vec::with_capacity(batches.len());
-    let mut answers = Vec::with_capacity(batches.len());
-    let mut queries = 0usize;
-    let mut observations = 0usize;
-    let mut undelivered = 0usize;
-    let mut final_epoch = service.epoch();
-    let started = std::time::Instant::now();
-    for batch in batches {
-        if let ObservePath::Channel(tx) = &observe {
-            for &obs in &batch.observations {
-                // A closed feed means the builder is gone; count the
-                // loss instead of silently discarding it.
-                if tx.observe(obs).is_err() {
-                    undelivered += 1;
-                }
-            }
-        }
-        observations += batch.observations.len();
-        let t0 = std::time::Instant::now();
-        let got = service.query(&crate::QueryBatch::Estimate(batch.pairs.clone())).into_estimates();
-        latencies_us.push(t0.elapsed().as_secs_f64() * 1e6);
-        queries += got.len();
-        if let Some(last) = got.last() {
-            final_epoch = last.epoch;
-        }
-        answers.push(got);
-    }
-    let elapsed_s = started.elapsed().as_secs_f64();
-    let report = ClosedLoopReport {
-        load: LoadReport::from_latencies(
-            queries,
-            batches.len(),
-            observations,
-            undelivered,
-            elapsed_s,
-            latencies_us,
-        ),
-        final_epoch,
-    };
-    (report, answers)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::epoch::EpochConfig;
-    use crate::flux::FluxBuilder;
-    use crate::service::{ServeConfig, TivServe};
     use delayspace::synth::{Dataset, InternetDelaySpace};
 
     fn ds2(n: usize, seed: u64) -> DelayMatrix {
         InternetDelaySpace::preset(Dataset::Ds2).with_nodes(n).build(seed).into_matrix()
-    }
-
-    /// A default service over a quick bootstrap of `m`.
-    fn serve(m: &DelayMatrix) -> TivServe {
-        let cfg = EpochConfig { bootstrap_rounds: 15, ..EpochConfig::default() };
-        TivServe::new(ServeConfig::default(), FluxBuilder::bootstrap(m.clone(), cfg).1)
     }
 
     #[test]
@@ -377,76 +278,6 @@ mod tests {
         let m = ds2(40, 4);
         let cfg = WorkloadConfig { queries: 200, observe_frac: 0.0, ..WorkloadConfig::default() };
         assert!(generate(&cfg, &m).iter().all(|qb| qb.observations.is_empty()));
-    }
-
-    #[test]
-    fn observation_accounting_balances_with_a_live_channel() {
-        let m = ds2(40, 6);
-        let service = serve(&m);
-        let cfg = WorkloadConfig {
-            queries: 300,
-            batch: 50,
-            observe_frac: 0.3,
-            ..WorkloadConfig::default()
-        };
-        let batches = generate(&cfg, &m);
-        let sent: usize = batches.iter().map(|qb| qb.observations.len()).sum();
-        assert!(sent > 0, "fixture must actually stream observations");
-        let (tx, rx) = FeedSender::channel();
-        let (report, _) = run_closed_loop(&service, &batches, ObservePath::Channel(&tx));
-        drop(tx);
-        let load = report.load;
-        assert_eq!(load.observations, sent);
-        assert_eq!(load.observations_undelivered, 0, "live channel loses nothing");
-        assert_eq!(load.observations_delivered(), sent);
-        assert_eq!(
-            load.observations,
-            load.observations_delivered() + load.observations_undelivered,
-            "accounting identity: sent == delivered + undelivered"
-        );
-        // Every delivered observation is really in the feed.
-        assert_eq!(rx.iter().count(), load.observations_delivered());
-    }
-
-    #[test]
-    fn dead_builder_shows_up_as_undelivered_not_silence() {
-        let m = ds2(40, 6);
-        let service = serve(&m);
-        let cfg = WorkloadConfig {
-            queries: 300,
-            batch: 50,
-            observe_frac: 0.3,
-            ..WorkloadConfig::default()
-        };
-        let batches = generate(&cfg, &m);
-        // The builder "died": there is no engine behind the feed.
-        let tx = FeedSender::disconnected();
-        let (report, _) = run_closed_loop(&service, &batches, ObservePath::Channel(&tx));
-        let load = report.load;
-        assert!(load.observations > 0);
-        assert_eq!(
-            load.observations_undelivered, load.observations,
-            "every attempt against a dead builder is counted as undelivered"
-        );
-        assert_eq!(load.observations_delivered(), 0);
-        // Queries are unaffected by the dead observation path.
-        assert_eq!(load.queries, 300);
-    }
-
-    #[test]
-    fn closed_loop_reports_and_answers() {
-        let m = ds2(40, 5);
-        let service = serve(&m);
-        let cfg = WorkloadConfig { queries: 300, batch: 50, ..WorkloadConfig::default() };
-        let batches = generate(&cfg, &m);
-        let (report, answers) = run_closed_loop(&service, &batches, ObservePath::Drop);
-        assert_eq!(report.load.queries, 300);
-        assert_eq!(report.load.batches, batches.len());
-        assert_eq!(answers.len(), batches.len());
-        assert!(report.load.qps > 0.0);
-        assert!(report.load.p50_us <= report.load.p99_us);
-        assert!(report.load.p99_us <= report.load.p999_us);
-        assert_eq!(report.final_epoch, 0);
     }
 
     #[test]

@@ -37,6 +37,20 @@ impl Default for EstimateConfig {
     }
 }
 
+impl EstimateConfig {
+    /// The witness-sampling seed of one unordered edge at `epoch`: a
+    /// pure function of `(seed, epoch, {a, c})`, so estimates are
+    /// symmetric in the endpoints and stable for a snapshot's lifetime.
+    /// The dense and the sparse snapshot both seed through it, which is
+    /// what makes them answer bit-identically over the same delays.
+    pub(crate) fn edge_seed(&self, epoch: u64, a: NodeId, c: NodeId) -> u64 {
+        let (lo, hi) = if a < c { (a, c) } else { (c, a) };
+        self.seed
+            ^ epoch.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            ^ (((lo as u64) << 32) | hi as u64).wrapping_mul(0xd605_0bb5_1656_57a1)
+    }
+}
+
 /// The answer of a route query: the best one-hop relay for an
 /// ordered pair, resolved against the frozen snapshot.
 ///
@@ -261,16 +275,6 @@ impl EpochSnapshot {
         self.monitors.iter().flatten().filter(|s| s.alerted).count()
     }
 
-    /// The witness-sampling seed of one unordered edge: a pure function
-    /// of `(config seed, epoch, {a, c})`, so estimates are symmetric in
-    /// the endpoints and stable for the snapshot's lifetime.
-    fn edge_seed(&self, cfg: &EstimateConfig, a: NodeId, c: NodeId) -> u64 {
-        let (lo, hi) = if a < c { (a, c) } else { (c, a) };
-        cfg.seed
-            ^ self.epoch.wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            ^ (((lo as u64) << 32) | hi as u64).wrapping_mul(0xd605_0bb5_1656_57a1)
-    }
-
     /// Evaluates one edge query against the frozen state.
     ///
     /// Pure: the result depends only on `(self, a, c, cfg)` — never on
@@ -281,7 +285,8 @@ impl EpochSnapshot {
         let measured = self.matrix.get(a, c);
         let ratio = measured.filter(|&d| d > 0.0).map(|d| predicted / d);
         let severity = if measured.is_some() && a != c {
-            estimate_severity(&self.matrix, a, c, cfg.severity_witnesses, self.edge_seed(cfg, a, c))
+            let seed = cfg.edge_seed(self.epoch, a, c);
+            estimate_severity(&self.matrix, a, c, cfg.severity_witnesses, seed)
         } else {
             None
         };
@@ -311,7 +316,7 @@ impl EpochSnapshot {
         if a == c || self.matrix.get(a, c).is_none() {
             return None;
         }
-        tivcore::estimate_severity_ci(self.matrix(), a, c, k, self.edge_seed(cfg, a, c))
+        tivcore::estimate_severity_ci(self.matrix(), a, c, k, cfg.edge_seed(self.epoch, a, c))
     }
 
     /// Evaluates one detour-routing query against the frozen state: the
@@ -426,9 +431,9 @@ mod tests {
         let cfg = EstimateConfig::default();
         let a = EpochSnapshot::without_monitors(1, m.clone(), emb.clone());
         let b = EpochSnapshot::without_monitors(2, m, emb);
-        assert_ne!(a.edge_seed(&cfg, 1, 2), b.edge_seed(&cfg, 1, 2));
-        assert_ne!(a.edge_seed(&cfg, 1, 2), a.edge_seed(&cfg, 1, 3));
-        assert_eq!(a.edge_seed(&cfg, 2, 1), a.edge_seed(&cfg, 1, 2));
+        assert_ne!(cfg.edge_seed(a.epoch(), 1, 2), cfg.edge_seed(b.epoch(), 1, 2));
+        assert_ne!(cfg.edge_seed(a.epoch(), 1, 2), cfg.edge_seed(a.epoch(), 1, 3));
+        assert_eq!(cfg.edge_seed(a.epoch(), 2, 1), cfg.edge_seed(a.epoch(), 1, 2));
     }
 
     #[test]

@@ -104,17 +104,6 @@ impl SparseSnapshot {
         &self.store
     }
 
-    /// The witness-sampling seed of one unordered edge — the same
-    /// `(config seed, epoch, {a, c})` fold as the dense
-    /// [`EpochSnapshot`](crate::EpochSnapshot), so a sparse snapshot
-    /// over the same delays answers bit-identically.
-    fn edge_seed(&self, cfg: &EstimateConfig, a: NodeId, c: NodeId) -> u64 {
-        let (lo, hi) = if a < c { (a, c) } else { (c, a) };
-        cfg.seed
-            ^ self.epoch.wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            ^ (((lo as u64) << 32) | hi as u64).wrapping_mul(0xd605_0bb5_1656_57a1)
-    }
-
     /// The sampled severity of `(a, c)` with a 95% confidence interval
     /// at witness budget `k` — `None` for self-pairs and unobserved
     /// edges, mirroring the dense snapshot's gating.
@@ -128,7 +117,7 @@ impl SparseSnapshot {
         if a == c || self.store.get(a, c).is_none() {
             return None;
         }
-        tivcore::estimate_severity_ci(&self.store, a, c, k, self.edge_seed(cfg, a, c))
+        tivcore::estimate_severity_ci(&self.store, a, c, k, cfg.edge_seed(self.epoch, a, c))
     }
 
     /// The best relay among `k` sampled candidates for `(a, c)` —
@@ -142,7 +131,7 @@ impl SparseSnapshot {
         k: usize,
         cfg: &EstimateConfig,
     ) -> Option<Relay> {
-        tivroute::sampled_detour(&self.store, a, c, k, self.edge_seed(cfg, a, c))
+        tivroute::sampled_detour(&self.store, a, c, k, cfg.edge_seed(self.epoch, a, c))
     }
 }
 
