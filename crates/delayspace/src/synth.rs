@@ -145,15 +145,6 @@ impl SynthConfig {
         self
     }
 
-    /// Overrides the inflation parameters (probability on cross-cluster
-    /// edges, Pareto tail index, cap).
-    pub fn with_inflation(mut self, p_cross: f64, alpha: f64, cap: f64) -> Self {
-        self.p_inflate_cross = p_cross;
-        self.inflation_alpha = alpha;
-        self.inflation_cap = cap;
-        self
-    }
-
     /// Overrides the missing-measurement fraction.
     pub fn with_missing(mut self, frac: f64) -> Self {
         self.missing_frac = frac;

@@ -8,8 +8,8 @@
 //!             [--threshold F] [--k K] [--threads T] [--seed S]
 //!             [--out DIR]
 //! repro chaos [--nodes N] [--replicas R] [--queries Q] [--batch B]
-//!             [--observe F] [--publish-every K] [--target-qps T]
-//!             [--seed S] [--no-faults] [--no-apps]
+//!             [--observe F] [--publish-every K] [--seed S]
+//!             [--no-faults] [--no-apps]
 //! repro sparse [--nodes N] [--pairs P] [--scale-nodes M]
 //!              [--degree D] [--threads T] [--seed S] [--out DIR]
 //! ```
@@ -40,8 +40,8 @@
 //!
 //! `repro chaos` drives the deterministic fault-injection harness
 //! (`tivchaos`) against a live multi-replica deployment — crash and
-//! restart mid-epoch, withheld publishes — under open-loop load,
-//! checks availability/staleness SLOs and bit-exact recovery, then
+//! restart mid-epoch, withheld publishes), checks availability/
+//! staleness SLOs and bit-exact recovery, then
 //! runs the TIV-aware application workloads (server selection, overlay
 //! multicast) live against the same stack. Exits non-zero if any SLO
 //! is violated. See `experiments::chaos`.
@@ -242,45 +242,42 @@ fn parse_sparse_args(
 /// Parses the flags of the `chaos` subcommand into [`ChaosOptions`].
 fn parse_chaos_args(mut argv: impl Iterator<Item = String>) -> Result<ChaosOptions, String> {
     let mut opts = ChaosOptions::default();
+    let c = &mut opts.chaos;
     while let Some(arg) = argv.next() {
         match arg.as_str() {
-            "--nodes" => opts.nodes = value(&mut argv, "--nodes")?,
-            "--replicas" => opts.replicas = value(&mut argv, "--replicas")?,
-            "--queries" => opts.queries = value(&mut argv, "--queries")?,
-            "--batch" => opts.batch = value(&mut argv, "--batch")?,
-            "--observe" => opts.observe_frac = value(&mut argv, "--observe")?,
-            "--publish-every" => opts.publish_every = value(&mut argv, "--publish-every")?,
-            "--target-qps" => opts.target_qps = value(&mut argv, "--target-qps")?,
-            "--seed" => opts.seed = value(&mut argv, "--seed")?,
+            "--nodes" => c.nodes = value(&mut argv, "--nodes")?,
+            "--replicas" => c.replicas = value(&mut argv, "--replicas")?,
+            "--queries" => c.queries = value(&mut argv, "--queries")?,
+            "--batch" => c.batch = value(&mut argv, "--batch")?,
+            "--observe" => c.observe_frac = value(&mut argv, "--observe")?,
+            "--publish-every" => c.publish_every_batches = value(&mut argv, "--publish-every")?,
+            "--seed" => c.seed = value(&mut argv, "--seed")?,
             "--no-faults" => opts.no_faults = true,
             "--no-apps" => opts.no_apps = true,
             other => {
                 return Err(format!(
                     "unknown chaos argument: {other}\n\
                      usage: repro chaos [--nodes N] [--replicas R] [--queries Q] [--batch B] \
-                     [--observe F] [--publish-every K] [--target-qps T] [--seed S] \
-                     [--no-faults] [--no-apps]"
+                     [--observe F] [--publish-every K] [--seed S] [--no-faults] \
+                     [--no-apps]"
                 ))
             }
         }
     }
-    if opts.nodes < 8 {
+    if c.nodes < 8 {
         return Err("--nodes must be at least 8".to_string());
     }
-    if opts.replicas < 1 {
+    if c.replicas < 1 {
         return Err("--replicas must be at least 1".to_string());
     }
-    if opts.batch < 1 {
+    if c.batch < 1 {
         return Err("--batch must be at least 1".to_string());
     }
-    if opts.queries / opts.batch < 8 {
+    if c.queries / c.batch < 8 {
         return Err("--queries must cover at least 8 batches".to_string());
     }
-    if !(0.0..1.0).contains(&opts.observe_frac) {
+    if !(0.0..1.0).contains(&c.observe_frac) {
         return Err("--observe must be in [0, 1)".to_string());
-    }
-    if !opts.target_qps.is_finite() || opts.target_qps < 0.0 {
-        return Err("--target-qps must be a finite non-negative rate (0 = unpaced)".to_string());
     }
     Ok(opts)
 }

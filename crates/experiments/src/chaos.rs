@@ -10,72 +10,27 @@
 use std::fmt;
 use std::io;
 use tivchaos::{run_chaos, run_overlay_multicast, run_server_selection};
-use tivchaos::{AppConfig, AppReport, ChaosConfig, ChaosReport, FaultPlan, SloSpec};
+use tivchaos::{AppConfig, AppReport, ChaosConfig, ChaosReport, FaultPlan};
 
 /// Everything the `chaos` subcommand can tune.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ChaosOptions {
-    /// Nodes in the synthetic DS²-style delay space.
-    pub nodes: usize,
-    /// Deployment replicas.
-    pub replicas: usize,
-    /// Total edge queries of the fault-injected workload.
-    pub queries: usize,
-    /// Queries per batch.
-    pub batch: usize,
-    /// Fraction of operations that are RTT observations, in `[0, 1)`.
-    pub observe_frac: f64,
-    /// Batches between forced epoch publishes.
-    pub publish_every: usize,
-    /// Target query arrival rate, queries/second (0 = unpaced).
-    pub target_qps: f64,
-    /// Skip the fault plan (measure a healthy baseline instead).
+    /// The harness configuration (space, deployment, workload, SLOs).
+    pub chaos: ChaosConfig,
+    /// Skip the fault plan (run a healthy baseline instead).
     pub no_faults: bool,
     /// Skip the application workloads (harness only).
     pub no_apps: bool,
-    /// Master seed (space, embedding, workload).
-    pub seed: u64,
-}
-
-impl Default for ChaosOptions {
-    fn default() -> Self {
-        ChaosOptions {
-            nodes: 192,
-            replicas: 3,
-            queries: 6_000,
-            batch: 64,
-            observe_frac: 0.1,
-            publish_every: 8,
-            target_qps: 0.0,
-            no_faults: false,
-            no_apps: false,
-            seed: 42,
-        }
-    }
 }
 
 impl ChaosOptions {
-    /// The harness configuration these options imply.
-    pub fn chaos_config(&self) -> ChaosConfig {
-        ChaosConfig {
-            nodes: self.nodes,
-            replicas: self.replicas,
-            queries: self.queries,
-            batch: self.batch,
-            observe_frac: self.observe_frac,
-            publish_every_batches: self.publish_every,
-            target_qps: self.target_qps,
-            seed: self.seed,
-            slo: SloSpec::default(),
-        }
-    }
-
     /// The fault plan these options imply.
     pub fn plan(&self) -> FaultPlan {
         if self.no_faults {
             FaultPlan::none()
         } else {
-            FaultPlan::standard(self.replicas, self.queries / self.batch.max(1))
+            let c = &self.chaos;
+            FaultPlan::standard(c.replicas, c.queries / c.batch.max(1))
         }
     }
 
@@ -84,9 +39,9 @@ impl ChaosOptions {
     /// candidate fleet).
     pub fn app_config(&self) -> AppConfig {
         AppConfig {
-            nodes: self.nodes.min(240),
-            replicas: self.replicas,
-            seed: self.seed,
+            nodes: self.chaos.nodes.min(240),
+            replicas: self.chaos.replicas,
+            seed: self.chaos.seed,
             ..AppConfig::default()
         }
     }
@@ -107,11 +62,11 @@ pub struct ChaosSummary {
 
 impl fmt::Display for ChaosSummary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let o = &self.opts;
+        let c = &self.opts.chaos;
         writeln!(
             f,
             "tivchaos: {} nodes, {} replicas, seed {} — plan: {}",
-            o.nodes, o.replicas, o.seed, self.plan
+            c.nodes, c.replicas, c.seed, self.plan
         )?;
         writeln!(f, "{}", self.report)?;
         for app in &self.apps {
@@ -129,7 +84,7 @@ impl fmt::Display for ChaosSummary {
 /// then the live application workloads.
 pub fn run_chaos_experiment(opts: &ChaosOptions) -> io::Result<ChaosSummary> {
     let plan = opts.plan();
-    let report = run_chaos(&opts.chaos_config(), &plan)?;
+    let report = run_chaos(&opts.chaos, &plan)?;
     let mut apps = Vec::new();
     if !opts.no_apps {
         let app_cfg = opts.app_config();
@@ -145,11 +100,14 @@ mod tests {
 
     fn tiny() -> ChaosOptions {
         ChaosOptions {
-            nodes: 48,
-            replicas: 2,
-            queries: 1_000,
-            batch: 50,
-            publish_every: 4,
+            chaos: ChaosConfig {
+                nodes: 48,
+                replicas: 2,
+                queries: 1_000,
+                batch: 50,
+                publish_every_batches: 4,
+                ..ChaosConfig::default()
+            },
             no_apps: true,
             ..ChaosOptions::default()
         }
@@ -178,11 +136,14 @@ mod tests {
     #[test]
     fn app_workloads_ride_along_when_enabled() {
         let opts = ChaosOptions {
-            nodes: 64,
-            replicas: 2,
-            queries: 400,
-            batch: 50,
-            publish_every: 4,
+            chaos: ChaosConfig {
+                nodes: 64,
+                replicas: 2,
+                queries: 400,
+                batch: 50,
+                publish_every_batches: 4,
+                ..ChaosConfig::default()
+            },
             no_apps: false,
             ..ChaosOptions::default()
         };

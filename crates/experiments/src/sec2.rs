@@ -8,7 +8,6 @@ use delayspace::apsp::ShortestPaths;
 use delayspace::cluster::{ClusterConfig, Clustering};
 use delayspace::stats::{BinnedStats, Cdf};
 use delayspace::synth::Dataset;
-use std::fmt::Write as _;
 use tivcore::severity::{proximity_experiment, triangulation_ratios};
 
 /// Delay-bin width (ms) for severity-vs-length plots at a given scale.
@@ -75,8 +74,9 @@ pub fn fig2(lab: &mut Lab) -> Figure {
 pub struct Fig3Output {
     /// Summary figure.
     pub figure: Figure,
-    /// P2 (ASCII) PGM image of the cluster-ordered severity matrix.
-    pub pgm: String,
+    /// P5 (binary) PGM image of the cluster-ordered severity matrix:
+    /// a text header, then one byte a pixel.
+    pub pgm: Vec<u8>,
 }
 
 /// Figure 3: TIV severity by cluster.
@@ -116,15 +116,13 @@ pub fn fig3(lab: &mut Lab) -> Fig3Output {
     // PGM: nodes reordered by cluster, pixel = severity scaled to 0–255.
     let n = order.len();
     let max_sev = sev.edges(m).map(|(_, _, s)| s).fold(0.0f64, f64::max).max(1e-9);
-    let mut pgm = String::with_capacity(n * n * 4 + 64);
-    let _ = writeln!(pgm, "P2\n{n} {n}\n255");
+    let mut pgm = format!("P5\n{n} {n}\n255\n").into_bytes();
+    pgm.reserve_exact(n * n);
     for &i in &order {
-        for (col, &j) in order.iter().enumerate() {
+        pgm.extend(order.iter().map(|&j| {
             let v = if i == j { 0.0 } else { sev.severity(i, j).unwrap_or(0.0) };
-            let px = ((v / max_sev).sqrt() * 255.0).round() as u32; // sqrt for contrast
-            let _ = write!(pgm, "{px}");
-            pgm.push(if col + 1 == n { '\n' } else { ' ' });
-        }
+            ((v / max_sev).sqrt() * 255.0).round() as u8 // sqrt for contrast
+        }));
     }
     Fig3Output { figure, pgm }
 }
@@ -283,12 +281,9 @@ mod tests {
     #[test]
     fn fig3_pgm_is_well_formed() {
         let out = fig3(&mut lab());
-        let mut lines = out.pgm.lines();
-        assert_eq!(lines.next(), Some("P2"));
-        let dims = lines.next().unwrap();
-        let n: usize = dims.split_whitespace().next().unwrap().parse().unwrap();
-        assert_eq!(n, 150);
-        assert_eq!(lines.next(), Some("255"));
+        let header = b"P5\n150 150\n255\n";
+        assert!(out.pgm.starts_with(header));
+        assert_eq!(out.pgm.len(), header.len() + 150 * 150);
         assert!(!out.figure.series.is_empty());
     }
 

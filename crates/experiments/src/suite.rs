@@ -19,7 +19,7 @@ pub struct ExperimentOutput {
     /// The regenerated figure.
     pub figure: Figure,
     /// Extra artifacts to write next to the CSV, e.g. the Figure 3 PGM.
-    pub artifacts: Vec<(String, String)>,
+    pub artifacts: Vec<(String, Vec<u8>)>,
 }
 
 impl From<Figure> for ExperimentOutput {

@@ -16,7 +16,7 @@
 
 use crate::rings::{MeridianConfig, MeridianNode, RingMember};
 use delayspace::matrix::NodeId;
-use delayspace::rng::{self, DetRng};
+use delayspace::rng;
 use rand::seq::SliceRandom;
 use simnet::net::Network;
 
@@ -164,12 +164,6 @@ impl MeridianOverlay {
     /// True when `id` is an overlay member.
     pub fn contains(&self, id: NodeId) -> bool {
         self.index.get(id).copied().flatten().is_some()
-    }
-
-    /// A uniformly random overlay member (the query entry point).
-    pub fn random_member(&self, rng: &mut DetRng) -> NodeId {
-        use rand::Rng;
-        self.members[rng.gen_range(0..self.members.len())]
     }
 
     /// Iterates over all ring states.

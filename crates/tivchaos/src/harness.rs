@@ -1,18 +1,18 @@
 //! The chaos harness: a scripted fault plan driven against a real
-//! multi-replica deployment under open-loop load.
+//! multi-replica deployment.
 //!
-//! One paced single-threaded loop plays a seeded Zipf workload against
-//! a [`Deployment`] over real sockets, applying the plan's faults at
-//! batch boundaries and forcing epoch publishes on a fixed batch
-//! cadence ([`DeploymentHandle::publish_now`] is synchronous, so the
-//! epoch timeline is deterministic too). Each batch targets the
+//! One single-threaded loop sends a seeded Zipf workload's batches back
+//! to back to a [`Deployment`] over real sockets, applying the plan's
+//! faults at batch boundaries and forcing epoch publishes on a fixed
+//! batch cadence ([`DeploymentHandle::publish_now`] is synchronous, so
+//! the epoch timeline is deterministic too). Each batch targets the
 //! replica `batch_index % replicas`; a batch whose replica is down is
 //! counted unavailable without any I/O — which makes
 //! `unavailable_batches` and `max_staleness_epochs` exact,
-//! plan-determined counts, while wall-clock latency percentiles stay
-//! honest measurements of the live sockets.
+//! plan-determined counts. The harness counts; it times nothing
+//! (tivmark's `tivgate.*` and `tivserve.*` layers do).
 //!
-//! After the measured run the harness heals the deployment and
+//! After the workload run the harness heals the deployment and
 //! performs the **bit-exact recovery check**: every replica —
 //! restarted or not — must answer probe frames byte-identically to a
 //! replica the plan never crashed. This extends the repo's
@@ -25,11 +25,11 @@ use crate::fault::{FaultKind, FaultPlan};
 use delayspace::synth::{Dataset, InternetDelaySpace};
 use std::fmt;
 use std::io;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use tivgate::client::GateClient;
 use tivgate::deploy::{Deployment, DeploymentHandle};
 use tivgate::proto::{to_wire_pairs, Request, Response};
-use tivserve::loadgen::{generate, LoadReport, QueryBatch, WorkloadConfig};
+use tivserve::loadgen::{generate, QueryBatch, WorkloadConfig};
 use tivserve::service::ServeConfig;
 use tivserve::FluxBuilder;
 
@@ -71,8 +71,6 @@ pub struct ChaosConfig {
     /// timeline — and with it the staleness measurements — a pure
     /// function of the plan.
     pub publish_every_batches: usize,
-    /// Target query arrival rate, queries/second (0 = unpaced).
-    pub target_qps: f64,
     /// Master seed (space, embedding, workload).
     pub seed: u64,
     /// Objectives the report is checked against.
@@ -88,7 +86,6 @@ impl Default for ChaosConfig {
             batch: 64,
             observe_frac: 0.1,
             publish_every_batches: 8,
-            target_qps: 0.0,
             seed: 42,
             slo: SloSpec::default(),
         }
@@ -98,9 +95,15 @@ impl Default for ChaosConfig {
 /// The outcome of one chaos run.
 #[derive(Clone, Debug)]
 pub struct ChaosReport {
-    /// Shared measurement core over the **answered** batches (queries,
-    /// observation accounting, wall-clock latency percentiles).
-    pub load: LoadReport,
+    /// Queries answered.
+    pub queries_answered: usize,
+    /// Observations the workload attempted to stream.
+    pub observations: usize,
+    /// Observations that could not be delivered to the epoch builder
+    /// (its feed was closed — e.g. the builder thread died). Always 0
+    /// in a healthy run; surfaced instead of silently discarded so a
+    /// wedged builder cannot masquerade as a fresh one.
+    pub observations_undelivered: usize,
     /// Deployment replicas.
     pub replicas: usize,
     /// Workload batches scheduled, answered or not.
@@ -187,14 +190,8 @@ impl fmt::Display for ChaosReport {
         )?;
         write!(
             f,
-            "  served: {} queries at {:.0} q/s, batch latency p50 {:.0} us p99 {:.0} us, \
-             {} observations ({} undelivered)",
-            self.load.queries,
-            self.load.qps,
-            self.load.p50_us,
-            self.load.p99_us,
-            self.load.observations,
-            self.load.observations_undelivered,
+            "  served: {} queries, {} observations ({} undelivered)",
+            self.queries_answered, self.observations, self.observations_undelivered,
         )
     }
 }
@@ -293,32 +290,23 @@ fn check_bitexact_recovery(
 /// workload through the plan's faults, heal, and verify bit-exact
 /// recovery. Errors surface I/O failures of the harness itself (a
 /// fault that fails to inject, a probe that fails post-heal) — faults
-/// *experienced by the workload* are measurements, not errors. An
-/// invalid plan or a pacing schedule that cannot be kept (a zero
-/// batch, a NaN or negative rate, or a schedule that overflows a
-/// `Duration`) is rejected with `InvalidInput` before anything starts.
+/// *experienced by the workload* are counted, not errors. An invalid
+/// plan or a config that cannot be run (fewer than two nodes, no
+/// replica, a zero batch, or an `observe_frac` outside `[0, 1)`) is
+/// rejected with `InvalidInput` before anything starts.
 pub fn run_chaos(cfg: &ChaosConfig, plan: &FaultPlan) -> io::Result<ChaosReport> {
     let invalid = |e: String| io::Error::new(io::ErrorKind::InvalidInput, e);
     plan.validate(cfg.replicas).map_err(invalid)?;
-    if cfg.batch == 0 || cfg.target_qps.is_nan() || cfg.target_qps < 0.0 {
+    if cfg.nodes < 2
+        || cfg.replicas == 0
+        || cfg.batch == 0
+        || !(0.0..1.0).contains(&cfg.observe_frac)
+    {
         return Err(invalid(format!(
-            "unschedulable pacing: batch {}, target_qps {:?}",
-            cfg.batch, cfg.target_qps
+            "unrunnable config: nodes {}, replicas {}, batch {}, observe_frac {:?}",
+            cfg.nodes, cfg.replicas, cfg.batch, cfg.observe_frac
         )));
     }
-    // Open-loop send interval (zero = unpaced). The whole schedule must
-    // fit a Duration, so the loop's `interval * bi` cannot overflow.
-    let interval = if cfg.target_qps > 0.0 {
-        let batches_total = u32::try_from(cfg.queries.div_ceil(cfg.batch)).ok();
-        Duration::try_from_secs_f64(cfg.batch as f64 / cfg.target_qps)
-            .ok()
-            .filter(|i| batches_total.and_then(|n| i.checked_mul(n)).is_some())
-            .ok_or_else(|| {
-                invalid(format!("target_qps {:?} paces the run beyond a Duration", cfg.target_qps))
-            })?
-    } else {
-        Duration::ZERO
-    };
     let matrix = InternetDelaySpace::preset(Dataset::Ds2)
         .with_nodes(cfg.nodes)
         .build(cfg.seed)
@@ -355,12 +343,9 @@ pub fn run_chaos(cfg: &ChaosConfig, plan: &FaultPlan) -> io::Result<ChaosReport>
     let mut epochs_published = 0u64;
     let mut max_staleness = 0u64;
     let mut queries_answered = 0usize;
-    let mut batches_answered = 0usize;
     let mut observations = 0usize;
     let mut undelivered = 0usize;
-    let mut latencies_us: Vec<f64> = Vec::with_capacity(batches.len());
 
-    let start = Instant::now();
     for (bi, batch) in batches.iter().enumerate() {
         for event in plan.events_at(bi) {
             apply_fault(&handle, event.kind, &mut crashes, &mut restarts)?;
@@ -385,14 +370,6 @@ pub fn run_chaos(cfg: &ChaosConfig, plan: &FaultPlan) -> io::Result<ChaosReport>
         } else {
             observations += batch.observations.len();
         }
-        // Open-loop pacing: latency is measured from the scheduled
-        // send time, so queueing behind a slow replica shows up in the
-        // tail instead of slowing the generator down.
-        let scheduled = interval * bi as u32;
-        let now = start.elapsed();
-        if interval > Duration::ZERO && now < scheduled {
-            std::thread::sleep(scheduled - now);
-        }
         let replica = bi % cfg.replicas;
         let Some(addr) = handle.addr(replica) else {
             unavailable += 1;
@@ -412,13 +389,9 @@ pub fn run_chaos(cfg: &ChaosConfig, plan: &FaultPlan) -> io::Result<ChaosReport>
             }
         }
         let req = Request::Estimate { id: bi as u32, pairs: to_wire_pairs(&batch.pairs) };
-        let sent_at = start.elapsed().max(scheduled);
         match clients[replica].as_mut().expect("connected above").call(&req) {
             Ok(Response::Estimate { items, .. }) => {
-                let done = start.elapsed();
-                latencies_us.push((done - sent_at).as_secs_f64() * 1e6);
                 queries_answered += items.len();
-                batches_answered += 1;
                 let latest = handle.latest_epoch();
                 for item in &items {
                     max_staleness = max_staleness.max(latest.saturating_sub(item.epoch));
@@ -433,19 +406,13 @@ pub fn run_chaos(cfg: &ChaosConfig, plan: &FaultPlan) -> io::Result<ChaosReport>
             }
         }
     }
-    let elapsed_s = start.elapsed().as_secs_f64();
     let recovered_bitexact = check_bitexact_recovery(&handle, plan, &batches, &mut restarts)?;
     let publishes_skipped = handle.publishes_skipped();
     handle.shutdown()?;
     Ok(ChaosReport {
-        load: LoadReport::from_latencies(
-            queries_answered,
-            batches_answered,
-            observations,
-            undelivered,
-            elapsed_s,
-            latencies_us,
-        ),
+        queries_answered,
+        observations,
+        observations_undelivered: undelivered,
         replicas: cfg.replicas,
         batches_total: batches.len(),
         unavailable_batches: unavailable,
@@ -489,7 +456,7 @@ mod tests {
         assert!(report.recovered_bitexact);
         assert!(report.slo_ok(), "faultless run violates its own SLOs: {report}");
         assert!(report.epochs_published > 0);
-        assert_eq!(report.load.observations_undelivered, 0);
+        assert_eq!(report.observations_undelivered, 0);
     }
 
     #[test]
@@ -525,11 +492,17 @@ mod tests {
     }
 
     #[test]
-    fn unschedulable_pacing_is_rejected_up_front() {
-        for target_qps in [1e-300, -1.0, f64::NAN] {
-            let cfg = ChaosConfig { target_qps, ..tiny() };
+    fn degenerate_configs_are_rejected_up_front() {
+        let mut bad: Vec<ChaosConfig> =
+            [0, 1].into_iter().map(|nodes| ChaosConfig { nodes, ..tiny() }).collect();
+        bad.push(ChaosConfig { replicas: 0, ..tiny() });
+        bad.push(ChaosConfig { batch: 0, ..tiny() });
+        for observe_frac in [1.0, -0.1, f64::NAN] {
+            bad.push(ChaosConfig { observe_frac, ..tiny() });
+        }
+        for cfg in bad {
             let err = run_chaos(&cfg, &FaultPlan::none()).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "target_qps {target_qps}");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{cfg:?}");
         }
     }
 }

@@ -5,12 +5,12 @@
 //!
 //! * [`fault`] + [`harness`] — a chaos harness driving a real
 //!   multi-replica [`tivgate::Deployment`] through scripted faults
-//!   (replica crash and restart mid-epoch, delayed/dropped epoch
-//!   publishes, shard loss) while an open-loop client measures
-//!   availability, staleness in epochs, and latency SLOs. Faults fire
-//!   at batch boundaries of a seeded workload, so availability and
-//!   staleness are **pure functions of the fault plan** — the chaos
-//!   run is reproducible, and recovery is checked **bit-exactly**: a
+//!   (replica crash and restart mid-epoch, withheld epoch publishes)
+//!   while a client counts availability and staleness in epochs
+//!   against their SLOs. Faults fire at batch boundaries of a seeded
+//!   workload, so availability and staleness are **pure functions of
+//!   the fault plan** — the chaos run is reproducible, and recovery is
+//!   checked **bit-exactly**: a
 //!   restarted replica must answer byte-identically to one that never
 //!   crashed (the `wire_equivalence` discipline, extended to failure).
 //! * [`apps`] — the applications from the paper's introduction
@@ -23,8 +23,10 @@
 //!
 //! The harness deliberately spawns **no threads of its own**: the
 //! deployment already owns the serving and publishing threads, and a
-//! single paced loop with per-replica clients is both sufficient to
-//! saturate the SLO questions and trivially deterministic.
+//! single loop sending batches back to back through per-replica clients
+//! is both sufficient to answer the SLO questions and trivially
+//! deterministic. It counts; it times nothing: wire and serve timing
+//! are tivmark's `tivgate.*` and `tivserve.*` layers.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

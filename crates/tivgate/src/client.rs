@@ -95,12 +95,6 @@ impl GateClient {
         self.stream.write_all(bytes)
     }
 
-    /// Shuts down the write half, signalling EOF to the server while
-    /// keeping the read half open for trailing responses.
-    pub fn shutdown_write(&self) -> io::Result<()> {
-        self.stream.shutdown(std::net::Shutdown::Write)
-    }
-
     /// Blocks until one complete frame arrives and returns it whole
     /// (length prefix included). EOF mid-frame is `UnexpectedEof`; an
     /// oversized length prefix from the server is `InvalidData`.

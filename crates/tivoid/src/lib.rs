@@ -84,7 +84,6 @@ pub mod prelude {
 
     pub use tivflux::{BuildKind, DerivedState, DirtySet, RebuildPolicy, RefineConfig};
 
-    pub use tivserve::loadgen::LoadReport;
     pub use tivserve::{
         EdgeEstimate, EpochConfig, EpochSnapshot, EstimateConfig, FluxBuilder, FluxConfig,
         Observation, RouteEstimate, ServeConfig, TivServe, WorkloadConfig,

@@ -72,7 +72,7 @@ pub mod sparse;
 
 pub use epoch::{spawn_with, EpochConfig, EpochSource, EpochStream, Feed, FeedSender, Observation};
 pub use flux::{BuildOutcome, FluxBuilder, FluxConfig};
-pub use loadgen::{percentile, LoadReport, WorkloadConfig};
+pub use loadgen::{percentile, WorkloadConfig};
 pub use query::{QueryBatch, ReplyBatch, SeverityEstimate};
 pub use service::{CacheStats, ServeConfig, TivServe};
 pub use snapshot::{

@@ -1,4 +1,4 @@
-//! Workload generation and the shared load-report arithmetic.
+//! Workload generation and the one percentile rule.
 //!
 //! The generator models application query traffic against the service:
 //! node popularity is Zipf-skewed (a few hot sources dominate, the
@@ -12,8 +12,7 @@
 //! Nothing here times the service: tivmark's `tivserve.*` layer and
 //! its wire workloads do. [`generate`] feeds those workloads, the
 //! equivalence suites and the `tivchaos` harness; [`percentile`] is
-//! the one percentile rule they report with; and [`LoadReport`] is the
-//! report core the chaos harness fills.
+//! the one percentile rule every reported quantile uses.
 
 use crate::epoch::Observation;
 use delayspace::matrix::{DelayMatrix, NodeId};
@@ -143,7 +142,7 @@ pub fn generate(cfg: &WorkloadConfig, matrix: &DelayMatrix) -> Vec<QueryBatch> {
 
 /// The latency at quantile `p` (`0.0..=1.0`) of an ascending-sorted
 /// sample, by nearest-rank on the closed interval — **the** percentile
-/// rule every load path reports with (chaos harness, tivmark).
+/// rule every reported quantile uses (tivmark, the `tivchaos` apps).
 /// Returns 0 for an empty sample.
 pub fn percentile(sorted_ascending: &[f64], p: f64) -> f64 {
     if sorted_ascending.is_empty() {
@@ -151,62 +150,6 @@ pub fn percentile(sorted_ascending: &[f64], p: f64) -> f64 {
     }
     let idx = (p * (sorted_ascending.len() - 1) as f64).round() as usize;
     sorted_ascending[idx]
-}
-
-/// The measurement core of a load run: counts, the observation
-/// delivery accounting, throughput, and latency percentiles.
-/// `tivchaos`' chaos report embeds it rather than re-deriving any of
-/// it.
-#[derive(Clone, Copy, Debug)]
-pub struct LoadReport {
-    /// Queries answered.
-    pub queries: usize,
-    /// Batches issued.
-    pub batches: usize,
-    /// Observations the workload attempted to stream.
-    pub observations: usize,
-    /// Observations that could not be delivered to the epoch builder
-    /// (its feed was closed — e.g. the builder thread died). Always
-    /// 0 in a healthy run; surfaced instead of silently discarded so a
-    /// wedged builder cannot masquerade as a fresh one.
-    pub observations_undelivered: usize,
-    /// Wall-clock seconds of the whole loop.
-    pub elapsed_s: f64,
-    /// Query throughput, queries per second.
-    pub qps: f64,
-    /// Median batch latency, microseconds.
-    pub p50_us: f64,
-    /// 99th-percentile batch latency, microseconds.
-    pub p99_us: f64,
-    /// 99.9th-percentile batch latency, microseconds.
-    pub p999_us: f64,
-}
-
-impl LoadReport {
-    /// Assembles the report core from raw measurements — the one place
-    /// throughput and percentiles are computed. `latencies_us` need
-    /// not be sorted.
-    pub fn from_latencies(
-        queries: usize,
-        batches: usize,
-        observations: usize,
-        observations_undelivered: usize,
-        elapsed_s: f64,
-        mut latencies_us: Vec<f64>,
-    ) -> Self {
-        latencies_us.sort_by(f64::total_cmp);
-        LoadReport {
-            queries,
-            batches,
-            observations,
-            observations_undelivered,
-            elapsed_s,
-            qps: if elapsed_s > 0.0 { queries as f64 / elapsed_s } else { 0.0 },
-            p50_us: percentile(&latencies_us, 0.50),
-            p99_us: percentile(&latencies_us, 0.99),
-            p999_us: percentile(&latencies_us, 0.999),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -290,11 +233,5 @@ mod tests {
         assert_eq!(percentile(&v, 0.0), 1.0);
         assert_eq!(percentile(&v, 1.0), 100.0);
         assert_eq!(percentile(&v, 0.5), 51.0);
-        // The shared constructor and a by-hand computation agree.
-        let report = LoadReport::from_latencies(100, 100, 0, 0, 1.0, v.clone());
-        assert_eq!(report.p50_us, percentile(&v, 0.50));
-        assert_eq!(report.p99_us, percentile(&v, 0.99));
-        assert_eq!(report.p999_us, percentile(&v, 0.999));
-        assert_eq!(report.qps, 100.0);
     }
 }

@@ -131,9 +131,6 @@ pub trait ServedSnapshot: Clone + Send + Sync + 'static {
 
     /// The epoch this snapshot froze.
     fn epoch(&self) -> u64;
-
-    /// Number of nodes served.
-    fn node_count(&self) -> usize;
 }
 
 /// The constituent parts of a dense [`EpochSnapshot`] — what
@@ -208,10 +205,6 @@ impl ServedSnapshot for EpochSnapshot {
 
     fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    fn node_count(&self) -> usize {
-        self.matrix.len()
     }
 }
 

@@ -61,10 +61,6 @@ impl ServedSnapshot for SparseSnapshot {
     fn epoch(&self) -> u64 {
         self.epoch
     }
-
-    fn node_count(&self) -> usize {
-        self.store.len()
-    }
 }
 
 impl SparseSnapshot {

@@ -139,11 +139,6 @@ impl Deployment {
     pub fn steps_of(&self, node: NodeId) -> u64 {
         self.steps[node]
     }
-
-    /// Current virtual time (ms).
-    pub fn now_ms(&self) -> f64 {
-        self.sim.now().as_ms()
-    }
 }
 
 #[cfg(test)]

@@ -185,13 +185,6 @@ impl VivaldiSystem {
         Embedding::new(self.coords.clone())
     }
 
-    /// Fresh RNG stream for auxiliary sampling that must not perturb the
-    /// simulation's own stream.
-    pub fn fork_rng(&mut self, label: &str) -> DetRng {
-        use rand::Rng;
-        rng::sub_rng(self.rng.gen(), label)
-    }
-
     /// One probe-and-update step of node `i` against neighbor `j`.
     /// Returns the displacement applied to `i`, or `None` when the pair
     /// is unmeasured in the data set.
