@@ -460,37 +460,46 @@ pub fn estimate_severity_in<S: DelayStore>(
     seed: u64,
 ) -> Option<f64> {
     let dac = store.get(a, c)?;
-    let n = store.len();
-    if n <= 2 {
-        return Some(0.0);
-    }
-    let k = k.min(n - 2);
-    let mut r = rng::sub_rng(seed, "severity/estimate");
-    // Sample witnesses uniformly from S \ {a, c}.
+    let (sum, sampled) = witness_sum(store, a, c, dac, k, seed, |_| {});
+    Some(mean_severity(sum, sampled, store.len()))
+}
+
+/// The witness loop both sampled estimators share: draws the witnesses
+/// of `(a, c)` and sums `d(a,c)/alt` over those that violate the
+/// triangle, in draw order, handing each term to `each` too. Returns
+/// `(sum, witnesses sampled)`.
+fn witness_sum<S: DelayStore>(
+    store: &S,
+    a: NodeId,
+    c: NodeId,
+    dac: f64,
+    k: usize,
+    seed: u64,
+    mut each: impl FnMut(f64),
+) -> (f64, usize) {
+    let witnesses =
+        rng::sample_witnesses(&mut rng::sub_rng(seed, "severity/estimate"), store.len(), a, c, k);
+    let sampled = witnesses.len();
     let mut sum = 0.0;
-    let mut sampled = 0usize;
-    for idx in rng::sample_indices(&mut r, n - 2, k) {
-        // Map 0..n-2 onto node ids skipping a and c.
-        let (lo, hi) = if a < c { (a, c) } else { (c, a) };
-        let mut b = idx;
-        if b >= lo {
-            b += 1;
-        }
-        if b >= hi {
-            b += 1;
-        }
-        sampled += 1;
+    for b in witnesses {
         let alt = store.raw(a, b) + store.raw(c, b);
         if alt < dac {
-            sum += dac / alt;
+            let x = dac / alt;
+            sum += x;
+            each(x);
         }
     }
+    (sum, sampled)
+}
+
+/// The mean over sampled witnesses ≈ the mean over all witnesses = the
+/// exact severity up to the (n-2)/n boundary factor, which is included.
+/// Zero when nothing was sampled.
+fn mean_severity(sum: f64, sampled: usize, n: usize) -> f64 {
     if sampled == 0 {
-        return Some(0.0);
+        return 0.0;
     }
-    // Mean over sampled witnesses ≈ mean over all witnesses = exact
-    // severity up to the (n-2)/n boundary factor, which we include.
-    Some(sum / sampled as f64 * (n - 2) as f64 / n as f64)
+    sum / sampled as f64 * (n - 2) as f64 / n as f64
 }
 
 /// A sampled severity estimate with a 95% confidence interval.
@@ -535,48 +544,19 @@ pub fn estimate_severity_ci<S: DelayStore>(
 ) -> Option<SeverityEstimate> {
     let dac = store.get(a, c)?;
     let n = store.len();
-    if n <= 2 {
-        return Some(SeverityEstimate { point: 0.0, ci_lo: 0.0, ci_hi: 0.0, sampled: 0 });
-    }
-    let k = k.min(n - 2);
-    let mut r = rng::sub_rng(seed, "severity/estimate");
-    // Identical stream and accumulation order to estimate_severity_in;
-    // the extra sum of squares feeds only the interval.
-    let mut sum = 0.0;
+    // The same draws and summation order as estimate_severity_in, so the
+    // point is bit-identical; the sum of squares feeds only the interval.
     let mut sum_sq = 0.0;
-    let mut sampled = 0usize;
-    for idx in rng::sample_indices(&mut r, n - 2, k) {
-        let (lo, hi) = if a < c { (a, c) } else { (c, a) };
-        let mut b = idx;
-        if b >= lo {
-            b += 1;
-        }
-        if b >= hi {
-            b += 1;
-        }
-        sampled += 1;
-        let alt = store.raw(a, b) + store.raw(c, b);
-        if alt < dac {
-            let x = dac / alt;
-            sum += x;
-            sum_sq += x * x;
-        }
-    }
-    if sampled == 0 {
-        return Some(SeverityEstimate { point: 0.0, ci_lo: 0.0, ci_hi: 0.0, sampled: 0 });
-    }
-    let m_f = sampled as f64;
-    // Same expression (and evaluation order) as estimate_severity_in —
-    // the point must stay bit-identical.
-    let point = sum / m_f * (n - 2) as f64 / n as f64;
-    let scale = (n - 2) as f64 / n as f64;
-    let big_n = (n - 2) as f64;
-    let half = if sampled >= 2 && big_n > 1.0 {
+    let (sum, sampled) = witness_sum(store, a, c, dac, k, seed, |x| sum_sq += x * x);
+    let point = mean_severity(sum, sampled, n);
+    let half = if sampled >= 2 {
         // Sample variance of the per-witness contributions (non-negative
         // despite rounding), with the without-replacement correction.
+        // Two samples imply n ≥ 4, so N = n − 2 > 1.
+        let (m_f, big_n) = (sampled as f64, (n - 2) as f64);
         let var = ((sum_sq - sum * sum / m_f) / (m_f - 1.0)).max(0.0);
         let fpc = ((big_n - m_f) / (big_n - 1.0)).max(0.0);
-        Z95 * (var / m_f * fpc).sqrt() * scale
+        Z95 * (var / m_f * fpc).sqrt() * (big_n / n as f64)
     } else {
         0.0
     };

@@ -22,6 +22,7 @@ pub fn rng(seed: u64) -> DetRng {
 ///
 /// The label is folded into the seed with FNV-1a, which is adequate for
 /// decorrelating a handful of component streams.
+#[inline]
 pub fn sub_rng(seed: u64, label: &str) -> DetRng {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in label.bytes() {
@@ -55,21 +56,52 @@ pub fn pareto(r: &mut impl Rng, alpha: f64, cap: f64) -> f64 {
     (u.powf(-1.0 / alpha)).min(cap)
 }
 
-/// Chooses `k` distinct items uniformly from `0..n` (Floyd's algorithm),
-/// in unspecified order. Panics if `k > n`.
+/// Chooses `k` distinct items uniformly from `0..n` (Floyd's algorithm,
+/// Bentley & Floyd 1987). Panics if `k > n`.
+///
+/// The order is a contract: entry `i` is draw `i` of Floyd's loop. The
+/// sampled estimators sum their witnesses in this order, so their bits,
+/// and the wire bytes that carry them, depend on it. Membership is an
+/// O(1) test of a stack bitset for `n ≤ 4096` and a linear scan of the
+/// draws so far above that; both make the same decisions.
 pub fn sample_indices(r: &mut impl Rng, n: usize, k: usize) -> Vec<usize> {
     assert!(k <= n, "cannot sample {k} of {n}");
-    // Floyd's combination sampling: O(k) expected inserts.
     let mut chosen = Vec::with_capacity(k);
-    for j in (n - k)..n {
-        let t = r.gen_range(0..=j);
-        if chosen.contains(&t) {
-            chosen.push(j);
-        } else {
-            chosen.push(t);
+    if n <= 4096 {
+        let mut seen = [0u64; 64];
+        for j in (n - k)..n {
+            let t = r.gen_range(0..=j);
+            // Every earlier draw is below j, so j itself is never taken.
+            let pick = if seen[t / 64] >> (t % 64) & 1 == 1 { j } else { t };
+            seen[pick / 64] |= 1 << (pick % 64);
+            chosen.push(pick);
+        }
+    } else {
+        for j in (n - k)..n {
+            let t = r.gen_range(0..=j);
+            chosen.push(if chosen.contains(&t) { j } else { t });
         }
     }
     chosen
+}
+
+/// Draws `min(k, n − 2)` witnesses for the pair `(a, c)` of an `n`-node
+/// space, in draw order: [`sample_indices`] over `0..n − 2`, each index
+/// shifted past `a` and `c`. The sampled severity estimators and the
+/// sampled detour search draw here, each from its own labelled stream.
+pub fn sample_witnesses(
+    r: &mut impl Rng,
+    n: usize,
+    a: usize,
+    c: usize,
+    k: usize,
+) -> impl ExactSizeIterator<Item = usize> {
+    let m = n.saturating_sub(2);
+    let (lo, hi) = (a.min(c), a.max(c));
+    sample_indices(r, m, k.min(m)).into_iter().map(move |b| {
+        let b = b + usize::from(b >= lo);
+        b + usize::from(b >= hi)
+    })
 }
 
 #[cfg(test)]
@@ -142,6 +174,65 @@ mod tests {
         let mut s = sample_indices(&mut r, 8, 8);
         s.sort_unstable();
         assert_eq!(s, (0..8).collect::<Vec<_>>());
+    }
+
+    /// Floyd's loop as it stood before the bitset: a linear `contains`
+    /// for every draw. The reference [`sample_indices`] must match.
+    fn sample_indices_reference(r: &mut impl Rng, n: usize, k: usize) -> Vec<usize> {
+        let mut chosen = Vec::with_capacity(k);
+        for j in (n - k)..n {
+            let t = r.gen_range(0..=j);
+            if chosen.contains(&t) {
+                chosen.push(j);
+            } else {
+                chosen.push(t);
+            }
+        }
+        chosen
+    }
+
+    #[test]
+    fn sample_indices_matches_quadratic_reference() {
+        for n in [0usize, 1, 2, 3, 64, 65, 1022, 4095, 4096, 4097, 10_000] {
+            let mut ks = vec![0, 1, 16, 17, 64, n.saturating_sub(1), n];
+            ks.retain(|&k| k <= n);
+            ks.dedup();
+            for k in ks {
+                for seed in 0..50 {
+                    let got = sample_indices(&mut rng(seed), n, k);
+                    let want = sample_indices_reference(&mut rng(seed), n, k);
+                    assert_eq!(got, want, "n = {n}, k = {k}, seed = {seed}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sample_witnesses_skips_the_pair_in_draw_order() {
+        for (n, a, c) in
+            [(2usize, 0, 1), (3, 2, 0), (10, 3, 7), (10, 7, 3), (10, 4, 4), (500, 0, 499)]
+        {
+            for k in [0, 1, 5, n] {
+                let got: Vec<usize> = sample_witnesses(&mut rng(9), n, a, c, k).collect();
+                let m = n.saturating_sub(2);
+                let (lo, hi) = (a.min(c), a.max(c));
+                let want: Vec<usize> = sample_indices_reference(&mut rng(9), m, k.min(m))
+                    .into_iter()
+                    .map(|i| {
+                        let b = if i >= lo { i + 1 } else { i };
+                        if b >= hi {
+                            b + 1
+                        } else {
+                            b
+                        }
+                    })
+                    .collect();
+                assert_eq!(got, want, "n = {n}, a = {a}, c = {c}, k = {k}");
+                if a != c {
+                    assert!(got.iter().all(|&b| b != a && b != c && b < n));
+                }
+            }
+        }
     }
 
     #[test]

@@ -443,24 +443,9 @@ pub fn sampled_detour<S: delayspace::DelayStore>(
     if a == c {
         return None; // matches the table: self pairs have no detour
     }
-    let n = store.len();
-    if n <= 2 {
-        return None;
-    }
-    let k = k.min(n - 2);
-    let mut r = rng::sub_rng(seed, "route/sample");
     let mut best: Option<(f64, usize)> = None;
-    for idx in rng::sample_indices(&mut r, n - 2, k) {
-        // Map 0..n-2 onto node ids skipping a and c (the severity
-        // estimator's mapping, so the two samplers agree on witnesses).
-        let (lo, hi) = if a < c { (a, c) } else { (c, a) };
-        let mut b = idx;
-        if b >= lo {
-            b += 1;
-        }
-        if b >= hi {
-            b += 1;
-        }
+    // The severity estimators' witness draw, on a stream of its own.
+    for b in rng::sample_witnesses(&mut rng::sub_rng(seed, "route/sample"), store.len(), a, c, k) {
         let alt = store.raw(a, b) + store.raw(c, b);
         if alt.is_nan() {
             continue;
