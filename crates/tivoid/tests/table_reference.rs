@@ -15,10 +15,12 @@
 //! n ∈ {0, 1, 2, 3, 5, 33}, k ∈ {1, 2, 5} and 1, 2 and 4 threads, on
 //! adversarial matrices: equal-`via` ties, zero delays, missing (NaN)
 //! edges and exact triangle equality. The two repair paths of each
-//! table are checked against the same reference.
+//! table are checked against the same reference. The detour scan's
+//! 32-relay tiles get their own sweep at n ∈ {31, 32, 33, 64, 65, 97},
+//! with equal-`via` ties straddling the tile edges.
 //!
-//! Last, the severity aggregates of a seeded DS² space (n = 200) are
-//! pinned to the bits the square-table code produced.
+//! Last, the severity aggregates and the detour table of a seeded DS²
+//! space (n = 200) are pinned to the bits of earlier code.
 
 use tivoid::prelude::*;
 use tivoid::tivroute::detour::Relay;
@@ -236,6 +238,50 @@ fn repaired_tables_match_the_reference() {
     }
 }
 
+/// Sizes around the detour scan's 32-relay tile: one short of a tile,
+/// exactly one, one lane into the next, and two and three tiles.
+const TILE_SIZES: [usize; 6] = [31, 32, 33, 64, 65, 97];
+
+/// Equal-`via` ties on both sides of a tile edge: every pair outside
+/// {31, 32, 63, 64} reaches relays 31 and 32 at `via` 10 and relays 63
+/// and 64 at `via` 5, over a hashed background of 20–59 ms.
+fn tile_ties(n: usize) -> DelayMatrix {
+    let hop = |t: NodeId| match t {
+        31 | 32 => Some(5.0),
+        63 | 64 => Some(2.5),
+        _ => None,
+    };
+    DelayMatrix::from_complete_fn(n, |i, j| match (hop(i), hop(j)) {
+        (Some(x), None) | (None, Some(x)) => x,
+        (Some(x), Some(y)) => x + y,
+        (None, None) => (mix((i.min(j) * 1000 + i.max(j)) as u64) % 40) as f64 + 20.0,
+    })
+}
+
+/// The tiled k-best scan against the reference where tiles begin and
+/// end. `check` reads every pair, so the endpoints `a` and `c` sit on
+/// every lane of every tile, lanes 0, 31 and 32 included.
+#[test]
+fn detour_tiles_match_the_reference() {
+    for n in TILE_SIZES {
+        let mut all = matrices(n);
+        all.push(("tile ties", tile_ties(n)));
+        for (name, m) in all {
+            let (before, changed) = earlier(&m);
+            for threads in [1, 2] {
+                let sev = Severity::compute(&m, threads);
+                for k in KS {
+                    let what = format!("{name} n={n} k={k} threads={threads}");
+                    check(&sev, &DetourTable::compute(&m, k, threads), &m, &what);
+                    let mut table = DetourTable::compute(&before, k, threads);
+                    table.repair_edges(&m, &changed);
+                    check(&sev, &table, &m, &format!("{what}, repair_edges"));
+                }
+            }
+        }
+    }
+}
+
 /// FNV-1a over 64-bit words: one number for a long aggregate.
 fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
     words.into_iter().fold(0xCBF2_9CE4_8422_2325, |h, w| (h ^ w).wrapping_mul(0x0100_0000_01B3))
@@ -289,5 +335,24 @@ fn ds2_aggregates_keep_their_bits() {
         ("by_delay_bins.len", 40),
         ("by_delay_bins", 2_535_188_617_738_495_699),
     ];
+    assert_eq!(got, pinned);
+}
+
+#[test]
+fn ds2_detour_table_keeps_its_bits() {
+    let m = InternetDelaySpace::preset(Dataset::Ds2).with_nodes(200).build(33).into_matrix();
+    let n = m.len();
+    let got = [1usize, 3].map(|k| {
+        let table = DetourTable::compute(&m, k, 0);
+        let listed: Vec<Relay> = (0..n)
+            .flat_map(|a| (0..n).map(move |c| (a, c)))
+            .flat_map(|(a, c)| table.relays(a, c))
+            .collect();
+        let words = listed.iter().flat_map(|r| [r.relay as u64, r.via_ms.to_bits()]);
+        (k, listed.len(), fnv(words))
+    });
+    // Captured from the untiled phase-2 scan (one plain compare per
+    // relay) on the same space and seed, before the tiled pre-scan.
+    let pinned = [(1, 39_800, 9_932_745_319_522_500_609), (3, 119_400, 10_123_905_188_138_453_493)];
     assert_eq!(got, pinned);
 }

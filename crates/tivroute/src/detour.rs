@@ -24,6 +24,11 @@ use delayspace::matrix::{DelayMatrix, NodeId};
 /// Sentinel marking an unused relay slot in the table's backing store.
 const NO_RELAY: u32 = u32::MAX;
 
+/// Relay-scan tile width for [`detour_pair`]'s phase 2, the same 32 as
+/// the severity kernel's witness tile: two 256-byte row tiles stay in
+/// L1 across the pre-pass and the exact loop.
+const WITNESS_TILE: usize = 32;
+
 /// One ranked relay for an ordered pair.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Relay {
@@ -311,18 +316,20 @@ fn detour_of(m: &DelayMatrix, a: usize, c: usize, rslots: &mut [u32], vslots: &m
 ///    current worst (`vslots[k-1]`): an equal `via` loses the id
 ///    tiebreak to every already-inserted relay (their ids are all
 ///    smaller), and a NaN (unmeasured hop) fails the comparison. So
-///    the hot path is one add and one plain `f64` compare against a
-///    cached copy of the worst slot — no `total_cmp`, no NaN branch,
-///    no insertion-scan — and the full `ranks_before` insertion only
-///    runs on the rare strict improvement. The candidates that insert,
-///    and the order they insert in, are exactly the naive scan's,
-///    keeping the table bit-identical.
+///    the test is one add and one plain `f64` compare against a cached
+///    copy of the worst slot — no `total_cmp`, no NaN branch, no
+///    insertion-scan — and the full `ranks_before` insertion only runs
+///    on the rare strict improvement.
 ///
-/// (A 32-wide tiled `any(via < worst)` pre-scan was tried here first,
-/// mirroring the severity kernel: it loses. Severity's threshold is
-/// fixed per pair, but the k-best threshold is the *running* 4th-best,
-/// loose enough through most of the scan that ~80% of tiles contained
-/// a candidate at n=256 — the pre-scan was pure overhead.)
+/// Phase 2 is tiled like the severity kernel: a branch-free pre-pass
+/// ORs `via < worst` across a [`WITNESS_TILE`]-wide block, with `worst`
+/// as it stands at the tile's start, and only flagged tiles run the
+/// exact per-relay loop. `worst` only falls inside a tile, so a relay
+/// the pre-pass rejects could never have inserted. With the default
+/// k = 1 at n = 1024 about 16% of tiles are flagged (docs/PERFORMANCE.md,
+/// "The k-best detour scan uses the same tiles"). The candidates that
+/// insert, and the order they insert in, are exactly the naive scan's,
+/// keeping the table bit-identical.
 fn detour_pair(
     row_a: &[f64],
     row_c: &[f64],
@@ -359,25 +366,34 @@ fn detour_pair(
         b += 1;
     }
     // Phase 2: full list — only a strict improvement on the worst slot
-    // can insert (ties lose the id tiebreak), so the hot path is one
-    // add and one plain f64 compare per relay.
+    // can insert (ties lose the id tiebreak). Tiles end on multiples of
+    // WITNESS_TILE; a tile with no `via < worst` lane is skipped whole.
     let mut worst = vslots[k - 1];
     while b < n {
-        let alt = row_a[b] + row_c[b];
-        if alt < worst && b != a && b != c {
-            let mut pos = k;
-            while pos > 0 && ranks_before(alt, b as u32, vslots[pos - 1], rslots[pos - 1]) {
-                pos -= 1;
-            }
-            for slot in (pos + 1..k).rev() {
-                rslots[slot] = rslots[slot - 1];
-                vslots[slot] = vslots[slot - 1];
-            }
-            rslots[pos] = b as u32;
-            vslots[pos] = alt;
-            worst = vslots[k - 1];
+        let b1 = ((b / WITNESS_TILE + 1) * WITNESS_TILE).min(n);
+        let mut any = false;
+        for (&ab, &cb) in row_a[b..b1].iter().zip(&row_c[b..b1]) {
+            any |= ab + cb < worst;
         }
-        b += 1;
+        if any {
+            for b in b..b1 {
+                let alt = row_a[b] + row_c[b];
+                if alt < worst && b != a && b != c {
+                    let mut pos = k;
+                    while pos > 0 && ranks_before(alt, b as u32, vslots[pos - 1], rslots[pos - 1]) {
+                        pos -= 1;
+                    }
+                    for slot in (pos + 1..k).rev() {
+                        rslots[slot] = rslots[slot - 1];
+                        vslots[slot] = vslots[slot - 1];
+                    }
+                    rslots[pos] = b as u32;
+                    vslots[pos] = alt;
+                    worst = vslots[k - 1];
+                }
+            }
+        }
+        b = b1;
     }
 }
 
@@ -395,8 +411,9 @@ fn ranks_before(via_a: f64, relay_a: u32, via_b: f64, relay_b: u32) -> bool {
 
 /// The single-pair scan: the best relay of `(a, c)` by the same
 /// `(via, relay id)` order the table uses, so this returns exactly
-/// [`DetourTable::best`] without building the table. This is the
-/// kernel behind the serving layer's route query.
+/// [`DetourTable::best`] without building the table. It is the
+/// independent reference for the table, and the serving layer's route
+/// query falls back to it when a snapshot carries no derived state.
 pub fn best_detour(m: &DelayMatrix, a: NodeId, c: NodeId) -> Option<Relay> {
     if a == c {
         return None; // matches the table: self pairs have no detour

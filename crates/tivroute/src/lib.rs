@@ -16,10 +16,11 @@
 //!   parallelized over source rows with [`tivpar`] and **bit-identical
 //!   at every thread count** (pinned by `tivoid`'s `route_equivalence`
 //!   integration test).
-//! * [`best_detour`] — the single-pair scan the serving layer's
-//!   route query runs; it returns exactly the table's rank-0
-//!   relay (same ordering, same tie-break), so online answers and
-//!   offline tables never disagree.
+//! * [`best_detour`] — the independent single-pair scan: it returns
+//!   exactly the table's rank-0 relay (same ordering, same tie-break).
+//!   Route queries are served from the table in each snapshot's derived
+//!   state; this scan is the reference the table is tested against and
+//!   the fallback for snapshots that carry no derived state.
 //!
 //! [`DetourStats`] summarises the gains: the CDF of latency savings,
 //! the fraction of edges with a beneficial detour, and savings binned
