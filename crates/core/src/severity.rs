@@ -64,6 +64,26 @@ impl Severity {
     /// The result is bit-identical at every thread count: each output
     /// row depends only on the input matrix.
     pub fn compute(m: &DelayMatrix, threads: usize) -> Self {
+        Self::compute_gated(m, threads, ungated)
+    }
+
+    /// [`Severity::compute`], skipping the witness scan of every pair
+    /// the `best_via` gate rules out.
+    ///
+    /// `best_via(a, c)`, called with `a < c`, must return a lower bound
+    /// on `d(a,b) + d(b,c)` over the relays `b ∉ {a, c}` with both legs
+    /// measured (`+inf` when there is none): the rank-0 `via` of a
+    /// detour table built from `m` is exactly that. A pair whose bound
+    /// is `>= d(a,c)` has no violating witness, so it is written as
+    /// `(0.0, 0)` without a scan, which is what the scan would return.
+    /// Returning a value `>= d(a,c)` for a pair that has a violating
+    /// witness gives wrong answers. The result is otherwise
+    /// bit-identical to [`Severity::compute`].
+    pub fn compute_gated(
+        m: &DelayMatrix,
+        threads: usize,
+        best_via: impl Fn(NodeId, NodeId) -> f64 + Sync,
+    ) -> Self {
         let n = m.len();
         let pairs = n * (n + 1) / 2;
         let mut sev = vec![f64::NAN; pairs];
@@ -73,7 +93,7 @@ impl Severity {
         // exactly the skew the pool's work stealing absorbs.
         tivpar::par_fill_upper2(&mut sev, &mut cnt, n, threads, |a, srow, crow| {
             for (c, (s, k)) in (a..n).zip(srow.iter_mut().zip(crow)) {
-                (*s, *k) = severity_of(m, a, c);
+                (*s, *k) = severity_of(m, a, c, &best_via);
             }
         });
         Severity { n, sev, cnt }
@@ -216,7 +236,7 @@ impl Severity {
         // current matrix, exactly as the full pass computes it.
         let rows: Vec<Vec<(f64, u32)>> = tivpar::par_map_rows(dirty.len(), threads, |k| {
             let d = dirty[k];
-            (0..n).map(|x| severity_of(m, d.min(x), d.max(x))).collect()
+            (0..n).map(|x| severity_of(m, d.min(x), d.max(x), &ungated)).collect()
         });
         for (&d, row) in dirty.iter().zip(rows) {
             for (x, (s, count)) in row.into_iter().enumerate() {
@@ -250,6 +270,21 @@ impl Severity {
         m: &DelayMatrix,
         changed: &[(NodeId, NodeId, f64)],
         threads: usize,
+    ) {
+        self.repair_edges_gated(m, changed, threads, ungated);
+    }
+
+    /// [`Severity::repair_edges`], skipping the re-sum of every listed
+    /// pair the `best_via` gate rules out. The gate's contract is
+    /// [`Severity::compute_gated`]'s, on the current matrix `m`:
+    /// returning a value `>= d(a,c)` for a pair that has a violating
+    /// witness gives wrong answers.
+    pub fn repair_edges_gated(
+        &mut self,
+        m: &DelayMatrix,
+        changed: &[(NodeId, NodeId, f64)],
+        threads: usize,
+        best_via: impl Fn(NodeId, NodeId) -> f64 + Sync,
     ) {
         let n = self.n;
         assert_eq!(m.len(), n, "matrix has {} nodes, severity covers {n}", m.len());
@@ -291,7 +326,7 @@ impl Severity {
         pairs.dedup();
         let sums = tivpar::par_map_rows(pairs.len(), threads, |i| {
             let (u, x) = pairs[i];
-            severity_of(m, u, x)
+            severity_of(m, u, x, &best_via)
         });
         for (&(u, x), (s, count)) in pairs.iter().zip(sums) {
             let p = self.slot(u, x);
@@ -356,11 +391,19 @@ const WITNESS_TILE: usize = 32;
 /// The scan is tiled: a branch-free pre-pass ORs `alt < dac` across a
 /// [`WITNESS_TILE`]-wide block — two adds and a compare per lane, which
 /// autovectorises — and only tiles containing a violation run the
-/// divide-and-accumulate detail loop. Most tiles of a realistic delay
-/// space are violation-free (the paper's ~12% violating-triangle rate
-/// is spread thin), so the common case runs at SIMD compare speed.
-/// Violating witnesses are accumulated in ascending `b` order either
-/// way, so the result is bit-identical to the naive scan.
+/// detail pass. On DS² at n = 1024, 83.8% of measured pairs have no
+/// violating witness at all and only 14.7% of tiles are flagged; the
+/// flagged tiles sit in the other 16.2% of pairs, where ~44% of lanes
+/// violate (docs/PERFORMANCE.md, "Severity: a branch-free detail loop,
+/// gated by the detour table"). A per-lane `if alt < dac` is a coin
+/// flip there, so the detail pass has no branch: it first fills a
+/// stack tile with every lane's term, `dac / alt` where `b` violates
+/// and `+0.0` where it does not (no loop-carried dependency, so the
+/// divide vectorises), and counts the hits; then it adds the terms into
+/// `sum` serially in ascending `b`. `sum` starts at `+0.0` and only
+/// receives non-negative terms, so it is never `-0.0` and adding a
+/// `+0.0` leaves its bits alone: the violating terms are added in the
+/// naive scan's order and the result is bit-identical to it.
 #[inline]
 fn severity_pair(row_a: &[f64], row_c: &[f64], dac: f64) -> (f64, u32) {
     let n = row_a.len();
@@ -369,35 +412,56 @@ fn severity_pair(row_a: &[f64], row_c: &[f64], dac: f64) -> (f64, u32) {
     let mut b0 = 0;
     while b0 < n {
         let b1 = (b0 + WITNESS_TILE).min(n);
+        let (tile_a, tile_c) = (&row_a[b0..b1], &row_c[b0..b1]);
         let mut any = false;
-        for (&ab, &cb) in row_a[b0..b1].iter().zip(&row_c[b0..b1]) {
+        for (&ab, &cb) in tile_a.iter().zip(tile_c) {
             any |= ab + cb < dac;
         }
         if any {
-            for (&ab, &cb) in row_a[b0..b1].iter().zip(&row_c[b0..b1]) {
+            let mut terms = [0.0f64; WITNESS_TILE];
+            let mut hits = 0u32;
+            for ((t, &ab), &cb) in terms.iter_mut().zip(tile_a).zip(tile_c) {
                 let alt = ab + cb;
                 // b == a or b == c gives alt == dac, which is not < dac.
-                if alt < dac {
-                    sum += dac / alt;
-                    count += 1;
-                }
+                let hit = alt < dac;
+                *t = if hit { dac / alt } else { 0.0 };
+                hits += u32::from(hit);
             }
+            for &t in &terms[..b1 - b0] {
+                sum += t;
+            }
+            count += hits;
         }
         b0 = b1;
     }
     (sum, count)
 }
 
+/// The gate of the ungated entry points: a bound below every `d(a,c)`,
+/// so no pair is ruled out.
+fn ungated(_: NodeId, _: NodeId) -> f64 {
+    f64::NEG_INFINITY
+}
+
 /// The stored `(severity, count)` of the pair `(a, c)`, `a <= c`: the
-/// one kernel behind [`Severity::compute`] and both repairs. The
-/// diagonal is `(0, 0)` and an unmeasured edge `(NaN, 0)`.
-fn severity_of(m: &DelayMatrix, a: usize, c: usize) -> (f64, u32) {
+/// one kernel behind every entry point. The diagonal is `(0, 0)` and an
+/// unmeasured edge `(NaN, 0)`; a pair the `best_via` gate rules out
+/// (see [`Severity::compute_gated`]) is `(0, 0)` without a scan.
+fn severity_of(
+    m: &DelayMatrix,
+    a: usize,
+    c: usize,
+    best_via: &impl Fn(NodeId, NodeId) -> f64,
+) -> (f64, u32) {
     if a == c {
         return (0.0, 0);
     }
     let dac = m.raw(a, c);
     if dac.is_nan() {
         return (f64::NAN, 0);
+    }
+    if best_via(a, c) >= dac {
+        return (0.0, 0);
     }
     let (sum, count) = severity_pair(m.row(a), m.row(c), dac);
     (sum / m.len() as f64, count)
@@ -957,6 +1021,45 @@ mod tests {
             assert_eq!(bits(&by_edges), bits(&by_rows), "severity diverged, {threads} threads");
             assert_eq!(by_edges.cnt, by_rows.cnt, "counts diverged, {threads} threads");
         }
+    }
+
+    #[test]
+    fn gated_entry_points_match_the_ungated_ones() {
+        let s = InternetDelaySpace::preset(Dataset::Ds2).with_nodes(90).build(13);
+        let mut start = s.matrix().clone();
+        start.clear(5, 6);
+        let mut m = start.clone();
+        m.set(3, 40, m.get(3, 40).unwrap() * 6.0);
+        m.set(17, 60, 0.0);
+        m.clear(40, 61);
+        m.set(5, 6, 12.0);
+        let changed: Vec<_> = [(3usize, 40usize), (17, 60), (40, 61), (5, 6)]
+            .iter()
+            .map(|&(a, b)| (a, b, start.raw(a, b)))
+            .collect();
+        // The exact gate: the smallest measured two-hop delay, by brute force.
+        fn best_via(m: &DelayMatrix) -> impl Fn(NodeId, NodeId) -> f64 + Sync + '_ {
+            move |a, c| {
+                (0..m.len())
+                    .filter(|&b| b != a && b != c)
+                    .map(|b| m.raw(a, b) + m.raw(b, c))
+                    .filter(|v| !v.is_nan())
+                    .fold(f64::INFINITY, f64::min)
+            }
+        }
+        let bits =
+            |s: &Severity| (s.sev.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), s.cnt.clone());
+        let want = bits(&Severity::compute(&m, 1));
+        assert!(want.1.iter().any(|&c| c > 0) && want.1.contains(&0));
+        for threads in [1usize, 2] {
+            assert_eq!(bits(&Severity::compute_gated(&m, threads, best_via(&m))), want);
+            let mut repaired = Severity::compute_gated(&start, threads, best_via(&start));
+            repaired.repair_edges_gated(&m, &changed, threads, best_via(&m));
+            assert_eq!(bits(&repaired), want, "repair_edges_gated, {threads} threads");
+        }
+        // A gate that lies rules out pairs that do violate.
+        let lying = Severity::compute_gated(&m, 1, |_, _| f64::INFINITY);
+        assert!(lying.cnt.iter().all(|&c| c == 0));
     }
 
     #[test]

@@ -50,11 +50,16 @@ impl Clone for DerivedState {
 impl DerivedState {
     /// Computes both analyses from scratch, using up to `threads`
     /// workers ([`tivpar::resolve_threads`] semantics).
+    ///
+    /// The detour table comes first, because it gates the severity
+    /// pass ([`Severity::compute_gated`]): a pair has a violating
+    /// witness exactly when its best relay strictly beats the direct
+    /// edge, so every other pair is written as zero without a witness
+    /// scan. On DS² that is about 84% of the measured pairs.
     pub fn compute(m: &DelayMatrix, k: usize, threads: usize) -> Self {
-        DerivedState {
-            severity: Severity::compute(m, threads),
-            detour: DetourTable::compute(m, k, threads),
-        }
+        let detour = DetourTable::compute(m, k, threads);
+        let severity = Severity::compute_gated(m, threads, best_via(&detour));
+        DerivedState { severity, detour }
     }
 
     /// Number of nodes covered.
@@ -101,17 +106,27 @@ impl DerivedState {
     /// edges, each once as `(a, b, before)` with `before` its delay in
     /// the matrix this state was computed from — the shape
     /// [`crate::DirtySet::changed_edges`] produces. Runs
-    /// [`Severity::repair_edges`] and [`DetourTable::repair_edges`];
-    /// bit-identical to [`DerivedState::rebuild`] on the same matrix.
+    /// [`DetourTable::repair_edges`] first and then
+    /// [`Severity::repair_edges_gated`], gated by the repaired table as
+    /// in [`DerivedState::compute`]: only the listed pairs whose best
+    /// relay beats the direct edge are re-summed. Bit-identical to
+    /// [`DerivedState::rebuild`] on the same matrix.
     pub fn repair_edges(
         &mut self,
         m: &DelayMatrix,
         changed: &[(NodeId, NodeId, f64)],
         threads: usize,
     ) {
-        self.severity.repair_edges(m, changed, threads);
         self.detour.repair_edges(m, changed);
+        self.severity.repair_edges_gated(m, changed, threads, best_via(&self.detour));
     }
+}
+
+/// The severity gate a detour table of the same matrix provides: the
+/// rank-0 relay's `via`, the minimum over every relay `b ∉ {a, c}` with
+/// both legs measured, and `+inf` when there is none.
+fn best_via(detour: &DetourTable) -> impl Fn(NodeId, NodeId) -> f64 + Sync + '_ {
+    |a, c| detour.best(a, c).map_or(f64::INFINITY, |r| r.via_ms)
 }
 
 /// How an epoch's derived state was (or would be) brought up to date.

@@ -17,10 +17,13 @@
 //! edges and exact triangle equality. The two repair paths of each
 //! table are checked against the same reference. The detour scan's
 //! 32-relay tiles get their own sweep at n ∈ {31, 32, 33, 64, 65, 97},
-//! with equal-`via` ties straddling the tile edges.
+//! with equal-`via` ties straddling the tile edges. The derived state's
+//! severity pass, which its detour table gates, is checked against the
+//! same reference on all of these sizes, from scratch and repaired.
 //!
-//! Last, the severity aggregates and the detour table of a seeded DS²
-//! space (n = 200) are pinned to the bits of earlier code.
+//! Last, the severity aggregates, the full severity table (ungated and
+//! gated) and the detour table of a seeded DS² space (n = 200) are
+//! pinned to the bits of earlier code.
 
 use tivoid::prelude::*;
 use tivoid::tivroute::detour::Relay;
@@ -282,6 +285,38 @@ fn detour_tiles_match_the_reference() {
     }
 }
 
+/// The derived state's severity pass is gated by its detour table: a
+/// pair whose best relay does not strictly beat the direct edge is
+/// written as zero without a witness scan. Both of its paths, from
+/// scratch and the edge repair (detour table first, then the gated
+/// re-sums), against the textbook loop. `equality` puts the best `via`
+/// exactly on `d(a,c)`, the gate's boundary; `holes` and `mixed` leave
+/// direct edges and witness legs unmeasured; `zeros` makes `alt == 0`,
+/// a `+inf` term.
+#[test]
+fn derived_state_matches_the_reference() {
+    for n in SIZES.into_iter().chain(TILE_SIZES) {
+        let mut all = matrices(n);
+        all.push(("tile ties", tile_ties(n)));
+        for (name, m) in all {
+            for threads in THREADS {
+                for k in KS {
+                    let what = format!("{name} n={n} k={k} threads={threads}");
+                    let state = DerivedState::compute(&m, k, threads);
+                    check(&state.severity, &state.detour, &m, &format!("{what}, compute"));
+                    if n < 2 {
+                        continue;
+                    }
+                    let (before, changed) = earlier(&m);
+                    let mut state = DerivedState::compute(&before, k, threads);
+                    state.repair_edges(&m, &changed, threads);
+                    check(&state.severity, &state.detour, &m, &format!("{what}, repair_edges"));
+                }
+            }
+        }
+    }
+}
+
 /// FNV-1a over 64-bit words: one number for a long aggregate.
 fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
     words.into_iter().fold(0xCBF2_9CE4_8422_2325, |h, w| (h ^ w).wrapping_mul(0x0100_0000_01B3))
@@ -354,5 +389,24 @@ fn ds2_detour_table_keeps_its_bits() {
     // Captured from the untiled phase-2 scan (one plain compare per
     // relay) on the same space and seed, before the tiled pre-scan.
     let pinned = [(1, 39_800, 9_932_745_319_522_500_609), (3, 119_400, 10_123_905_188_138_453_493)];
+    assert_eq!(got, pinned);
+}
+
+#[test]
+fn ds2_severity_table_keeps_its_bits() {
+    let m = InternetDelaySpace::preset(Dataset::Ds2).with_nodes(200).build(33).into_matrix();
+    let n = m.len();
+    let cells = |sev: &Severity| {
+        let words = (0..n).flat_map(|a| (a..n).map(move |c| (a, c))).flat_map(|(a, c)| {
+            [sev.severity(a, c).map_or(u64::MAX, f64::to_bits), sev.count(a, c) as u64]
+        });
+        fnv(words)
+    };
+    let got = [cells(&Severity::compute(&m, 0)), cells(&DerivedState::compute(&m, 1, 1).severity)];
+    // Captured from the parent commit's kernel on the same space and
+    // seed, before the detail loop went branch-free and the derived
+    // state's severity pass was gated by its detour table: every cell,
+    // so a masked lane that added -0.0 instead of +0.0 shows here.
+    let pinned = [8_893_279_185_267_546_439; 2];
     assert_eq!(got, pinned);
 }
