@@ -74,8 +74,11 @@ impl DerivedState {
 
     /// Resident bytes of both tables ([`Severity::memory_bytes`] plus
     /// [`DetourTable::memory_bytes`]): what each live copy of the state
-    /// (a snapshot, the builder's working copy, a recycled buffer)
-    /// holds.
+    /// holds. An epoch builder keeps one copy while nothing changes
+    /// (its working state *is* the published snapshot's) and two while
+    /// the space churns (the published epoch and the recycled one it
+    /// writes the next epoch into); a snapshot a reader still pins
+    /// past that adds one more.
     pub fn memory_bytes(&self) -> usize {
         self.severity.memory_bytes() + self.detour.memory_bytes()
     }

@@ -28,12 +28,19 @@
 //! and hundreds of adversarial edge-repair epochs.
 //!
 //! A snapshot shares its matrix and derived state behind `Arc`s, so
-//! publishing one to every replica copies neither. The builder keeps
-//! the `Arc`s of the last two snapshots it built and copies each new
-//! epoch into the older pair's buffers with `clone_from` once no reader
-//! holds them any more — a memcpy into resident memory instead of a
-//! fresh 4·n²-word allocation per epoch. A reader still pinning that
-//! epoch just gets a fresh allocation, as every epoch did before.
+//! publishing one to every replica copies neither. The builder's
+//! working state *is* the published snapshot's buffers, copy-on-write:
+//! [`bootstrap`](FluxBuilder::bootstrap) and [`build`](FluxBuilder::build)
+//! publish `Arc` clones of them, and the first write after a publish
+//! (an `ingest` that moves a stored delay, or a `build` that must repair
+//! or rebuild) first copies both into the buffers of the epoch before,
+//! which the builder keeps as its spare. That copy is a `clone_from`
+//! into resident memory once no reader holds the spare any more, and a
+//! fresh allocation while one still does. So a read-only deployment
+//! holds one copy of the state, a churning one two (the published epoch
+//! and the recycled one it is built into), and the copy happens on an
+//! epoch's first changing observation, not between the last one and
+//! its publish.
 //!
 //! `FluxBuilder` implements [`EpochSource`], so
 //! [`crate::epoch::spawn_with`] runs it on a background thread without
@@ -43,7 +50,7 @@ use crate::epoch::{EpochConfig, EpochSource, Observation};
 use crate::snapshot::{DenseParts, EpochSnapshot, ServedSnapshot};
 use delayspace::matrix::DelayMatrix;
 use simnet::net::{JitterModel, Network};
-use std::collections::VecDeque;
+use std::mem;
 use std::sync::Arc;
 use tivcore::TivMonitor;
 use tivflux::{refine_embedding, BuildKind, DerivedState, DirtySet, RebuildPolicy, RefineConfig};
@@ -110,15 +117,18 @@ pub struct BuildOutcome {
 #[derive(Clone, Debug)]
 pub struct FluxBuilder {
     cfg: FluxConfig,
-    matrix: DelayMatrix,
+    /// The working matrix. Shared with the last published snapshot
+    /// until the first write after the publish unshares it.
+    matrix: Arc<DelayMatrix>,
     embedding: Embedding,
     monitors: Vec<TivMonitor>,
-    derived: DerivedState,
+    /// The working derived state, shared and unshared with `matrix`.
+    derived: Arc<DerivedState>,
     dirty: DirtySet,
-    /// The matrix and derived-state `Arc`s of the last two snapshots
-    /// built, oldest first; [`FluxBuilder::build`] refills the older
-    /// pair.
-    shelf: VecDeque<(Arc<DelayMatrix>, Arc<DerivedState>)>,
+    /// The buffers of the epoch before the working ones (`None` until
+    /// the first unshare): what the next unshare copies the working
+    /// state into.
+    spare: Option<Buffers>,
     epoch: u64,
     pending: usize,
     ingested_total: u64,
@@ -130,29 +140,34 @@ impl FluxBuilder {
     /// bootstrap embedding plus a from-scratch compute of the derived
     /// analyses, returned together with the epoch-0 snapshot (which
     /// already carries the derived state, so route queries are
-    /// table-served from the first epoch).
+    /// table-served from the first epoch). The snapshot shares the
+    /// builder's matrix and derived state; neither is copied.
     pub fn bootstrap(matrix: DelayMatrix, cfg: impl Into<FluxConfig>) -> (Self, EpochSnapshot) {
         let cfg = cfg.into();
         assert!(cfg.detour_k >= 1, "the detour table needs k >= 1");
         let embedding = embed(&matrix, &cfg.epoch);
-        let derived = DerivedState::compute(&matrix, cfg.detour_k, cfg.threads);
+        let derived = Arc::new(DerivedState::compute(&matrix, cfg.detour_k, cfg.threads));
+        let matrix = Arc::new(matrix);
         let n = matrix.len();
+        let parts = DenseParts {
+            matrix: Arc::clone(&matrix),
+            embedding: embedding.clone(),
+            monitors: vec![Vec::new(); n],
+            derived: Some(Arc::clone(&derived)),
+        };
         let builder = FluxBuilder {
             cfg,
-            matrix: matrix.clone(),
-            embedding: embedding.clone(),
+            matrix,
+            embedding,
             monitors: vec![TivMonitor::new(cfg.epoch.monitor); n],
-            derived: derived.clone(),
+            derived,
             dirty: DirtySet::new(n),
-            shelf: VecDeque::from([(Arc::new(matrix), Arc::new(derived))]),
+            spare: None,
             epoch: 0,
             pending: 0,
             ingested_total: 0,
             last_outcome: None,
         };
-        let (matrix, derived) = builder.shelf[0].clone();
-        let parts =
-            DenseParts { matrix, embedding, monitors: vec![Vec::new(); n], derived: Some(derived) };
         (builder, EpochSnapshot::assemble(0, parts))
     }
 
@@ -188,11 +203,12 @@ impl FluxBuilder {
 
     /// Folds one observation in: the source node's monitor absorbs the
     /// sample (its hysteresis alert state updates against the current
-    /// embedding's prediction) and the smoothed RTT is written back to
-    /// the working matrix. When that changes the stored value, the edge
-    /// is recorded as changed (with the delay it had at the start of
-    /// the epoch, marking both endpoint rows dirty); an observation
-    /// confirming the stored value to the bit dirties nothing, so a
+    /// embedding's prediction). When the smoothed RTT differs from the
+    /// stored value, it is written to the working matrix (unsharing it
+    /// first if a snapshot still holds it) and the edge is recorded as
+    /// changed (with the delay it had at the start of the epoch,
+    /// marking both endpoint rows dirty); an observation confirming the
+    /// stored value to the bit writes, copies and dirties nothing, so a
     /// steady stream over a quiet space stays cheap.
     ///
     /// # Panics
@@ -211,8 +227,9 @@ impl FluxBuilder {
         self.monitors[obs.src].observe(obs.dst, obs.rtt_ms, predicted);
         let smoothed = self.monitors[obs.src].rtt(obs.dst).expect("observe tracked the peer");
         let before = self.matrix.raw(obs.src, obs.dst);
-        self.matrix.set(obs.src, obs.dst, smoothed);
         if before.to_bits() != smoothed.to_bits() {
+            let (matrix, _) = unshare(&mut self.matrix, &mut self.derived, &mut self.spare);
+            matrix.set(obs.src, obs.dst, smoothed);
             self.dirty.mark_change(obs.src, obs.dst, before);
         }
         self.pending += 1;
@@ -223,9 +240,10 @@ impl FluxBuilder {
     /// against the previous embedding, brings the derived analyses up
     /// to date (edge repair or full rebuild per the policy — identical
     /// results either way), freezes the monitor summaries into a
-    /// snapshot whose matrix and derived state reuse the buffers of the
-    /// snapshot built two epochs ago when no reader holds it, and
-    /// resets the dirty set and pending counter.
+    /// snapshot that shares the builder's matrix and derived state, and
+    /// resets the dirty set and pending counter. An incremental epoch
+    /// with no changed edge writes nothing, so it republishes the
+    /// buffers of the epoch before.
     pub fn build(&mut self) -> EpochSnapshot {
         self.epoch += 1;
         let n = self.matrix.len();
@@ -238,13 +256,14 @@ impl FluxBuilder {
             &self.cfg.refine,
             self.cfg.threads,
         );
-        match kind {
-            BuildKind::Full => self.derived.rebuild(&self.matrix, self.cfg.threads),
-            BuildKind::Incremental => self.derived.repair_edges(
-                &self.matrix,
-                self.dirty.changed_edges(),
-                self.cfg.threads,
-            ),
+        if kind == BuildKind::Full || !self.dirty.changed_edges().is_empty() {
+            let (matrix, derived) = unshare(&mut self.matrix, &mut self.derived, &mut self.spare);
+            match kind {
+                BuildKind::Full => derived.rebuild(matrix, self.cfg.threads),
+                BuildKind::Incremental => {
+                    derived.repair_edges(matrix, self.dirty.changed_edges(), self.cfg.threads)
+                }
+            }
         }
         self.last_outcome = Some(BuildOutcome {
             epoch: self.epoch,
@@ -255,16 +274,11 @@ impl FluxBuilder {
         });
         self.dirty.clear();
         self.pending = 0;
-        let spare = if self.shelf.len() == 2 { self.shelf.pop_front() } else { None };
-        let (spare_matrix, spare_derived) = spare.unzip();
-        let matrix = refill(spare_matrix, &self.matrix);
-        let derived = refill(spare_derived, &self.derived);
-        self.shelf.push_back((Arc::clone(&matrix), Arc::clone(&derived)));
         let parts = DenseParts {
-            matrix,
+            matrix: Arc::clone(&self.matrix),
             embedding: self.embedding.clone(),
             monitors: self.monitors.iter().map(TivMonitor::summaries).collect(),
-            derived: Some(derived),
+            derived: Some(Arc::clone(&self.derived)),
         };
         EpochSnapshot::assemble(self.epoch, parts)
     }
@@ -277,6 +291,29 @@ pub(crate) fn embed(matrix: &DelayMatrix, cfg: &EpochConfig) -> Embedding {
     let mut net = Network::new(matrix, JitterModel::None, cfg.seed);
     sys.run_rounds(&mut net, cfg.bootstrap_rounds);
     sys.embedding()
+}
+
+/// A matrix and derived state, as a snapshot shares them.
+type Buffers = (Arc<DelayMatrix>, Arc<DerivedState>);
+
+/// Makes the working buffers private before a write: while a snapshot
+/// (or a cloned builder) still shares either, both are copied into the
+/// `spare` buffers with [`refill`], and the shared ones become the new
+/// spare. Returns the working buffers, now held by nobody else.
+fn unshare<'a>(
+    matrix: &'a mut Arc<DelayMatrix>,
+    derived: &'a mut Arc<DerivedState>,
+    spare: &mut Option<Buffers>,
+) -> (&'a mut DelayMatrix, &'a mut DerivedState) {
+    if Arc::get_mut(matrix).is_none() || Arc::get_mut(derived).is_none() {
+        let (spare_matrix, spare_derived) = spare.take().unzip();
+        let (private_matrix, private_derived) =
+            (refill(spare_matrix, matrix), refill(spare_derived, derived));
+        *spare =
+            Some((mem::replace(matrix, private_matrix), mem::replace(derived, private_derived)));
+    }
+    // Both are unique now, so neither `make_mut` copies.
+    (Arc::make_mut(matrix), Arc::make_mut(derived))
 }
 
 /// `src` behind an `Arc`: copied into `spare`'s buffers when no reader
@@ -318,6 +355,7 @@ mod tests {
     use crate::epoch::spawn_with;
     use crate::service::{ServeConfig, TivServe};
     use delayspace::synth::{Dataset, InternetDelaySpace};
+    use std::collections::HashSet;
 
     fn ds2(n: usize, seed: u64) -> DelayMatrix {
         InternetDelaySpace::preset(Dataset::Ds2).with_nodes(n).build(seed).into_matrix()
@@ -410,13 +448,18 @@ mod tests {
         }
     }
 
-    /// Three observations (seeded by `k`) folded in, then one build.
-    fn next_epoch(builder: &mut FluxBuilder, k: usize) -> EpochSnapshot {
+    /// Three observations (seeded by `k`) folded in.
+    fn fold(builder: &mut FluxBuilder, k: usize) {
         for i in 0..3 {
             let src = (k * 5 + i * 7) % 40;
             let dst = (src + 1 + i) % 40;
             builder.ingest(Observation { src, dst, rtt_ms: 20.0 + (k * 3 + i) as f64 });
         }
+    }
+
+    /// [`fold`], then one build.
+    fn next_epoch(builder: &mut FluxBuilder, k: usize) -> EpochSnapshot {
+        fold(builder, k);
         builder.build()
     }
 
@@ -437,6 +480,108 @@ mod tests {
             s.matrix() as *const _,
             s.derived().expect("flux snapshots carry derived state") as *const _,
         )
+    }
+
+    /// Where the builder's working matrix and derived state live.
+    fn working(b: &FluxBuilder) -> (*const DelayMatrix, *const DerivedState) {
+        (Arc::as_ptr(&b.matrix), Arc::as_ptr(&b.derived))
+    }
+
+    /// Where the builder's spare buffers live.
+    fn spare(b: &FluxBuilder) -> Option<(*const DelayMatrix, *const DerivedState)> {
+        b.spare.as_ref().map(|(m, d)| (Arc::as_ptr(m), Arc::as_ptr(d)))
+    }
+
+    /// True when the builder and its last snapshot are the only holders
+    /// of the working buffers: the epoch was published without sharing
+    /// a buffer with anyone else (another builder, an older snapshot).
+    fn held_by_builder_and_snapshot_only(b: &FluxBuilder) -> bool {
+        Arc::strong_count(&b.matrix) == 2 && Arc::strong_count(&b.derived) == 2
+    }
+
+    #[test]
+    fn bootstrap_shares_its_buffers_with_epoch_zero() {
+        let (builder, s0) = FluxBuilder::bootstrap(ds2(30, 8), cfg());
+        assert_eq!(working(&builder), buffers(&s0), "bootstrap copied its state");
+        assert!(held_by_builder_and_snapshot_only(&builder));
+        assert!(builder.spare.is_none(), "nothing to recycle before the first write");
+    }
+
+    #[test]
+    fn an_epoch_without_a_change_publishes_its_predecessors_buffers() {
+        let (mut builder, s0) = FluxBuilder::bootstrap(ds2(30, 9), cfg());
+        let stored = s0.matrix().raw(3, 9);
+        let s1 = builder.build();
+        assert_eq!(builder.last_outcome().unwrap().kind, BuildKind::Incremental);
+        assert_eq!(buffers(&s1), buffers(&s0), "an empty epoch copied its state");
+        // Epoch 2 moves an edge (onto fresh buffers: epochs 0 and 1 are
+        // still held); epoch 3's observation confirms the stored bits.
+        builder.ingest(Observation { src: 3, dst: 9, rtt_ms: 64.0 });
+        let s2 = builder.build();
+        assert_ne!(buffers(&s2), buffers(&s1));
+        assert_eq!(s0.matrix().raw(3, 9).to_bits(), stored.to_bits(), "epoch 0 was written");
+        builder.ingest(Observation { src: 3, dst: 9, rtt_ms: 64.0 });
+        assert_eq!(builder.dirty_rows(), 0, "the observation was meant to confirm the bits");
+        assert_eq!(builder.pending(), 1);
+        let s3 = builder.build();
+        assert_eq!(buffers(&s3), buffers(&s2), "a confirming observation copied the state");
+        // A full rebuild writes even without a change, so it publishes
+        // private buffers and leaves epoch 0 as it was.
+        let full_cfg = FluxConfig { policy: RebuildPolicy::always_full(), ..cfg() };
+        let (mut full, f0) = FluxBuilder::bootstrap(ds2(30, 9), full_cfg);
+        let f1 = full.build();
+        assert_eq!(full.last_outcome().unwrap().kind, BuildKind::Full);
+        assert_ne!(buffers(&f1), buffers(&f0));
+        assert!(held_by_builder_and_snapshot_only(&full));
+        assert_eq!(f1.matrix(), f0.matrix());
+    }
+
+    #[test]
+    fn a_cloned_builder_diverges_without_touching_the_original() {
+        let m = ds2(40, 10);
+        let (mut original, _) = FluxBuilder::bootstrap(m.clone(), cfg());
+        let (mut untouched, _) = FluxBuilder::bootstrap(m, cfg());
+        // The clone is taken with writes pending, so it shares buffers
+        // the original has not published yet.
+        fold(&mut original, 1);
+        fold(&mut untouched, 1);
+        let mut twin = original.clone();
+        assert_eq!(working(&twin), working(&original), "cloning copied the state");
+        for i in 0..6 {
+            twin.ingest(Observation { src: i, dst: 39 - i, rtt_ms: 300.0 + i as f64 });
+        }
+        let t1 = twin.build();
+        assert!(t1.matrix().raw(0, 39) >= 300.0);
+        let (o1, u1) = (original.build(), untouched.build());
+        assert_same(&o1, &u1);
+        assert!(held_by_builder_and_snapshot_only(&original), "epoch 1 shares the twin's buffers");
+        assert!(held_by_builder_and_snapshot_only(&twin));
+        // And on: the twin's next epoch does not reach the original's.
+        let t2 = next_epoch(&mut twin, 2);
+        assert_same(&next_epoch(&mut original, 2), &next_epoch(&mut untouched, 2));
+        assert_ne!(t2.matrix(), original.matrix.as_ref());
+    }
+
+    #[test]
+    fn a_churning_builder_holds_two_buffer_sets() {
+        let (mut builder, mut live) = FluxBuilder::bootstrap(ds2(40, 11), cfg());
+        for k in 1..=10 {
+            // The epoch's first write moves the published buffers to the
+            // spare and brings the spare's back as the working state.
+            let recycled = spare(&builder);
+            fold(&mut builder, k);
+            assert_eq!(spare(&builder), Some(buffers(&live)), "epoch {k}: the spare");
+            if let Some(recycled) = recycled {
+                assert_eq!(working(&builder), recycled, "epoch {k}: the spare was not recycled");
+            }
+            let next = builder.build();
+            assert_eq!(buffers(&next), working(&builder), "epoch {k} published a copy");
+            // A replica lets go of the epoch before at the publish.
+            live = next;
+            let held = [working(&builder), buffers(&live)].into_iter().chain(spare(&builder));
+            let (matrices, derived): (HashSet<_>, HashSet<_>) = held.unzip();
+            assert_eq!((matrices.len(), derived.len()), (2, 2), "epoch {k}: buffer sets held");
+        }
     }
 
     #[test]
