@@ -20,7 +20,7 @@ use vivaldi::{VivaldiConfig, VivaldiSystem};
 ///
 /// Sweeps the fraction of worst-severity edges removed before Vivaldi
 /// neighbor selection and reports the median penalty per fraction.
-pub fn filter_fraction_sweep(lab: &mut Lab) -> Figure {
+pub fn filter_fraction_sweep(lab: &Lab) -> Figure {
     let space = lab.space(Dataset::Ds2);
     let sev = lab.severity(Dataset::Ds2);
     let m = space.matrix();
@@ -66,7 +66,7 @@ pub fn filter_fraction_sweep(lab: &mut Lab) -> Figure {
 }
 
 /// Ablation A2: Vivaldi embedding dimensionality (paper fixes 5-D).
-pub fn dimensionality_sweep(lab: &mut Lab) -> Figure {
+pub fn dimensionality_sweep(lab: &Lab) -> Figure {
     let space = lab.space(Dataset::Ds2);
     let m = space.matrix();
     let mut err_pts = Vec::new();
@@ -104,7 +104,7 @@ pub fn dimensionality_sweep(lab: &mut Lab) -> Figure {
 
 /// Ablation A3: Meridian β sweep beyond Figure 13 — penalty and probe
 /// cost at β ∈ {0.1, 0.3, 0.5, 0.7, 0.9}.
-pub fn beta_sweep(lab: &mut Lab) -> Figure {
+pub fn beta_sweep(lab: &Lab) -> Figure {
     let space = lab.space(Dataset::Ds2);
     let m = space.matrix();
     let members = lab.scale().meridian_members(Dataset::Ds2);
@@ -138,7 +138,7 @@ pub fn beta_sweep(lab: &mut Lab) -> Figure {
 
 /// Ablation A4: TIV-aware Meridian mechanism decomposition — dual
 /// placement only, restart only, both (Section 5.3 deploys both).
-pub fn tiv_meridian_decomposition(lab: &mut Lab) -> Figure {
+pub fn tiv_meridian_decomposition(lab: &Lab) -> Figure {
     let space = lab.space(Dataset::Ds2);
     let emb = lab.embedding(Dataset::Ds2);
     let m = space.matrix();
@@ -198,7 +198,7 @@ pub fn tiv_meridian_decomposition(lab: &mut Lab) -> Figure {
 /// and the measured-delay oracle. All metric systems share the TI
 /// assumption, so all pay the TIV tax; the column worth reading is the
 /// gap to the oracle.
-pub fn coordinate_system_shootout(lab: &mut Lab) -> Figure {
+pub fn coordinate_system_shootout(lab: &Lab) -> Figure {
     use ides::IdesModel;
     use vivaldi::{GnpConfig, GnpModel, LatModel};
     let space = lab.space(Dataset::Ds2);
@@ -316,21 +316,21 @@ mod tests {
 
     #[test]
     fn filter_sweep_covers_fractions() {
-        let fig = filter_fraction_sweep(&mut lab());
+        let fig = filter_fraction_sweep(&lab());
         assert_eq!(fig.series[0].points.len(), 5);
         assert_eq!(fig.series[0].points[0].0, 0.0);
     }
 
     #[test]
     fn dims_sweep_has_two_series() {
-        let fig = dimensionality_sweep(&mut lab());
+        let fig = dimensionality_sweep(&lab());
         assert_eq!(fig.series.len(), 2);
         assert_eq!(fig.series[0].points.len(), 5);
     }
 
     #[test]
     fn beta_sweep_probe_cost_increases() {
-        let fig = beta_sweep(&mut lab());
+        let fig = beta_sweep(&lab());
         let probes = &fig.series[1].points;
         assert!(
             probes.last().unwrap().1 > probes.first().unwrap().1,
@@ -340,14 +340,14 @@ mod tests {
 
     #[test]
     fn decomposition_has_four_variants() {
-        let fig = tiv_meridian_decomposition(&mut lab());
+        let fig = tiv_meridian_decomposition(&lab());
         assert_eq!(fig.series[0].points.len(), 4);
         assert_eq!(fig.notes.len(), 4);
     }
 
     #[test]
     fn shootout_includes_oracle_as_lower_bound() {
-        let fig = coordinate_system_shootout(&mut lab());
+        let fig = coordinate_system_shootout(&lab());
         assert_eq!(fig.series[0].points.len(), 6);
         // The oracle (last entry) has penalty 0 and is minimal.
         let pens: Vec<f64> = fig.series[0].points.iter().map(|p| p.1).collect();

@@ -24,8 +24,10 @@
 //! * `--threads N` — fan experiments out over N workers (default 0 =
 //!   auto: the `TIV_THREADS` environment variable, else the machine's
 //!   available parallelism). Results are identical at any thread
-//!   count; `--threads 1` keeps the classic serial loop with one
-//!   shared artifact cache.
+//!   count, and every thread count shares one artifact cache: each
+//!   delay space, severity matrix, embedding and figure pair is built
+//!   once per run, by the first worker to ask. `--threads 1` keeps the
+//!   classic serial loop, streaming each figure as it finishes.
 //!
 //! `repro route` runs the TIV-exploiting one-hop detour search over a
 //! DS²-style space and prints the detour-gain summary; with `--out` it
@@ -457,7 +459,7 @@ fn main() -> ExitCode {
     // The full budget flows into this lab's kernels (serial path and
     // --report); the fan-out path hands the unclamped budget to
     // run_many, which splits it between workers and their kernels.
-    let mut lab = Lab::with_threads(args.scale, args.seed, args.threads);
+    let lab = Lab::with_threads(args.scale, args.seed, args.threads);
     let mut failed = false;
     if workers > 1 {
         // Fan out; outcomes (and prints) arrive in input order once the
@@ -471,18 +473,18 @@ fn main() -> ExitCode {
         // artifact cache that --report below can reuse.
         for id in &args.ids {
             let started = std::time::Instant::now();
-            let output = suite::run(id, &mut lab);
+            let output = suite::run(id, &lab);
             emit(id, output, started.elapsed().as_secs_f64(), &args, &mut failed);
         }
     }
     if let Some(path) = &args.report {
-        // The fan-out workers own their labs, so a parallel run leaves
-        // this shared cache cold and the report recomputes what it
-        // needs; say so rather than looking hung.
+        // The fan-out's workers share a lab of run_many's own, so a
+        // parallel run leaves this cache cold and the report recomputes
+        // what it needs; say so rather than looking hung.
         if workers > 1 && !args.ids.is_empty() {
             println!("generating report (fresh artifact cache; --threads 1 would reuse the run's)");
         }
-        let report = experiments::report::generate(&mut lab);
+        let report = experiments::report::generate(&lab);
         if let Err(e) = std::fs::write(path, report) {
             eprintln!("cannot write {}: {e}", path.display());
             failed = true;

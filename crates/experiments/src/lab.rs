@@ -3,24 +3,46 @@
 //! Many figures share expensive intermediates — the synthetic delay
 //! space, its O(n³) severity matrix, a steady-state Vivaldi embedding.
 //! [`Lab`] computes each lazily, once, keyed by data set, so `repro all`
-//! does not recompute severity 15 times.
+//! does not recompute severity 15 times. "Once" holds across threads:
+//! `Lab` is `Sync`, every accessor takes `&self`, and a worker that asks
+//! for an artifact another worker is still building waits for it rather
+//! than building its own. [`crate::suite::run_many`] shares one lab
+//! between all of its workers.
+//!
+//! The two figure pairs that come out of one computation — figures
+//! 20/21 (one accuracy/recall sweep) and 22/23 (one dynamic-neighbor
+//! Vivaldi run) — are cached as finished figures, so whichever figure of
+//! a pair runs first builds both. The sweep and the per-iteration
+//! records behind them are dropped once the figures exist: keeping them
+//! for a whole pass would hold every iteration's embedding resident.
 
+use crate::figure::Figure;
 use crate::scale::ExperimentScale;
 use delayspace::synth::{Dataset, InternetDelaySpace};
 use simnet::net::{JitterModel, Network};
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use tivcore::severity::Severity;
 use vivaldi::{Embedding, VivaldiConfig, VivaldiSystem};
+
+/// The artifacts of one data set, each built on first use.
+#[derive(Default)]
+struct Artifacts {
+    space: OnceLock<Arc<InternetDelaySpace>>,
+    severity: OnceLock<Arc<Severity>>,
+    embedding: OnceLock<Arc<Embedding>>,
+}
 
 /// Lazily cached per-dataset artifacts for one (scale, seed) setting.
 pub struct Lab {
     scale: ExperimentScale,
     seed: u64,
     threads: usize,
-    spaces: HashMap<Dataset, Arc<InternetDelaySpace>>,
-    severities: HashMap<Dataset, Arc<Severity>>,
-    embeddings: HashMap<Dataset, Arc<Embedding>>,
+    /// One slot per [`Dataset`], indexed by its discriminant.
+    artifacts: [Artifacts; Dataset::Euclidean as usize + 1],
+    /// Figures 20 and 21, built together by `sec5::fig20_21`.
+    pub(crate) fig20_21: OnceLock<(Figure, Figure)>,
+    /// Figures 22 and 23, built together from one dynamic-neighbor run.
+    pub(crate) fig22_23: OnceLock<(Figure, Figure)>,
 }
 
 impl Lab {
@@ -33,19 +55,19 @@ impl Lab {
     /// A lab whose O(n³) kernels (severity, APSP, alert sweeps) run on
     /// up to `threads` workers ([`tivpar::resolve_threads`] semantics).
     ///
-    /// When several labs run concurrently — `suite::run_many` gives
-    /// each fan-out worker its own — pass each a slice of the machine
-    /// rather than letting every kernel auto-resolve to all cores and
-    /// oversubscribe multiplicatively. The thread budget never changes
-    /// results, only wall-clock.
+    /// When figures run concurrently on one lab — `suite::run_many`
+    /// shares one between its fan-out workers — pass it a slice of the
+    /// machine rather than letting every kernel auto-resolve to all
+    /// cores and oversubscribe multiplicatively. The thread budget never
+    /// changes results, only wall-clock.
     pub fn with_threads(scale: ExperimentScale, seed: u64, threads: usize) -> Self {
         Lab {
             scale,
             seed,
             threads,
-            spaces: HashMap::new(),
-            severities: HashMap::new(),
-            embeddings: HashMap::new(),
+            artifacts: Default::default(),
+            fig20_21: OnceLock::new(),
+            fig22_23: OnceLock::new(),
         }
     }
 
@@ -66,47 +88,37 @@ impl Lab {
     }
 
     /// The synthetic delay space for `ds` (generated on first use).
-    pub fn space(&mut self, ds: Dataset) -> Arc<InternetDelaySpace> {
-        let (scale, seed) = (self.scale, self.seed);
-        self.spaces
-            .entry(ds)
-            .or_insert_with(|| {
-                Arc::new(
-                    InternetDelaySpace::preset(ds)
-                        .with_nodes(scale.nodes(ds))
-                        .build(seed ^ dataset_salt(ds)),
-                )
-            })
-            .clone()
+    pub fn space(&self, ds: Dataset) -> Arc<InternetDelaySpace> {
+        let built = self.artifacts[ds as usize].space.get_or_init(|| {
+            Arc::new(
+                InternetDelaySpace::preset(ds)
+                    .with_nodes(self.scale.nodes(ds))
+                    .build(self.seed ^ dataset_salt(ds)),
+            )
+        });
+        built.clone()
     }
 
     /// The severity matrix for `ds` (computed on first use; parallel).
-    pub fn severity(&mut self, ds: Dataset) -> Arc<Severity> {
-        if let Some(s) = self.severities.get(&ds) {
-            return s.clone();
-        }
-        let space = self.space(ds);
-        let sev = Arc::new(Severity::compute(space.matrix(), self.threads));
-        self.severities.insert(ds, sev.clone());
-        sev
+    pub fn severity(&self, ds: Dataset) -> Arc<Severity> {
+        let built = self.artifacts[ds as usize]
+            .severity
+            .get_or_init(|| Arc::new(Severity::compute(self.space(ds).matrix(), self.threads)));
+        built.clone()
     }
 
     /// A steady-state Vivaldi embedding of `ds` (the paper's standard
     /// setup: 5-D, 32 random neighbors, 100 rounds).
-    pub fn embedding(&mut self, ds: Dataset) -> Arc<Embedding> {
-        if let Some(e) = self.embeddings.get(&ds) {
-            return e.clone();
-        }
-        let space = self.space(ds);
-        let rounds = self.scale.embed_rounds();
-        let seed = self.seed;
-        let m = space.matrix();
-        let mut sys = VivaldiSystem::new(VivaldiConfig::default(), m.len(), seed);
-        let mut net = Network::new(m, JitterModel::None, seed);
-        sys.run_rounds(&mut net, rounds);
-        let emb = Arc::new(sys.embedding());
-        self.embeddings.insert(ds, emb.clone());
-        emb
+    pub fn embedding(&self, ds: Dataset) -> Arc<Embedding> {
+        let built = self.artifacts[ds as usize].embedding.get_or_init(|| {
+            let space = self.space(ds);
+            let m = space.matrix();
+            let mut sys = VivaldiSystem::new(VivaldiConfig::default(), m.len(), self.seed);
+            let mut net = Network::new(m, JitterModel::None, self.seed);
+            sys.run_rounds(&mut net, self.scale.embed_rounds());
+            Arc::new(sys.embedding())
+        });
+        built.clone()
     }
 }
 
@@ -127,7 +139,7 @@ mod tests {
 
     #[test]
     fn artifacts_are_cached() {
-        let mut lab = Lab::new(ExperimentScale::Tiny, 1);
+        let lab = Lab::new(ExperimentScale::Tiny, 1);
         let a = lab.space(Dataset::Ds2);
         let b = lab.space(Dataset::Ds2);
         assert!(Arc::ptr_eq(&a, &b));
@@ -140,8 +152,45 @@ mod tests {
     }
 
     #[test]
+    fn a_shared_lab_builds_each_artifact_once() {
+        // Eight callers on four pool workers race for every artifact of
+        // one lab; all of them must get the one `Arc` built first.
+        let lab = Lab::with_threads(ExperimentScale::Tiny, 1, 2);
+        let got = tivpar::par_map_rows(8, 4, |_| {
+            (lab.space(Dataset::Ds2), lab.severity(Dataset::Ds2), lab.embedding(Dataset::Ds2))
+        });
+        let (space, sev, emb) = &got[0];
+        for (s, v, e) in &got {
+            assert!(Arc::ptr_eq(s, space));
+            assert!(Arc::ptr_eq(v, sev));
+            assert!(Arc::ptr_eq(e, emb));
+        }
+        assert!(Arc::ptr_eq(space, &lab.space(Dataset::Ds2)));
+    }
+
+    #[test]
+    fn figure_pairs_come_from_one_computation() {
+        for (first, second) in [("fig20", "fig21"), ("fig22", "fig23")] {
+            let mut lab = Lab::new(ExperimentScale::Tiny, 5);
+            let built = crate::suite::run(first, &lab).unwrap().figure;
+            let pair = match first {
+                "fig20" => lab.fig20_21.get_mut(),
+                _ => lab.fig22_23.get_mut(),
+            };
+            let (a, b) = pair.unwrap_or_else(|| panic!("{first} did not build its pair"));
+            assert_eq!(a.to_csv(), built.to_csv());
+            // Mark the cached partner: if `second` recomputed instead of
+            // reading the pair, the marker would be missing.
+            b.notes.push("cached".to_string());
+            let partner = crate::suite::run(second, &lab).unwrap().figure;
+            assert_eq!(partner.id, second);
+            assert_eq!(partner.notes.last().map(String::as_str), Some("cached"));
+        }
+    }
+
+    #[test]
     fn datasets_are_decorrelated() {
-        let mut lab = Lab::new(ExperimentScale::Tiny, 1);
+        let lab = Lab::new(ExperimentScale::Tiny, 1);
         let a = lab.space(Dataset::Ds2);
         let b = lab.space(Dataset::P2pSim);
         assert_ne!(a.matrix().get(0, 1), b.matrix().get(0, 1));
@@ -149,7 +198,7 @@ mod tests {
 
     #[test]
     fn sizes_follow_scale() {
-        let mut lab = Lab::new(ExperimentScale::Tiny, 2);
+        let lab = Lab::new(ExperimentScale::Tiny, 2);
         assert_eq!(lab.space(Dataset::Ds2).matrix().len(), 150);
         assert_eq!(lab.embedding(Dataset::Ds2).len(), 150);
     }

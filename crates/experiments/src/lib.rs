@@ -14,7 +14,8 @@
 //! | [`sec5`] | §5 TIV alert mechanism | 19–25 |
 //!
 //! Supporting modules: [`lab`] caches the expensive per-dataset
-//! artifacts (space, severity, embedding) behind every figure;
+//! artifacts (space, severity, embedding) behind every figure, and the
+//! figure pairs 20/21 and 22/23 that each come out of one computation;
 //! [`scale`] sizes every experiment (`Tiny`/`Small`/`Paper`);
 //! [`figure`] is the series/CSV output type; [`report`] renders the
 //! headline-number comparison; [`penalty`] and [`ablations`] hold the
@@ -32,15 +33,17 @@
 //! (the `repro sparse` subcommand).
 //!
 //! Batches fan out over worker threads with [`suite::run_many`] (the
-//! `repro` binary's `--threads` flag); every figure is a pure function
-//! of `(scale, seed)`, so fan-out never changes a result.
+//! `repro` binary's `--threads` flag). Its workers share one `Lab`, so
+//! each artifact is still built once per batch, and take figure ids by
+//! work stealing; every figure is a pure function of `(scale, seed)`, so
+//! fan-out never changes a result.
 //!
 //! ```
 //! use experiments::lab::Lab;
 //! use experiments::scale::ExperimentScale;
 //!
-//! let mut lab = Lab::new(ExperimentScale::Tiny, 7);
-//! let fig = experiments::sec2::fig2(&mut lab);
+//! let lab = Lab::new(ExperimentScale::Tiny, 7);
+//! let fig = experiments::sec2::fig2(&lab);
 //! assert_eq!(fig.series.len(), 4); // one CDF per data set
 //! ```
 

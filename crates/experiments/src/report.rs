@@ -133,7 +133,7 @@ pub fn paper_claim(id: &str) -> &'static str {
 
 /// Runs every figure and ablation in `lab` and renders the markdown
 /// report.
-pub fn generate(lab: &mut Lab) -> String {
+pub fn generate(lab: &Lab) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -178,8 +178,8 @@ mod tests {
 
     #[test]
     fn report_contains_all_sections() {
-        let mut lab = Lab::new(ExperimentScale::Tiny, 42);
-        let report = generate(&mut lab);
+        let lab = Lab::new(ExperimentScale::Tiny, 42);
+        let report = generate(&lab);
         for id in suite::ALL_IDS {
             assert!(report.contains(&format!("## {id} — ")), "missing section {id}");
         }

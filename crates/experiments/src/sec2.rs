@@ -21,7 +21,7 @@ fn bin_ms(scale: ExperimentScale) -> f64 {
 /// Figure 1: the severity metric illustrated — cumulative distribution
 /// of triangulation ratios for one (severely violating) edge. The
 /// severity is proportional to the area above ratio = 1.
-pub fn fig1(lab: &mut Lab) -> Figure {
+pub fn fig1(lab: &Lab) -> Figure {
     let space = lab.space(Dataset::Ds2);
     let sev = lab.severity(Dataset::Ds2);
     let m = space.matrix();
@@ -45,7 +45,7 @@ pub fn fig1(lab: &mut Lab) -> Figure {
 }
 
 /// Figure 2: CDF of TIV severity across the four data sets.
-pub fn fig2(lab: &mut Lab) -> Figure {
+pub fn fig2(lab: &Lab) -> Figure {
     let mut fig = Figure::new(
         "fig2",
         "Cumulative distribution of TIV severity",
@@ -80,7 +80,7 @@ pub struct Fig3Output {
 }
 
 /// Figure 3: TIV severity by cluster.
-pub fn fig3(lab: &mut Lab) -> Fig3Output {
+pub fn fig3(lab: &Lab) -> Fig3Output {
     let space = lab.space(Dataset::Ds2);
     let sev = lab.severity(Dataset::Ds2);
     let m = space.matrix();
@@ -129,7 +129,7 @@ pub fn fig3(lab: &mut Lab) -> Fig3Output {
 
 /// Figures 4–7: TIV severity versus edge delay for one data set
 /// (fig4 = DS², fig5 = p2psim, fig6 = Meridian, fig7 = PlanetLab).
-pub fn fig_severity_vs_delay(lab: &mut Lab, ds: Dataset) -> Figure {
+pub fn fig_severity_vs_delay(lab: &Lab, ds: Dataset) -> Figure {
     let id = match ds {
         Dataset::Ds2 => "fig4",
         Dataset::P2pSim => "fig5",
@@ -157,7 +157,7 @@ pub fn fig_severity_vs_delay(lab: &mut Lab, ds: Dataset) -> Figure {
 
 /// Figure 8: fraction of within-cluster edges and shortest-path length
 /// versus edge delay (DS²).
-pub fn fig8(lab: &mut Lab) -> Figure {
+pub fn fig8(lab: &Lab) -> Figure {
     let space = lab.space(Dataset::Ds2);
     let m = space.matrix();
     let clustering = Clustering::compute(m, &ClusterConfig::default());
@@ -216,7 +216,7 @@ pub fn fig8(lab: &mut Lab) -> Figure {
 
 /// Figure 9: proximity property of TIVs — severity differences of
 /// nearest-pair versus random-pair edges, all four data sets.
-pub fn fig9(lab: &mut Lab) -> Figure {
+pub fn fig9(lab: &Lab) -> Figure {
     let samples = lab.scale().proximity_samples();
     let mut fig = Figure::new(
         "fig9",
@@ -258,7 +258,7 @@ mod tests {
 
     #[test]
     fn fig1_has_ratio_cdf() {
-        let fig = fig1(&mut lab());
+        let fig = fig1(&lab());
         assert_eq!(fig.series.len(), 1);
         assert!(!fig.series[0].points.is_empty());
         // Ratios of a severe edge reach beyond 1.
@@ -267,7 +267,7 @@ mod tests {
 
     #[test]
     fn fig2_has_four_long_tailed_cdfs() {
-        let fig = fig2(&mut lab());
+        let fig = fig2(&lab());
         assert_eq!(fig.series.len(), 4);
         for s in &fig.series {
             let max = s.points.iter().map(|p| p.0).fold(f64::MIN, f64::max);
@@ -280,7 +280,7 @@ mod tests {
 
     #[test]
     fn fig3_pgm_is_well_formed() {
-        let out = fig3(&mut lab());
+        let out = fig3(&lab());
         let header = b"P5\n150 150\n255\n";
         assert!(out.pgm.starts_with(header));
         assert_eq!(out.pgm.len(), header.len() + 150 * 150);
@@ -289,9 +289,9 @@ mod tests {
 
     #[test]
     fn fig4_to_7_produce_binned_series() {
-        let mut l = lab();
+        let l = lab();
         for ds in Dataset::measured() {
-            let fig = fig_severity_vs_delay(&mut l, ds);
+            let fig = fig_severity_vs_delay(&l, ds);
             assert_eq!(fig.series.len(), 1);
             assert!(fig.series[0].bars.is_some());
             assert!(!fig.series[0].points.is_empty(), "{}: empty", fig.id);
@@ -300,7 +300,7 @@ mod tests {
 
     #[test]
     fn fig8_has_two_series() {
-        let fig = fig8(&mut lab());
+        let fig = fig8(&lab());
         assert_eq!(fig.series.len(), 2);
         // Within-cluster fraction decreases with delay overall.
         let w = &fig.series[0];
@@ -311,7 +311,7 @@ mod tests {
 
     #[test]
     fn fig9_nearest_not_dramatically_better() {
-        let fig = fig9(&mut lab());
+        let fig = fig9(&lab());
         assert_eq!(fig.series.len(), 8);
     }
 }

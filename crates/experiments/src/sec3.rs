@@ -25,7 +25,7 @@ pub fn tiv_triangle() -> DelayMatrix {
 }
 
 /// Figure 10: Vivaldi error trace on the 3-node TIV network over 100 s.
-pub fn fig10(lab: &mut Lab) -> Figure {
+pub fn fig10(lab: &Lab) -> Figure {
     let m = tiv_triangle();
     let rounds = 100;
     let mut sys = VivaldiSystem::new(
@@ -73,7 +73,7 @@ pub fn fig10(lab: &mut Lab) -> Figure {
 
 /// Figure 11: distribution of per-edge oscillation range versus edge
 /// delay on DS² over a 500 s run.
-pub fn fig11(lab: &mut Lab) -> Figure {
+pub fn fig11(lab: &Lab) -> Figure {
     let space = lab.space(Dataset::Ds2);
     let m = space.matrix();
     let rounds = lab.scale().oscillation_rounds();
@@ -116,7 +116,7 @@ pub fn fig11(lab: &mut Lab) -> Figure {
 /// Figure 12: the worked Meridian failure example. Reproduces the exact
 /// 4-node topology of the paper's figure and demonstrates that the
 /// recursive query misses the true closest node N.
-pub fn fig12(lab: &mut Lab) -> Figure {
+pub fn fig12(lab: &Lab) -> Figure {
     // Ids: A=0, B=1, N=2, T=3 — delays from the figure.
     let mut m = DelayMatrix::new(4);
     m.set(0, 3, 12.0); // A-T
@@ -160,7 +160,7 @@ pub fn fig12(lab: &mut Lab) -> Figure {
 
 /// Figure 13: percentage of Meridian ring members misplaced versus pair
 /// delay, for β ∈ {0.1, 0.5, 0.9}.
-pub fn fig13(lab: &mut Lab) -> Figure {
+pub fn fig13(lab: &Lab) -> Figure {
     let space = lab.space(Dataset::Ds2);
     let m = space.matrix();
     let samples = match lab.scale() {
@@ -195,7 +195,7 @@ fn all_members_config(members: usize) -> MeridianConfig {
 
 /// Figure 14: Meridian neighbor-selection penalty under idealized
 /// settings on an artificial Euclidean matrix versus DS².
-pub fn fig14(lab: &mut Lab) -> Figure {
+pub fn fig14(lab: &Lab) -> Figure {
     let members = lab.scale().meridian_small_members();
     let runs = lab.scale().runs();
     let seed = lab.seed();
@@ -246,7 +246,7 @@ mod tests {
 
     #[test]
     fn fig10_shows_persistent_error() {
-        let fig = fig10(&mut lab());
+        let fig = fig10(&lab());
         assert_eq!(fig.series.len(), 3);
         // The long edge C-A must at some point be far under-predicted.
         let ca = &fig.series[2];
@@ -255,7 +255,7 @@ mod tests {
 
     #[test]
     fn fig11_short_edges_oscillate() {
-        let fig = fig11(&mut lab());
+        let fig = fig11(&lab());
         assert_eq!(fig.series.len(), 1);
         assert!(!fig.series[0].points.is_empty());
         // Some oscillation exists.
@@ -264,13 +264,13 @@ mod tests {
 
     #[test]
     fn fig12_misses_true_closest() {
-        let fig = fig12(&mut lab());
+        let fig = fig12(&lab());
         assert!(fig.notes[0].contains("missed due to TIV"));
     }
 
     #[test]
     fn fig13_has_three_beta_series() {
-        let fig = fig13(&mut lab());
+        let fig = fig13(&lab());
         assert_eq!(fig.series.len(), 3);
         // Fractions live in [0, 1].
         for s in &fig.series {
@@ -280,7 +280,7 @@ mod tests {
 
     #[test]
     fn fig14_euclidean_beats_ds2() {
-        let fig = fig14(&mut lab());
+        let fig = fig14(&lab());
         assert_eq!(fig.series.len(), 2);
         // Euclidean should reach CDF=1 at a smaller penalty than DS²:
         // compare the maximum penalties.

@@ -18,7 +18,7 @@ pub const FILTER_FRACTION: f64 = 0.20;
 
 /// Penalty CDF of plain Vivaldi on DS² (the "Vivaldi-original" baseline
 /// reused by Figures 15, 16, 17 and 23).
-pub fn vivaldi_baseline(lab: &mut Lab) -> Cdf {
+pub fn vivaldi_baseline(lab: &Lab) -> Cdf {
     let space = lab.space(Dataset::Ds2);
     let emb = lab.embedding(Dataset::Ds2);
     predictor_penalty_cdf(
@@ -35,7 +35,7 @@ pub fn vivaldi_baseline(lab: &mut Lab) -> Cdf {
 /// IDES is fit in its deployable landmark configuration (20 landmarks
 /// in \[16\]; we scale with the candidate count) — the full-matrix
 /// factorization would be an oracle no system can run.
-pub fn fig15(lab: &mut Lab) -> Figure {
+pub fn fig15(lab: &Lab) -> Figure {
     let space = lab.space(Dataset::Ds2);
     let m = space.matrix();
     // 20 landmarks, the IDES paper's deployment size, at every scale.
@@ -68,7 +68,7 @@ pub fn fig15(lab: &mut Lab) -> Figure {
 
 /// Figure 16: Vivaldi with the localized adjustment term (LAT) versus
 /// original Vivaldi.
-pub fn fig16(lab: &mut Lab) -> Figure {
+pub fn fig16(lab: &Lab) -> Figure {
     let space = lab.space(Dataset::Ds2);
     let emb = lab.embedding(Dataset::Ds2);
     let m = space.matrix();
@@ -98,7 +98,7 @@ pub fn fig16(lab: &mut Lab) -> Figure {
 
 /// Runs Vivaldi with probing neighbors restricted to an edge mask and
 /// returns the resulting penalty CDF.
-fn vivaldi_with_mask(lab: &mut Lab, mask: &EdgeMask) -> Cdf {
+fn vivaldi_with_mask(lab: &Lab, mask: &EdgeMask) -> Cdf {
     let space = lab.space(Dataset::Ds2);
     let m = space.matrix();
     let cfg = VivaldiConfig::default();
@@ -129,7 +129,7 @@ fn vivaldi_with_mask(lab: &mut Lab, mask: &EdgeMask) -> Cdf {
 
 /// Figure 17: Vivaldi with the global TIV-severity filter versus
 /// original Vivaldi.
-pub fn fig17(lab: &mut Lab) -> Figure {
+pub fn fig17(lab: &Lab) -> Figure {
     let space = lab.space(Dataset::Ds2);
     let sev = lab.severity(Dataset::Ds2);
     let mask = EdgeMask::worst_severity(space.matrix(), &sev, FILTER_FRACTION);
@@ -153,7 +153,7 @@ pub fn fig17(lab: &mut Lab) -> Figure {
 
 /// Figure 18: Meridian with the global TIV-severity filter versus
 /// original Meridian (normal setting).
-pub fn fig18(lab: &mut Lab) -> Figure {
+pub fn fig18(lab: &Lab) -> Figure {
     let space = lab.space(Dataset::Ds2);
     let sev = lab.severity(Dataset::Ds2);
     let m = space.matrix();
@@ -233,7 +233,7 @@ mod tests {
 
     #[test]
     fn fig15_both_cdfs_present() {
-        let fig = fig15(&mut lab());
+        let fig = fig15(&lab());
         assert_eq!(fig.series.len(), 2);
         assert!(!fig.series[0].points.is_empty());
         assert!(!fig.series[1].points.is_empty());
@@ -241,19 +241,19 @@ mod tests {
 
     #[test]
     fn fig16_lat_close_to_original() {
-        let fig = fig16(&mut lab());
+        let fig = fig16(&lab());
         assert_eq!(fig.series.len(), 2);
     }
 
     #[test]
     fn fig17_filter_changes_little() {
-        let fig = fig17(&mut lab());
+        let fig = fig17(&lab());
         assert_eq!(fig.series.len(), 2);
     }
 
     #[test]
     fn fig18_reports_underpopulation() {
-        let fig = fig18(&mut lab());
+        let fig = fig18(&lab());
         assert_eq!(fig.series.len(), 2);
         assert!(fig.notes.iter().any(|n| n.contains("under-populated")));
     }

@@ -10,12 +10,13 @@ use delayspace::synth::Dataset;
 use meridian::{closest_neighbor, BuildOptions, MeridianConfig, MeridianOverlay, Termination};
 use tivcore::alert::{accuracy_recall_sweep_threaded, ratio_severity_bins};
 use tivcore::dynvivaldi::{self, DynVivaldiConfig, IterationRecord};
+use tivcore::severity::Severity;
 use tivcore::tivmeridian::{build_tiv_aware, tiv_aware_query, TivMeridianConfig};
 use vivaldi::VivaldiConfig;
 
 /// Figure 19: TIV severity of edges grouped by embedding prediction
 /// ratio.
-pub fn fig19(lab: &mut Lab) -> Figure {
+pub fn fig19(lab: &Lab) -> Figure {
     let space = lab.space(Dataset::Ds2);
     let emb = lab.embedding(Dataset::Ds2);
     let sev = lab.severity(Dataset::Ds2);
@@ -40,7 +41,15 @@ fn thresholds() -> Vec<f64> {
 }
 
 /// Figures 20 and 21 share one sweep; this returns (fig20, fig21).
-pub fn fig20_21(lab: &mut Lab) -> (Figure, Figure) {
+///
+/// The pair is built once per lab, by whichever of the two figures is
+/// asked for first; the sweep itself is not kept.
+pub fn fig20_21(lab: &Lab) -> (Figure, Figure) {
+    lab.fig20_21.get_or_init(|| alert_sweep_figures(lab)).clone()
+}
+
+/// Runs the accuracy/recall sweep and renders it as (fig20, fig21).
+fn alert_sweep_figures(lab: &Lab) -> (Figure, Figure) {
     let space = lab.space(Dataset::Ds2);
     let emb = lab.embedding(Dataset::Ds2);
     let sev = lab.severity(Dataset::Ds2);
@@ -111,33 +120,57 @@ fn dyn_config(scale: ExperimentScale) -> DynVivaldiConfig {
 
 /// Runs dynamic-neighbor Vivaldi once and returns the records for
 /// iterations {0} ∪ DYN_ITERS.
-fn dyn_records(lab: &mut Lab) -> Vec<IterationRecord> {
+fn dyn_records(lab: &Lab) -> Vec<IterationRecord> {
     let space = lab.space(Dataset::Ds2);
     let cfg = dyn_config(lab.scale());
     let max_iter = *DYN_ITERS.last().unwrap();
     dynvivaldi::run(space.matrix(), &cfg, max_iter, lab.seed())
 }
 
+/// Figures 22 and 23 from one dynamic-neighbor run, built once per lab
+/// by whichever of the two is asked for first; the records (one
+/// embedding per iteration) are dropped once both figures exist.
+fn dyn_figures(lab: &Lab) -> &(Figure, Figure) {
+    lab.fig22_23.get_or_init(|| {
+        let records = dyn_records(lab);
+        (fig22_from(lab, &records), fig23_from(lab, &records))
+    })
+}
+
+/// The plotted iterations with their series labels, baseline first.
+fn dyn_series() -> impl Iterator<Item = (usize, String)> {
+    std::iter::once(0).chain(DYN_ITERS).map(|iter| {
+        let label = if iter == 0 {
+            "Vivaldi-original".to_string()
+        } else {
+            format!("dyn-neigh-iter{iter}")
+        };
+        (iter, label)
+    })
+}
+
+/// The TIV severities of one iteration's Vivaldi neighbor edges.
+fn neighbor_edge_severity(rec: &IterationRecord, sev: &Severity) -> Cdf {
+    Cdf::from_samples(rec.neighbor_edges.iter().filter_map(|&(i, j)| sev.severity(i, j)))
+}
+
 /// Figure 22: TIV severity CDF of Vivaldi neighbor edges across
 /// dynamic-neighbor iterations.
-pub fn fig22(lab: &mut Lab) -> Figure {
+pub fn fig22(lab: &Lab) -> Figure {
+    dyn_figures(lab).0.clone()
+}
+
+/// Renders Figure 22 from the dynamic-neighbor records.
+fn fig22_from(lab: &Lab, records: &[IterationRecord]) -> Figure {
     let sev = lab.severity(Dataset::Ds2);
-    let records = dyn_records(lab);
     let mut fig = Figure::new(
         "fig22",
         "TIV severity of Vivaldi neighbor edges",
         "TIV severity",
         "cumulative distribution",
     );
-    for &iter in std::iter::once(&0).chain(DYN_ITERS.iter()) {
-        let rec = &records[iter];
-        let cdf =
-            Cdf::from_samples(rec.neighbor_edges.iter().filter_map(|&(i, j)| sev.severity(i, j)));
-        let label = if iter == 0 {
-            "Vivaldi-original".to_string()
-        } else {
-            format!("dyn-neigh-iter{iter}")
-        };
+    for (iter, label) in dyn_series() {
+        let cdf = neighbor_edge_severity(&records[iter], &sev);
         fig.notes.push(format!("{label}: mean neighbor-edge severity {:.4}", cdf.mean()));
         fig.series.push(Series::from_cdf(label, &cdf, 100));
     }
@@ -150,18 +183,22 @@ pub fn fig22(lab: &mut Lab) -> Figure {
 }
 
 /// Figure 23: neighbor selection penalty of dynamic-neighbor Vivaldi.
-pub fn fig23(lab: &mut Lab) -> Figure {
+pub fn fig23(lab: &Lab) -> Figure {
+    dyn_figures(lab).1.clone()
+}
+
+/// Renders Figure 23 from the dynamic-neighbor records.
+fn fig23_from(lab: &Lab, records: &[IterationRecord]) -> Figure {
     let space = lab.space(Dataset::Ds2);
     let m = space.matrix();
-    let records = dyn_records(lab);
     let mut fig = Figure::new(
         "fig23",
         "Neighbor selection performance of dynamic neighbor Vivaldi",
         "percentage penalty",
         "cumulative distribution",
     );
-    for &iter in std::iter::once(&0).chain(DYN_ITERS.iter()) {
-        let emb = records[iter].embedding.clone();
+    for (iter, label) in dyn_series() {
+        let emb = &records[iter].embedding;
         let cdf = predictor_penalty_cdf(
             m,
             |client, cands| emb.select_nearest(client, cands),
@@ -169,11 +206,6 @@ pub fn fig23(lab: &mut Lab) -> Figure {
             lab.scale().runs(),
             lab.seed(),
         );
-        let label = if iter == 0 {
-            "Vivaldi-original".to_string()
-        } else {
-            format!("dyn-neigh-iter{iter}")
-        };
         fig.notes.push(format!("{label}: median penalty {:.1}%", cdf.median()));
         fig.series.push(Series::from_cdf(label, &cdf, 120));
     }
@@ -182,7 +214,7 @@ pub fn fig23(lab: &mut Lab) -> Figure {
 
 /// Figure 24: TIV-aware Meridian in the normal setting (half the nodes
 /// are Meridian nodes, k = 16, β = 0.5).
-pub fn fig24(lab: &mut Lab) -> Figure {
+pub fn fig24(lab: &Lab) -> Figure {
     let space = lab.space(Dataset::Ds2);
     let emb = lab.embedding(Dataset::Ds2);
     let m = space.matrix();
@@ -232,7 +264,7 @@ pub fn fig24(lab: &mut Lab) -> Figure {
 
 /// Figure 25: TIV-aware Meridian in the small all-members setting,
 /// compared against the idealized no-termination run.
-pub fn fig25(lab: &mut Lab) -> Figure {
+pub fn fig25(lab: &Lab) -> Figure {
     let space = lab.space(Dataset::Ds2);
     let emb = lab.embedding(Dataset::Ds2);
     let m = space.matrix();
@@ -301,7 +333,7 @@ mod tests {
 
     #[test]
     fn fig19_trend_negative() {
-        let fig = fig19(&mut lab());
+        let fig = fig19(&lab());
         let s = &fig.series[0];
         assert!(!s.points.is_empty());
         // Severity at low ratio >= severity at ratio ≈ 1.5.
@@ -312,7 +344,7 @@ mod tests {
 
     #[test]
     fn fig20_21_tradeoff() {
-        let (acc, rec) = fig20_21(&mut lab());
+        let (acc, rec) = fig20_21(&lab());
         assert_eq!(acc.series.len(), 4);
         assert_eq!(rec.series.len(), 4);
         // Recall is non-decreasing in the threshold.
@@ -325,26 +357,40 @@ mod tests {
 
     #[test]
     fn fig22_severity_decreases() {
-        let fig = fig22(&mut lab());
-        assert_eq!(fig.series.len(), 5);
+        // The paper's claim for Figure 22: each dynamic-neighbor
+        // iteration leaves the spring set no more TIV-severe than the
+        // one before, and the first already beats plain Vivaldi.
+        for seed in [42, 1, 2] {
+            let lab = Lab::new(ExperimentScale::Tiny, seed);
+            assert_eq!(fig22(&lab).series.len(), 5);
+            let sev = lab.severity(Dataset::Ds2);
+            let records = dyn_records(&lab);
+            let means: Vec<f64> = dyn_series()
+                .map(|(iter, _)| neighbor_edge_severity(&records[iter], &sev).mean())
+                .collect();
+            assert!(means[1] < means[0], "seed {seed}: iter1 not below original: {means:?}");
+            for w in means.windows(2) {
+                assert!(w[1] <= w[0], "seed {seed}: mean severity rose: {means:?}");
+            }
+        }
     }
 
     #[test]
     fn fig23_has_all_iterations() {
-        let fig = fig23(&mut lab());
+        let fig = fig23(&lab());
         assert_eq!(fig.series.len(), 5);
     }
 
     #[test]
     fn fig24_reports_overhead() {
-        let fig = fig24(&mut lab());
+        let fig = fig24(&lab());
         assert_eq!(fig.series.len(), 2);
         assert!(fig.notes.iter().any(|n| n.contains("overhead")));
     }
 
     #[test]
     fn fig25_three_variants() {
-        let fig = fig25(&mut lab());
+        let fig = fig25(&lab());
         assert_eq!(fig.series.len(), 3);
     }
 }

@@ -30,9 +30,10 @@ impl From<Figure> for ExperimentOutput {
 
 /// Runs one experiment by id. Returns `None` for unknown ids.
 ///
-/// Figures 20/21 share one sweep; requesting either recomputes the pair
-/// and returns the requested one (the `Lab` cache keeps this cheap).
-pub fn run(id: &str, lab: &mut Lab) -> Option<ExperimentOutput> {
+/// Figures 20/21 share one alert sweep and figures 22/23 one
+/// dynamic-neighbor Vivaldi run; the first of a pair to run on `lab`
+/// builds both figures and the second reads its partner from the lab.
+pub fn run(id: &str, lab: &Lab) -> Option<ExperimentOutput> {
     let out: ExperimentOutput = match id {
         "fig1" => sec2::fig1(lab).into(),
         "fig2" => sec2::fig2(lab).into(),
@@ -78,7 +79,9 @@ pub struct RunOutcome {
     pub id: String,
     /// The experiment output; `None` for unknown ids.
     pub output: Option<ExperimentOutput>,
-    /// Wall-clock seconds this experiment took inside its worker.
+    /// Wall-clock seconds this experiment took inside its worker,
+    /// including any wait for a shared artifact (a severity matrix, a
+    /// figure pair) that another worker was building at the time.
     pub seconds: f64,
 }
 
@@ -86,15 +89,18 @@ pub struct RunOutcome {
 /// ([`tivpar::resolve_threads`] semantics), returning outcomes in input
 /// order.
 ///
-/// The batch is split into contiguous chunks, one per worker; each
-/// worker owns a private [`Lab`] so the expensive per-dataset artifacts
-/// (delay space, severity matrix, embedding) are still shared by every
-/// experiment in its chunk. Every figure is a pure function of
-/// `(scale, seed)`, so the results are identical to a serial
-/// `suite::run` loop at any thread count — only the wall-clock changes.
+/// Every worker shares one [`Lab`], so each per-dataset artifact (delay
+/// space, severity matrix, embedding) and each figure pair is computed
+/// once per batch, by whichever worker asks first, while the others
+/// wait for it. The ids are dealt to the pool in fine chunks with work
+/// stealing, so a worker that draws cheap figures takes over the
+/// remaining ids of one that drew expensive ones. Every figure is a
+/// pure function of `(scale, seed)`, so the results are identical to a
+/// serial `suite::run` loop at any thread count — only the wall-clock
+/// changes.
 ///
 /// The resolved thread budget is *divided*, not stacked: with `w`
-/// fan-out workers, each worker's lab gets a `budget / w` kernel
+/// fan-out workers, the shared lab gets a `budget / w` kernel
 /// allowance, so `run_many` never oversubscribes the machine by
 /// multiplying experiment-level and kernel-level parallelism.
 pub fn run_many(
@@ -106,16 +112,11 @@ pub fn run_many(
     let budget = tivpar::resolve_threads(threads);
     let workers = budget.min(ids.len().max(1));
     let inner = (budget / workers.max(1)).max(1);
-    tivpar::par_map_chunks(ids.len(), workers, |range| {
-        let mut lab = Lab::with_threads(scale, seed, inner);
-        ids[range]
-            .iter()
-            .map(|id| {
-                let started = std::time::Instant::now();
-                let output = run(id, &mut lab);
-                RunOutcome { id: id.clone(), output, seconds: started.elapsed().as_secs_f64() }
-            })
-            .collect()
+    let lab = Lab::with_threads(scale, seed, inner);
+    tivpar::par_map_rows(ids.len(), workers, |i| {
+        let started = std::time::Instant::now();
+        let output = run(&ids[i], &lab);
+        RunOutcome { id: ids[i].clone(), output, seconds: started.elapsed().as_secs_f64() }
     })
 }
 
@@ -135,8 +136,8 @@ mod tests {
 
     #[test]
     fn unknown_id_is_none() {
-        let mut lab = Lab::new(ExperimentScale::Tiny, 1);
-        assert!(run("fig99", &mut lab).is_none());
+        let lab = Lab::new(ExperimentScale::Tiny, 1);
+        assert!(run("fig99", &lab).is_none());
     }
 
     #[test]
@@ -152,9 +153,9 @@ mod tests {
     // covered in their own modules and in the integration suite.
     #[test]
     fn run_small_subset() {
-        let mut lab = Lab::new(ExperimentScale::Tiny, 3);
+        let lab = Lab::new(ExperimentScale::Tiny, 3);
         for id in ["fig1", "fig2", "fig12"] {
-            let out = run(id, &mut lab).unwrap();
+            let out = run(id, &lab).unwrap();
             assert_eq!(out.figure.id, id);
             assert!(!out.figure.series.is_empty());
         }
@@ -165,10 +166,10 @@ mod tests {
         let ids: Vec<String> = ["fig1", "fig12", "fig99"].iter().map(|s| s.to_string()).collect();
         let fanned = run_many(&ids, ExperimentScale::Tiny, 3, 3);
         assert_eq!(fanned.len(), ids.len());
-        let mut lab = Lab::new(ExperimentScale::Tiny, 3);
+        let lab = Lab::new(ExperimentScale::Tiny, 3);
         for (outcome, id) in fanned.iter().zip(&ids) {
             assert_eq!(&outcome.id, id);
-            match (&outcome.output, run(id, &mut lab)) {
+            match (&outcome.output, run(id, &lab)) {
                 (Some(got), Some(want)) => {
                     assert_eq!(got.figure.to_csv(), want.figure.to_csv(), "{id} diverged")
                 }

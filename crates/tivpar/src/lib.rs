@@ -109,14 +109,6 @@ fn ranges_of(items: usize, size: usize) -> Vec<Range<usize>> {
     (0..items.div_ceil(size)).map(|c| (c * size)..((c + 1) * size).min(items)).collect()
 }
 
-/// Splits `0..items` into at most `workers` contiguous ranges of nearly
-/// equal length, in ascending order — the *coarse* layout used by
-/// [`par_map_chunks`], where the chunk boundaries are part of the API
-/// (per-chunk setup is amortised across a worker's whole share).
-fn chunk_ranges(items: usize, workers: usize) -> Vec<Range<usize>> {
-    ranges_of(items, items.div_ceil(workers.max(1)))
-}
-
 /// Splits `0..items` into roughly `workers *`
 /// [`pool::CHUNKS_PER_WORKER`] contiguous ranges — the *fine* layout
 /// used by the row-oriented primitives. More chunks than workers is
@@ -164,34 +156,6 @@ where
         .into_iter()
         .flatten()
         .collect()
-}
-
-/// Maps `f` over contiguous chunks of `0..items` (one chunk per worker)
-/// and concatenates the per-chunk results in index order.
-///
-/// Unlike [`par_map_rows`] the closure sees the whole chunk at once, so
-/// it can amortise per-worker setup (a scratch buffer, a cache, an
-/// experiment `Lab`) across the chunk's items. The chunking varies with
-/// the worker count, so this is only deterministic when `f`'s output
-/// for an item does not depend on which chunk contained it. Because the
-/// coarse one-chunk-per-worker layout is part of this contract, these
-/// chunks are *not* subdivided for stealing — idle workers can still
-/// steal whole chunks when a caller requests fewer workers than the
-/// pool holds.
-pub fn par_map_chunks<R, F>(items: usize, threads: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(Range<usize>) -> Vec<R> + Sync,
-{
-    if items == 0 {
-        return Vec::new(); // no chunks, no calls
-    }
-    let workers = resolve_threads(threads).min(items);
-    if workers <= 1 {
-        return f(0..items);
-    }
-    let ranges = chunk_ranges(items, workers);
-    run_collect(workers, ranges.len(), |ci| f(ranges[ci].clone())).into_iter().flatten().collect()
 }
 
 /// Fills a row-major buffer in parallel: `out` is treated as `rows`
@@ -389,9 +353,9 @@ mod tests {
     #[test]
     fn chunk_ranges_cover_exactly() {
         for items in [0usize, 1, 5, 16, 17, 100] {
-            for workers in [1usize, 2, 4, 7, 32] {
-                let ranges = chunk_ranges(items, workers);
-                assert!(ranges.len() <= workers.max(1));
+            for size in [0usize, 1, 2, 4, 7, 32] {
+                let ranges = ranges_of(items, size);
+                assert_eq!(ranges.len(), items.div_ceil(size.max(1)));
                 let mut next = 0;
                 for r in &ranges {
                     assert_eq!(r.start, next, "gap before {r:?}");
@@ -440,31 +404,6 @@ mod tests {
             assert_eq!(par_map_rows(103, t, |i| i * 31 % 17), serial);
         }
         assert_eq!(par_map_rows(0, 4, |i| i), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn map_chunks_concatenates_in_order() {
-        let _pool = pool::test_lock();
-        for t in [1usize, 2, 5] {
-            let got = par_map_chunks(20, t, |r| r.map(|i| i * 2).collect());
-            assert_eq!(got, (0..20).map(|i| i * 2).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn map_chunks_layout_is_one_chunk_per_worker() {
-        let _pool = pool::test_lock();
-        // suite.rs amortises a Lab per chunk; the coarse layout is API.
-        for (items, workers) in [(20usize, 4usize), (7, 2), (100, 7)] {
-            let chunks = std::sync::Mutex::new(Vec::new());
-            let _ = par_map_chunks(items, workers, |r| {
-                chunks.lock().unwrap().push(r.clone());
-                r.collect()
-            });
-            let mut seen = chunks.into_inner().unwrap();
-            seen.sort_by_key(|r| r.start);
-            assert_eq!(seen, chunk_ranges(items, workers));
-        }
     }
 
     #[test]
@@ -576,7 +515,6 @@ mod tests {
             ra.fill(row as u64 + 1);
         });
         assert_eq!(wide, vec![1, 1, 2, 2, 3, 3]);
-        assert_eq!(par_map_chunks(0, 4, |_| vec![0u8]), Vec::<u8>::new()); // no chunks
         assert_eq!(par_sum_rows(0, 4, |_| 1.0), 0.0);
     }
 
