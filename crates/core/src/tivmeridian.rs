@@ -104,8 +104,10 @@ pub fn tiv_aware_query(
     let mut hops = 0usize;
     let mut visited = vec![current];
     // The paper's mechanism restarts the member selection once when the
-    // query is about to stop at a suspected TIV edge; a single restart
-    // per query keeps the probing overhead in the paper's +5% regime.
+    // query is about to stop at a suspected TIV edge. One restart per
+    // query bounds the extra probes, but not to the paper's +5–6%:
+    // `repro all` (Small, seed 42) measures +33.7% for fig 24 and
+    // +16.0% for fig 25. ROADMAP 13b traces the gap.
     let mut restarts_left = 1u32;
 
     loop {

@@ -1,10 +1,11 @@
 //! The dirty tracker.
 //!
-//! A [`DirtySet`] records what changed in the delay matrix since the
-//! last epoch, at two granularities:
+//! A [`DirtySet`] records what changed in the delay matrix since it was
+//! last cleared (an epoch boundary, or a settle of the epoch builder's
+//! working state), at two granularities:
 //!
-//! * the changed *edges*, each once with its delay at the start of the
-//!   epoch ([`DirtySet::mark_change`], [`DirtySet::changed_edges`]) —
+//! * the changed *edges*, each once with its delay at the last clear
+//!   ([`DirtySet::mark_change`], [`DirtySet::changed_edges`]) —
 //!   what the edge-delta kernels (`Severity::repair_edges`,
 //!   `DetourTable::repair_edges`) consume;
 //! * the dirty *rows*, both endpoints of every changed edge — what the
@@ -28,7 +29,7 @@ pub struct DirtySet {
     /// same edge — a load measure, not a distinct-edge count.
     edge_marks: usize,
     /// `(a, b, before)` per edge passed to `mark_change`, in first-change
-    /// order: `before` is the delay at the start of the epoch.
+    /// order: `before` is the delay at the last clear.
     changed: Vec<(NodeId, NodeId, f64)>,
     /// The `(min, max)` endpoints of every edge in `changed`.
     seen: HashSet<(NodeId, NodeId)>,
@@ -63,8 +64,8 @@ impl DirtySet {
     }
 
     /// Marks the edge `{a, b}` changed like [`DirtySet::mark_edge`],
-    /// and records `(a, b, before)` the first time the edge changes in
-    /// the epoch — so `before` is its delay at the start of the epoch
+    /// and records `(a, b, before)` the first time the edge changes
+    /// since the last clear — so `before` is its delay at that clear
     /// (NaN = unmeasured then). Later calls for the same edge, in
     /// either orientation, only mark.
     ///
@@ -136,8 +137,8 @@ impl DirtySet {
     }
 
     /// The dirty rows, strictly increasing — the shape the repair
-    /// kernels (`Severity::repair_rows`, `DetourTable::repair_rows`)
-    /// and [`crate::refine_embedding`] require.
+    /// kernels (`Severity::repair_rows`, `DetourTable::repair_rows`),
+    /// [`crate::refine_embedding`] and [`crate::refine_nodes`] require.
     pub fn sorted_nodes(&self) -> Vec<NodeId> {
         let mut nodes = self.nodes.clone();
         nodes.sort_unstable();

@@ -8,9 +8,9 @@
 //! O(n³) stall per epoch. This crate owns the machinery that makes epochs
 //! *incremental*:
 //!
-//! * [`DirtySet`] ([`dirty`]) — tracks which edges changed since the
-//!   last epoch (each once, with its delay at the start of the epoch)
-//!   and which rows they dirty, with O(1) marking.
+//! * [`DirtySet`] ([`dirty`]) — tracks which edges changed since it was
+//!   last cleared (each once, with its delay at that clear) and which
+//!   rows they dirty, with O(1) marking.
 //! * [`DerivedState`] ([`repair`]) — the two O(n³) analyses an epoch
 //!   snapshot carries (the exact TIV-severity matrix and the k-best
 //!   detour table), with an edge-delta `repair_edges` path: an edge
@@ -19,11 +19,12 @@
 //!   actually move are redone, with the full pass's kernels. The
 //!   repaired state is **bit-identical** to a from-scratch recompute.
 //!   The older row path (`repair`, O(|D|·n²)) stays as its reference.
-//! * [`refine_embedding`] ([`refine`]) — a deterministic, dirty-local
-//!   coordinate refinement: each dirty node re-solves its coordinate
-//!   against the *previous* epoch's frozen embedding, so the update is
-//!   a pure per-row function, parallelises over the dirty set, and is
-//!   bit-identical at every thread count.
+//! * [`refine_embedding`] and [`refine_nodes`] ([`refine`]) — a
+//!   deterministic, dirty-local coordinate refinement: each dirty node
+//!   re-solves its coordinate against the *previous* epoch's frozen
+//!   embedding, so the update is a pure per-row function, parallelises
+//!   over the dirty set, is bit-identical at every thread count, and can
+//!   be done a few nodes at a time as their rows change.
 //! * [`RebuildPolicy`] ([`repair`]) — the fallback rule: past a
 //!   dirtiness threshold a row-by-row repair does more bookkeeping than
 //!   a from-scratch pass, so the builder switches to a full rebuild.
@@ -44,5 +45,5 @@ pub mod refine;
 pub mod repair;
 
 pub use dirty::DirtySet;
-pub use refine::{refine_embedding, RefineConfig};
+pub use refine::{refine_embedding, refine_nodes, RefineConfig};
 pub use repair::{BuildKind, DerivedState, RebuildPolicy};

@@ -14,10 +14,11 @@
 //! the swap.
 //!
 //! [`spawn_with`] runs the fold on a background thread fed by a
-//! [`Feed`] channel, publishing every `observations_per_epoch`
-//! observations into an arbitrary publish closure — there is exactly
-//! one copy of the drain/publish loop, and every deployment shape (one
-//! in-process service, a sparse service, the chaos-capable multi-replica
+//! [`Feed`] channel, settling the builder whenever the feed runs dry
+//! and publishing every `observations_per_epoch` observations into an
+//! arbitrary publish closure — there is exactly one copy of the
+//! drain/publish loop, and every deployment shape (one in-process
+//! service, a sparse service, the chaos-capable multi-replica
 //! `tivgate::Deployment`) is a closure over it. A [`FeedSender`]
 //! streams observations in and can force a synchronous build+publish
 //! with [`FeedSender::flush`].
@@ -100,6 +101,12 @@ pub trait EpochSource: Send + 'static {
     fn ingest(&mut self, obs: Observation);
     /// Observations folded in since the last [`build`](Self::build).
     fn pending(&self) -> usize;
+    /// Does ahead of the build whatever of the epoch's work the
+    /// observations folded in so far allow, so that the build has less
+    /// left to do. [`spawn_with`] calls it whenever the feed runs dry
+    /// mid-epoch. Must not change what the next build returns. The
+    /// default does nothing.
+    fn settle(&mut self) {}
     /// Total observations ever folded in — the no-loss accounting the
     /// observe/publish interleaving regression tests assert on.
     fn ingested_total(&self) -> u64;
@@ -242,6 +249,12 @@ impl<B: EpochSource> EpochStream<B> {
 /// (`ingested_total == observations sent`) is pinned by the
 /// observe/publish interleaving regression tests.
 ///
+/// Whenever that drain empties the channel before the epoch is full,
+/// the feed is idle, and the loop calls [`EpochSource::settle`] before
+/// it blocks again: the dense builder then writes and repairs the edges
+/// changed so far, so an epoch's build is left with its last
+/// observations only. A burst is still drained first and settled once.
+///
 /// An observation that fails [`Observation::is_valid`] (a self-loop, an
 /// out-of-range node, a NaN, infinite or non-positive RTT) is dropped
 /// and counted in [`EpochStream::rejected`] before it reaches
@@ -303,6 +316,8 @@ pub fn spawn_with<B: EpochSource>(
             }
             if builder.pending() >= observations_per_epoch {
                 publish(builder.build());
+            } else {
+                builder.settle();
             }
         }
         if builder.pending() > 0 {
@@ -318,8 +333,10 @@ mod tests {
     use super::*;
     use crate::query::QueryBatch;
     use crate::service::{ServeConfig, TivServe};
+    use crate::snapshot::EpochSnapshot;
     use delayspace::matrix::DelayMatrix;
     use delayspace::synth::{Dataset, InternetDelaySpace};
+    use std::time::Duration;
 
     /// The engine publishing into one in-process service.
     fn spawn_into(service: &Arc<TivServe>, builder: FluxBuilder, per_epoch: usize) -> EpochStream {
@@ -518,6 +535,94 @@ mod tests {
         tx.close();
         let builder = stream.join();
         assert_eq!(builder.ingested_total(), valid);
+    }
+
+    /// What the engine asked of a [`Counting`] source.
+    #[derive(Debug, PartialEq)]
+    enum Call {
+        Ingest,
+        Settle { pending: usize },
+        Build,
+    }
+
+    /// A flux builder that reports each call the engine makes, and
+    /// whose first ingest waits for a go-ahead, so that a test can queue
+    /// a burst behind it.
+    struct Counting {
+        inner: FluxBuilder,
+        calls: mpsc::Sender<Call>,
+        hold: Option<mpsc::Receiver<()>>,
+    }
+
+    impl Counting {
+        fn report(&self, call: Call) {
+            self.calls.send(call).expect("the test outlives the engine");
+        }
+    }
+
+    impl EpochSource for Counting {
+        type Snapshot = EpochSnapshot;
+        fn node_count(&self) -> usize {
+            EpochSource::node_count(&self.inner)
+        }
+        fn ingest(&mut self, obs: Observation) {
+            if let Some(hold) = self.hold.take() {
+                hold.recv().expect("the test releases the first ingest");
+            }
+            self.inner.ingest(obs);
+            self.report(Call::Ingest);
+        }
+        fn pending(&self) -> usize {
+            self.inner.pending()
+        }
+        fn ingested_total(&self) -> u64 {
+            self.inner.ingested_total()
+        }
+        fn settle(&mut self) {
+            self.report(Call::Settle { pending: self.inner.pending() });
+            self.inner.settle();
+        }
+        fn build(&mut self) -> EpochSnapshot {
+            self.report(Call::Build);
+            self.inner.build()
+        }
+    }
+
+    #[test]
+    fn spawn_with_settles_once_the_feed_is_idle() {
+        let (inner, _) = FluxBuilder::bootstrap(ds2(30, 13), cfg());
+        let (calls_tx, calls) = mpsc::channel();
+        let (go, hold) = mpsc::channel();
+        let source = Counting { inner, calls: calls_tx, hold: Some(hold) };
+        let stream = spawn_with(source, 4, |_| {});
+        let tx = stream.sender();
+        let next = || calls.recv_timeout(Duration::from_secs(60)).expect("the engine stalled");
+        let obs = |k: usize| Observation { src: k, dst: k + 10, rtt_ms: 30.0 + k as f64 };
+        // A burst: the first ingest holds the engine until the whole
+        // epoch is queued, so it is drained in one sweep and built
+        // without a settle in between.
+        for k in 0..4 {
+            tx.observe(obs(k)).unwrap();
+        }
+        go.send(()).unwrap();
+        for _ in 0..4 {
+            assert_eq!(next(), Call::Ingest);
+        }
+        assert_eq!(next(), Call::Build);
+        // One observation, then silence: the engine settles it before
+        // it waits for the next.
+        tx.observe(obs(4)).unwrap();
+        assert_eq!(next(), Call::Ingest);
+        assert_eq!(next(), Call::Settle { pending: 1 });
+        tx.observe(obs(5)).unwrap();
+        assert_eq!(next(), Call::Ingest);
+        assert_eq!(next(), Call::Settle { pending: 2 });
+        tx.close();
+        let source = stream.join();
+        // The close tail-publishes the two settled observations.
+        assert_eq!(calls.try_iter().collect::<Vec<_>>(), vec![Call::Build]);
+        assert_eq!(source.inner.ingested_total(), 6);
+        assert_eq!(source.inner.epoch(), 2);
     }
 
     #[test]

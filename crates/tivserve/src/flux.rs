@@ -7,40 +7,56 @@
 //! epochs, bringing them up to date with the change, not the matrix
 //! size:
 //!
-//! 1. every [`ingest`](FluxBuilder::ingest) that actually changes a
-//!    matrix entry records the edge, with its delay at the start of
-//!    the epoch, in a [`DirtySet`] (which also marks both endpoint
-//!    rows dirty);
-//! 2. [`build`](FluxBuilder::build) refines the embedding for exactly
-//!    the dirty nodes ([`tivflux::refine_embedding`] — deterministic,
-//!    parallel over the dirty set), then either *repairs* the derived
-//!    analyses edge by edge ([`DerivedState::repair_edges`]:
-//!    `O(|E|·n)` plus `O(n)` per pair whose answer can move) or — past
-//!    the [`RebuildPolicy`] threshold on dirty rows — recomputes them
-//!    from scratch (`O(n³)`).
+//! 1. every [`ingest`](FluxBuilder::ingest) whose smoothed RTT moves
+//!    an edge's delay marks both endpoint rows of the epoch dirty, and
+//!    records the edge, with its delay at the last settle and its new
+//!    one, in a second [`DirtySet`] of what is not settled yet;
+//! 2. [`settle`](FluxBuilder::settle), which the publish engine calls
+//!    whenever the feed runs dry mid-epoch, brings the working state up
+//!    to date with those edges: it writes their delays, refines the
+//!    coordinates of the nodes whose rows changed
+//!    ([`tivflux::refine_nodes`] — deterministic,
+//!    parallel over the nodes, against the *previous* epoch's frozen
+//!    embedding) and *repairs* the derived analyses edge by edge
+//!    ([`DerivedState::repair_edges`]: `O(|E|·n)` plus `O(n)` per pair
+//!    whose answer can move);
+//! 3. [`build`](FluxBuilder::build) settles whatever is left and
+//!    freezes the snapshot — or, past the [`RebuildPolicy`] threshold
+//!    on the epoch's dirty rows, refines every dirty node and recomputes
+//!    the analyses from scratch (`O(n³)`). Settling stops as soon as
+//!    the policy picks the full path for the epoch so far.
 //!
-//! The two paths are **bit-identical** (the repair redoes, with the
+//! So under a steady feed an epoch's work is done between its
+//! observations, and its close only folds in the last one. Every path
+//! is **bit-identical** to every other: the repair redoes, with the
 //! full pass's kernels, exactly the pairs whose floating-point work a
-//! changed edge can alter; the embedding update is the same dirty-local
-//! function on both), so the policy is purely a cost knob. `tivoid`'s
+//! changed edge can alter, so repairing edge by edge equals repairing
+//! them as one batch equals recomputing; and a node's refined
+//! coordinate reads only its matrix row and the previous embedding, so
+//! refining it again after each change of its row leaves what one
+//! refinement at the close would. The policy is purely a cost knob, and
+//! when (or whether) the engine settles changes no bit. `tivoid`'s
 //! `flux_equivalence` test pins this across dirtiness fractions
 //! {0%, 1%, 10%, 100%}, thread counts {1, 2, 4}, service shard counts,
-//! and hundreds of adversarial edge-repair epochs.
+//! and hundreds of adversarial edge-repair epochs; `flux::tests` pins
+//! a builder settled after every observation against one never
+//! settled.
 //!
 //! A snapshot shares its matrix and derived state behind `Arc`s, so
 //! publishing one to every replica copies neither. The builder's
 //! working state *is* the published snapshot's buffers, copy-on-write:
 //! [`bootstrap`](FluxBuilder::bootstrap) and [`build`](FluxBuilder::build)
 //! publish `Arc` clones of them, and the first write after a publish
-//! (an `ingest` that moves a stored delay, or a `build` that must repair
-//! or rebuild) first copies both into the buffers of the epoch before,
-//! which the builder keeps as its spare. That copy is a `clone_from`
-//! into resident memory once no reader holds the spare any more, and a
-//! fresh allocation while one still does. So a read-only deployment
-//! holds one copy of the state, a churning one two (the published epoch
-//! and the recycled one it is built into), and the copy happens on an
-//! epoch's first changing observation, not between the last one and
-//! its publish.
+//! (a `settle` or `build` with delays to write, or a full rebuild)
+//! first copies both into the buffers of the epoch before, which the
+//! builder keeps as its spare. That copy is a `clone_from` into
+//! resident memory once no reader holds the spare any more, and a fresh
+//! allocation while one still does — which only a build ever makes: a
+//! settle that would have to leaves its writes to a later settle, after
+//! the reader lets go. So a read-only deployment holds one copy of the
+//! state, a churning one two (the published epoch and the recycled one
+//! it is built into), and the copy happens at an epoch's first settle,
+//! not between its last observation and its publish.
 //!
 //! `FluxBuilder` implements [`EpochSource`], so
 //! [`crate::epoch::spawn_with`] runs it on a background thread without
@@ -48,13 +64,14 @@
 
 use crate::epoch::{EpochConfig, EpochSource, Observation};
 use crate::snapshot::{DenseParts, EpochSnapshot, ServedSnapshot};
-use delayspace::matrix::DelayMatrix;
+use delayspace::matrix::{DelayMatrix, NodeId};
 use simnet::net::{JitterModel, Network};
+use std::collections::HashMap;
 use std::mem;
 use std::sync::Arc;
 use tivcore::TivMonitor;
-use tivflux::{refine_embedding, BuildKind, DerivedState, DirtySet, RebuildPolicy, RefineConfig};
-use vivaldi::{Embedding, VivaldiSystem};
+use tivflux::{refine_nodes, BuildKind, DerivedState, DirtySet, RebuildPolicy, RefineConfig};
+use vivaldi::{Coord, Embedding, VivaldiSystem};
 
 /// Construction parameters of the incremental builder.
 #[derive(Clone, Copy, Debug)]
@@ -120,11 +137,28 @@ pub struct FluxBuilder {
     /// The working matrix. Shared with the last published snapshot
     /// until the first write after the publish unshares it.
     matrix: Arc<DelayMatrix>,
+    /// The last built epoch's embedding: what monitors predict with and
+    /// what every refinement of the epoch solves against.
     embedding: Embedding,
+    /// The next epoch's coordinates: `embedding`'s, with every node
+    /// settled this epoch refined against the matrix as of its last
+    /// settle.
+    coords: Vec<Coord>,
     monitors: Vec<TivMonitor>,
     /// The working derived state, shared and unshared with `matrix`.
+    /// Bit for bit what a recompute of `matrix` gives, as of the last
+    /// settle or build.
     derived: Arc<DerivedState>,
+    /// The rows changed since the last build (what the policy and
+    /// [`BuildOutcome`] count).
     dirty: DirtySet,
+    /// The edges changed since the last settle, each with its delay at
+    /// that settle, and the rows they touch: what the next settle
+    /// writes, repairs and refines.
+    unsettled: DirtySet,
+    /// The delay each edge of `unsettled` takes, keyed `(min, max)`:
+    /// written into `matrix` by the next settle.
+    writes: HashMap<(NodeId, NodeId), f64>,
     /// The buffers of the epoch before the working ones (`None` until
     /// the first unshare): what the next unshare copies the working
     /// state into.
@@ -158,10 +192,13 @@ impl FluxBuilder {
         let builder = FluxBuilder {
             cfg,
             matrix,
+            coords: embedding.coords().to_vec(),
             embedding,
             monitors: vec![TivMonitor::new(cfg.epoch.monitor); n],
             derived,
             dirty: DirtySet::new(n),
+            unsettled: DirtySet::new(n),
+            writes: HashMap::new(),
             spare: None,
             epoch: 0,
             pending: 0,
@@ -204,12 +241,13 @@ impl FluxBuilder {
     /// Folds one observation in: the source node's monitor absorbs the
     /// sample (its hysteresis alert state updates against the current
     /// embedding's prediction). When the smoothed RTT differs from the
-    /// stored value, it is written to the working matrix (unsharing it
-    /// first if a snapshot still holds it) and the edge is recorded as
-    /// changed (with the delay it had at the start of the epoch,
-    /// marking both endpoint rows dirty); an observation confirming the
-    /// stored value to the bit writes, copies and dirties nothing, so a
-    /// steady stream over a quiet space stays cheap.
+    /// edge's delay, both endpoint rows are marked dirty and the edge
+    /// is recorded as unsettled, with the delay it had at the last
+    /// settle and the one the next settle writes; an observation
+    /// confirming the delay to the bit dirties nothing, so a steady
+    /// stream over a quiet space stays cheap. Nothing is written or
+    /// copied here: the working buffers change only in
+    /// [`settle`](Self::settle) and [`build`](Self::build).
     ///
     /// # Panics
     /// Panics on self-loops, out-of-range nodes, or a non-positive RTT
@@ -226,53 +264,123 @@ impl FluxBuilder {
         let predicted = self.embedding.predicted(obs.src, obs.dst);
         self.monitors[obs.src].observe(obs.dst, obs.rtt_ms, predicted);
         let smoothed = self.monitors[obs.src].rtt(obs.dst).expect("observe tracked the peer");
-        let before = self.matrix.raw(obs.src, obs.dst);
+        let edge = (obs.src.min(obs.dst), obs.src.max(obs.dst));
+        let before = self.writes.get(&edge).copied().unwrap_or(self.matrix.raw(obs.src, obs.dst));
         if before.to_bits() != smoothed.to_bits() {
-            let (matrix, _) = unshare(&mut self.matrix, &mut self.derived, &mut self.spare);
-            matrix.set(obs.src, obs.dst, smoothed);
-            self.dirty.mark_change(obs.src, obs.dst, before);
+            self.writes.insert(edge, smoothed);
+            self.dirty.mark_edge(obs.src, obs.dst);
+            self.unsettled.mark_change(obs.src, obs.dst, before);
         }
         self.pending += 1;
         self.ingested_total += 1;
     }
 
-    /// Builds the next snapshot: refines the dirty nodes' coordinates
-    /// against the previous embedding, brings the derived analyses up
-    /// to date (edge repair or full rebuild per the policy — identical
-    /// results either way), freezes the monitor summaries into a
-    /// snapshot that shares the builder's matrix and derived state, and
-    /// resets the dirty set and pending counter. An incremental epoch
-    /// with no changed edge writes nothing, so it republishes the
-    /// buffers of the epoch before.
+    /// Brings the working state up to date with the observations folded
+    /// in since the last settle, ahead of the build: writes the changed
+    /// delays, refines the coordinates of the nodes whose rows changed,
+    /// against the last epoch's embedding, and repairs the derived
+    /// analyses for the changed edges ([`DerivedState::repair_edges`]).
+    /// The epoch's snapshot comes out bit-identical however often it
+    /// was settled; only the time its build takes moves.
+    ///
+    /// Does nothing when nothing changed since the last settle, when
+    /// the policy already picks a full rebuild for the epoch so far (the
+    /// build recomputes everything then), or when writing would copy
+    /// the working buffers into fresh memory because a reader still
+    /// holds the spare ones: a later settle, or the build, writes once
+    /// the reader lets go, so the builder keeps two copies of the state
+    /// and not three.
+    pub fn settle(&mut self) {
+        if self.kind() == BuildKind::Incremental && !self.spare_held() {
+            self.catch_up();
+        }
+    }
+
+    /// [`settle`](Self::settle) without its conditions: what an
+    /// incremental build runs.
+    fn catch_up(&mut self) {
+        if self.unsettled.is_empty() {
+            return;
+        }
+        self.write();
+        refine_nodes(
+            &self.embedding,
+            &self.matrix,
+            &self.unsettled.sorted_nodes(),
+            &self.cfg.refine,
+            self.cfg.threads,
+            &mut self.coords,
+        );
+        let (matrix, derived) = unshare(&mut self.matrix, &mut self.derived, &mut self.spare);
+        derived.repair_edges(matrix, self.unsettled.changed_edges(), self.cfg.threads);
+        self.unsettled.clear();
+    }
+
+    /// Writes the unsettled delays into the working matrix, unsharing
+    /// the buffers first.
+    fn write(&mut self) {
+        let (matrix, _) = unshare(&mut self.matrix, &mut self.derived, &mut self.spare);
+        for &(a, b, _) in self.unsettled.changed_edges() {
+            matrix.set(a, b, self.writes[&(a.min(b), a.max(b))]);
+        }
+        self.writes.clear();
+    }
+
+    /// True when a write now would copy the working buffers into fresh
+    /// memory: a snapshot or a clone still shares them, and a reader
+    /// still holds the spare buffers the copy would otherwise reuse.
+    fn spare_held(&self) -> bool {
+        let shared = |m: &Arc<DelayMatrix>, d: &Arc<DerivedState>| {
+            Arc::strong_count(m) > 1 || Arc::strong_count(d) > 1
+        };
+        shared(&self.matrix, &self.derived)
+            && self.spare.as_ref().is_some_and(|(m, d)| shared(m, d))
+    }
+
+    /// Builds the next snapshot. An incremental epoch
+    /// [settles](Self::settle) what is left, into fresh buffers if a
+    /// reader still holds the spare ones; a full one (per the policy on
+    /// the epoch's dirty rows) writes the pending delays, refines every
+    /// dirty node's coordinate and recomputes the derived analyses from
+    /// scratch — identical results either way. The snapshot freezes the monitor summaries
+    /// and shares the builder's matrix and derived state; the dirty
+    /// sets and pending counter reset. An incremental epoch with no
+    /// changed edge writes nothing, so it republishes the buffers of
+    /// the epoch before.
     pub fn build(&mut self) -> EpochSnapshot {
         self.epoch += 1;
         let n = self.matrix.len();
-        let dirty_nodes = self.dirty.sorted_nodes();
-        let kind = self.cfg.policy.decide(dirty_nodes.len(), n);
-        self.embedding = refine_embedding(
-            &self.embedding,
-            &self.matrix,
-            &dirty_nodes,
-            &self.cfg.refine,
-            self.cfg.threads,
-        );
-        if kind == BuildKind::Full || !self.dirty.changed_edges().is_empty() {
-            let (matrix, derived) = unshare(&mut self.matrix, &mut self.derived, &mut self.spare);
-            match kind {
-                BuildKind::Full => derived.rebuild(matrix, self.cfg.threads),
-                BuildKind::Incremental => {
-                    derived.repair_edges(matrix, self.dirty.changed_edges(), self.cfg.threads)
-                }
+        let kind = self.kind();
+        match kind {
+            BuildKind::Incremental => self.catch_up(),
+            BuildKind::Full => {
+                self.write();
+                refine_nodes(
+                    &self.embedding,
+                    &self.matrix,
+                    &self.dirty.sorted_nodes(),
+                    &self.cfg.refine,
+                    self.cfg.threads,
+                    &mut self.coords,
+                );
+                let (matrix, derived) =
+                    unshare(&mut self.matrix, &mut self.derived, &mut self.spare);
+                derived.rebuild(matrix, self.cfg.threads);
             }
         }
+        let dirty_rows = self.dirty.node_count();
         self.last_outcome = Some(BuildOutcome {
             epoch: self.epoch,
             kind,
-            dirty_rows: dirty_nodes.len(),
-            dirty_fraction: if n == 0 { 0.0 } else { dirty_nodes.len() as f64 / n as f64 },
+            dirty_rows,
+            dirty_fraction: if n == 0 { 0.0 } else { dirty_rows as f64 / n as f64 },
             edge_marks: self.dirty.edge_marks(),
         });
+        if !self.dirty.is_empty() {
+            self.embedding = Embedding::new(self.coords.clone());
+        }
         self.dirty.clear();
+        self.unsettled.clear();
         self.pending = 0;
         let parts = DenseParts {
             matrix: Arc::clone(&self.matrix),
@@ -281,6 +389,11 @@ impl FluxBuilder {
             derived: Some(Arc::clone(&self.derived)),
         };
         EpochSnapshot::assemble(self.epoch, parts)
+    }
+
+    /// The policy's pick for the epoch so far.
+    fn kind(&self) -> BuildKind {
+        self.cfg.policy.decide(self.dirty.node_count(), self.matrix.len())
     }
 }
 
@@ -344,6 +457,9 @@ impl EpochSource for FluxBuilder {
     fn ingested_total(&self) -> u64 {
         FluxBuilder::ingested_total(self)
     }
+    fn settle(&mut self) {
+        FluxBuilder::settle(self);
+    }
     fn build(&mut self) -> EpochSnapshot {
         FluxBuilder::build(self)
     }
@@ -353,8 +469,10 @@ impl EpochSource for FluxBuilder {
 mod tests {
     use super::*;
     use crate::epoch::spawn_with;
+    use crate::loadgen::Zipf;
     use crate::service::{ServeConfig, TivServe};
     use delayspace::synth::{Dataset, InternetDelaySpace};
+    use rand::Rng;
     use std::collections::HashSet;
 
     fn ds2(n: usize, seed: u64) -> DelayMatrix {
@@ -463,13 +581,33 @@ mod tests {
         builder.build()
     }
 
-    fn assert_same(a: &EpochSnapshot, b: &EpochSnapshot) {
-        assert_eq!(a.matrix(), b.matrix());
-        for i in 0..a.len() {
-            for j in 0..a.len() {
-                let (sa, sb) = (a.exact_severity(i, j), b.exact_severity(i, j));
-                assert_eq!(sa.map(f64::to_bits), sb.map(f64::to_bits), "severity at ({i},{j})");
-                assert_eq!(a.route(i, j), b.route(i, j), "route at ({i},{j})");
+    /// Every bit two snapshots serve from: the matrix, the embedding,
+    /// and the derived severity (sums and counts) and detour lists.
+    fn assert_bit_identical(a: &EpochSnapshot, b: &EpochSnapshot, what: &str) {
+        assert_eq!(a.epoch(), b.epoch(), "{what}: epoch");
+        let n = a.len();
+        let coord_bits = |s: &EpochSnapshot, i| {
+            let c = s.embedding().coord(i);
+            let bits: Vec<u64> = c.as_slice().iter().map(|v| v.to_bits()).collect();
+            (bits, c.height().to_bits())
+        };
+        let (da, db) = (a.derived().expect("derived"), b.derived().expect("derived"));
+        let relays = |d: &DerivedState, i, j| -> Vec<(usize, u64)> {
+            d.detour.relays(i, j).map(|r| (r.relay, r.via_ms.to_bits())).collect()
+        };
+        for i in 0..n {
+            assert_eq!(coord_bits(a, i), coord_bits(b, i), "{what}: coordinate of node {i}");
+            for j in 0..n {
+                let (ma, mb) = (a.matrix().raw(i, j), b.matrix().raw(i, j));
+                assert_eq!(ma.to_bits(), mb.to_bits(), "{what}: delay at ({i},{j})");
+                let (sa, sb) = (&da.severity, &db.severity);
+                assert_eq!(
+                    sa.severity(i, j).map(f64::to_bits),
+                    sb.severity(i, j).map(f64::to_bits),
+                    "{what}: severity at ({i},{j})"
+                );
+                assert_eq!(sa.count(i, j), sb.count(i, j), "{what}: count at ({i},{j})");
+                assert_eq!(relays(da, i, j), relays(db, i, j), "{what}: detours at ({i},{j})");
             }
         }
     }
@@ -553,12 +691,16 @@ mod tests {
         let t1 = twin.build();
         assert!(t1.matrix().raw(0, 39) >= 300.0);
         let (o1, u1) = (original.build(), untouched.build());
-        assert_same(&o1, &u1);
+        assert_bit_identical(&o1, &u1, "epoch 1");
         assert!(held_by_builder_and_snapshot_only(&original), "epoch 1 shares the twin's buffers");
         assert!(held_by_builder_and_snapshot_only(&twin));
         // And on: the twin's next epoch does not reach the original's.
         let t2 = next_epoch(&mut twin, 2);
-        assert_same(&next_epoch(&mut original, 2), &next_epoch(&mut untouched, 2));
+        assert_bit_identical(
+            &next_epoch(&mut original, 2),
+            &next_epoch(&mut untouched, 2),
+            "epoch 2",
+        );
         assert_ne!(t2.matrix(), original.matrix.as_ref());
     }
 
@@ -566,10 +708,12 @@ mod tests {
     fn a_churning_builder_holds_two_buffer_sets() {
         let (mut builder, mut live) = FluxBuilder::bootstrap(ds2(40, 11), cfg());
         for k in 1..=10 {
-            // The epoch's first write moves the published buffers to the
-            // spare and brings the spare's back as the working state.
+            // The epoch's first write (its first settle) moves the
+            // published buffers to the spare and brings the spare's back
+            // as the working state.
             let recycled = spare(&builder);
             fold(&mut builder, k);
+            builder.settle();
             assert_eq!(spare(&builder), Some(buffers(&live)), "epoch {k}: the spare");
             if let Some(recycled) = recycled {
                 assert_eq!(working(&builder), recycled, "epoch {k}: the spare was not recycled");
@@ -591,11 +735,11 @@ mod tests {
         let full_cfg = FluxConfig { policy: RebuildPolicy::always_full(), ..cfg() };
         let (mut full, _) = FluxBuilder::bootstrap(m, full_cfg);
         let s1 = next_epoch(&mut incr, 1);
-        assert_same(&s1, &next_epoch(&mut full, 1));
+        assert_bit_identical(&s1, &next_epoch(&mut full, 1), "epoch 1");
         // Epoch 2 would refill epoch 0's buffers, but a reader still
         // holds epoch 0 (and epoch 1): it gets fresh ones, same bits.
         let s2 = next_epoch(&mut incr, 2);
-        assert_same(&s2, &next_epoch(&mut full, 2));
+        assert_bit_identical(&s2, &next_epoch(&mut full, 2), "epoch 2");
         let (pinned, fresh) = (buffers(&s0), buffers(&s2));
         assert!(fresh.0 != pinned.0 && fresh.1 != pinned.1, "a pinned epoch was overwritten");
         // Once the reader of epoch 1 lets go, epoch 3 refills its buffers.
@@ -603,9 +747,132 @@ mod tests {
         drop(s1);
         let s3 = next_epoch(&mut incr, 3);
         assert_eq!(buffers(&s3), retired, "the retired buffers were not reused");
-        assert_same(&s3, &next_epoch(&mut full, 3));
+        assert_bit_identical(&s3, &next_epoch(&mut full, 3), "epoch 3");
         assert_eq!(incr.last_outcome().unwrap().kind, BuildKind::Incremental);
         assert_eq!(full.last_outcome().unwrap().kind, BuildKind::Full);
+    }
+
+    /// `count` observations over `m`'s nodes, both endpoints drawn
+    /// Zipf-skewed by `zipf_s` (so hot edges change again within an
+    /// epoch, across settles), each RTT the stored delay jittered by up
+    /// to ±30%.
+    fn zipf_stream(m: &DelayMatrix, zipf_s: f64, count: usize, seed: u64) -> Vec<Observation> {
+        let zipf = Zipf::new(m.len(), zipf_s);
+        let mut r = delayspace::rng::rng(seed);
+        (0..count)
+            .map(|_| {
+                let src = zipf.sample(&mut r);
+                let mut dst = zipf.sample(&mut r);
+                while dst == src {
+                    dst = zipf.sample(&mut r);
+                }
+                let stored = m.get(src, dst).unwrap_or(50.0);
+                Observation { src, dst, rtt_ms: stored * r.gen_range(0.7..1.3) }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn settling_after_every_ingest_matches_a_builder_that_never_settles() {
+        let m = ds2(64, 21);
+        let mut kinds = Vec::new();
+        // (threads, Zipf exponent, observations per epoch): at 64 nodes
+        // the default policy rebuilds from 16 dirty rows, so the longer
+        // epochs turn full partway, after settles already repaired.
+        for (case, (threads, zipf_s, per_epoch)) in
+            [(1, 0.0, 5), (2, 0.9, 16), (1, 1.2, 64), (2, 0.0, 64), (1, 0.9, 5), (2, 1.2, 11)]
+                .into_iter()
+                .enumerate()
+        {
+            let cfg = FluxConfig { detour_k: 2, threads, ..cfg() };
+            let (mut settled, _) = FluxBuilder::bootstrap(m.clone(), cfg);
+            let (mut unsettled, _) = FluxBuilder::bootstrap(m.clone(), cfg);
+            // And a from-scratch reference, which no settle bug reaches.
+            let full = FluxConfig { policy: RebuildPolicy::always_full(), ..cfg };
+            let (mut reference, _) = FluxBuilder::bootstrap(m.clone(), full);
+            let stream = zipf_stream(&m, zipf_s, 4 * per_epoch, 100 + case as u64);
+            for (e, epoch) in stream.chunks(per_epoch).enumerate() {
+                for &obs in epoch {
+                    settled.ingest(obs);
+                    settled.settle();
+                    unsettled.ingest(obs);
+                    reference.ingest(obs);
+                }
+                let (a, b) = (settled.build(), unsettled.build());
+                let what = format!("case {case}, epoch {e}");
+                assert_eq!(settled.last_outcome(), unsettled.last_outcome(), "{what}: outcome");
+                assert_bit_identical(&a, &b, &what);
+                assert_bit_identical(&a, &reference.build(), &format!("{what}, from scratch"));
+                kinds.push(settled.last_outcome().expect("built").kind);
+            }
+        }
+        for kind in [BuildKind::Incremental, BuildKind::Full] {
+            assert!(kinds.contains(&kind), "no {kind:?} build among {kinds:?}");
+        }
+    }
+
+    #[test]
+    fn a_settled_clone_leaves_the_original_untouched() {
+        let m = ds2(40, 12);
+        let (mut original, s0) = FluxBuilder::bootstrap(m.clone(), cfg());
+        let (mut untouched, u0) = FluxBuilder::bootstrap(m.clone(), cfg());
+        fold(&mut original, 1);
+        fold(&mut untouched, 1);
+        // The clone is taken with writes pending and before any spare
+        // exists, so its settles write: into buffers of its own, since
+        // the original (and epoch 0) still share the working ones.
+        let mut twin = original.clone();
+        let held = (working(&original), spare(&original));
+        for obs in zipf_stream(&m, 0.9, 12, 7) {
+            twin.ingest(obs);
+            twin.settle();
+        }
+        assert_ne!(working(&twin), held.0, "the twin's settles wrote nothing");
+        assert_eq!((working(&original), spare(&original)), held, "the twin moved the original");
+        let t1 = twin.build();
+        // The original settles and builds as if the twin never ran, and
+        // epoch 0 is as the bootstrap left it.
+        for k in 1..5 {
+            if k > 1 {
+                fold(&mut original, k);
+                fold(&mut untouched, k);
+            }
+            original.settle();
+            let (o, u) = (original.build(), untouched.build());
+            assert_bit_identical(&o, &u, &format!("epoch {k}"));
+            assert_eq!(original.last_outcome(), untouched.last_outcome());
+            if k == 1 {
+                assert_ne!(t1.matrix(), o.matrix(), "the twin wrote nothing of its own");
+            }
+        }
+        assert_bit_identical(&s0, &u0, "epoch 0");
+    }
+
+    #[test]
+    fn settling_waits_while_a_reader_holds_the_spare() {
+        let m = ds2(40, 13);
+        let (mut builder, _) = FluxBuilder::bootstrap(m.clone(), cfg());
+        let (mut unsettled, _) = FluxBuilder::bootstrap(m, cfg());
+        let s1 = next_epoch(&mut builder, 1);
+        let s2 = next_epoch(&mut builder, 2);
+        next_epoch(&mut unsettled, 1);
+        next_epoch(&mut unsettled, 2);
+        // Epoch 2 is published, and a reader still holds epoch 1, whose
+        // buffers are the spare: a settle would have to copy into fresh
+        // memory, so it leaves the epoch's writes pending.
+        fold(&mut builder, 3);
+        fold(&mut unsettled, 3);
+        let held = (working(&builder), spare(&builder));
+        assert_eq!(held, (buffers(&s2), Some(buffers(&s1))));
+        builder.settle();
+        assert_eq!((working(&builder), spare(&builder)), held, "a settle copied into fresh memory");
+        // Once the reader lets go, the next settle recycles its buffers.
+        let retired = buffers(&s1);
+        drop(s1);
+        builder.settle();
+        assert_eq!(working(&builder), retired, "the settle did not recycle the spare");
+        assert_bit_identical(&builder.build(), &unsettled.build(), "epoch 3");
+        assert_eq!(builder.last_outcome(), unsettled.last_outcome());
     }
 
     #[test]
