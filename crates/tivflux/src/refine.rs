@@ -53,34 +53,34 @@ pub fn refine_embedding(
     cfg: &RefineConfig,
     threads: usize,
 ) -> Embedding {
-    let mut coords = prev.coords().to_vec();
-    refine_nodes(prev, matrix, dirty, cfg, threads, &mut coords);
-    Embedding::new(coords)
+    let mut next = prev.clone();
+    refine_nodes(prev, matrix, dirty, cfg, threads, &mut next);
+    next
 }
 
 /// Refines exactly the `nodes` like [`refine_embedding`], but writes
-/// each node's coordinate into `coords[node]` and leaves every other
-/// entry of `coords` as it is: the form for a caller that keeps its own
+/// each node's coordinate into `next` and leaves every other node of
+/// `next` as it is: the form for a caller that keeps its own
 /// coordinate buffer and refines a few nodes at a time. A node's update
 /// reads only its matrix row and `prev`, so refining a set over several
-/// calls, each node again whenever its row changed, leaves `coords` as
+/// calls, each node again whenever its row changed, leaves `next` as
 /// one call over the final matrix would.
 ///
 /// # Panics
-/// Panics when the matrix, `prev` and `coords` disagree on the node
-/// count, or when `nodes` is not strictly increasing or names a node
-/// `>= n`.
+/// Panics when the matrix, `prev` and `next` disagree on the node
+/// count or the dimensionality, or when `nodes` is not strictly
+/// increasing or names a node `>= n`.
 pub fn refine_nodes(
     prev: &Embedding,
     matrix: &DelayMatrix,
     nodes: &[NodeId],
     cfg: &RefineConfig,
     threads: usize,
-    coords: &mut [Coord],
+    next: &mut Embedding,
 ) {
     let n = matrix.len();
     assert_eq!(prev.len(), n, "embedding covers {} of {n} nodes", prev.len());
-    assert_eq!(coords.len(), n, "coordinate buffer covers {} of {n} nodes", coords.len());
+    assert_eq!(next.len(), n, "coordinate buffer covers {} of {n} nodes", next.len());
     assert!(nodes.windows(2).all(|w| w[0] < w[1]), "dirty rows must be strictly increasing");
     if let Some(&last) = nodes.last() {
         assert!(last < n, "dirty row {last} outside {n} nodes");
@@ -88,7 +88,7 @@ pub fn refine_nodes(
     let refined: Vec<Coord> =
         tivpar::par_map_rows(nodes.len(), threads, |k| refine_node(prev, matrix, nodes[k], cfg));
     for (&i, c) in nodes.iter().zip(refined) {
-        coords[i] = c;
+        next.set_coord(i, c);
     }
 }
 

@@ -1,10 +1,12 @@
 //! The deployment API: replicas + publisher in one builder, with the
 //! fault hooks the chaos harness drives.
 //!
-//! A [`Deployment`] spawns one [`TivServe`] + gate per replica, each
-//! seeded with a **clone of the same [`EpochSnapshot`]** — replicas are
-//! full copies, not partitions, so any replica answers any pair
-//! identically — and optionally the publish engine that feeds them:
+//! A [`Deployment`] spawns one [`TivServe`] + gate per replica, all
+//! serving **one shared [`EpochSnapshot`]** — replicas are full copies,
+//! not partitions, so any replica answers any pair identically — and
+//! optionally the publish engine that feeds them. A snapshot holds its
+//! parts behind `Arc`s, so each replica's copy, the retained latest
+//! epoch and a restarted replica's reassembly share one epoch's memory:
 //!
 //! ```no_run
 //! # use tivgate::deploy::Deployment;
@@ -28,8 +30,7 @@
 //! deterministic epoch boundary (a synchronous build+publish through
 //! the engine's [`Feed`](tivserve::epoch::Feed) channel).
 //!
-//! **Why recovery is bit-exact.** Replicas are full copies of one
-//! snapshot, every answer is a pure function of `(snapshot, query,
+//! **Why recovery is bit-exact.** Replicas serve one snapshot, every answer is a pure function of `(snapshot, query,
 //! config)`, and the deployment retains the latest *built* snapshot.
 //! A restart reconstructs the replica's [`TivServe`] from that
 //! retained snapshot through the one validated constructor surface
@@ -51,6 +52,7 @@
 
 use crate::server::{GateConfig, GateHandle, GateServer};
 use std::io;
+use std::mem;
 use std::net::SocketAddr;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -89,12 +91,13 @@ impl Cluster {
         self.state.lock().expect("deployment state poisoned")
     }
 
-    /// The deployment's publish path: retain the snapshot as `latest`,
-    /// then push a clone into every live replica whose fault gate is
-    /// open. A withheld publish is *not* queued — the next publish
-    /// supersedes it wholesale (snapshots are full states, so a
-    /// delayed full-snapshot publish arriving after its successor is
-    /// indistinguishable from a dropped one).
+    /// The deployment's publish path: push a clone (a handful of `Arc`
+    /// counts) into every live replica whose fault gate is open, then
+    /// retain the snapshot as `latest`. A withheld publish is *not*
+    /// queued — the next publish supersedes it wholesale (snapshots are
+    /// full states, so a delayed full-snapshot publish arriving after
+    /// its successor is indistinguishable from a dropped one). The
+    /// retired `latest` is dropped after the state lock is released.
     fn publish(&self, snapshot: EpochSnapshot) {
         let mut st = self.lock();
         let ClusterState { slots, publishes_skipped, .. } = &mut *st;
@@ -108,7 +111,9 @@ impl Cluster {
                 slot.epoch = service.publish(snapshot.clone());
             }
         }
-        st.latest = snapshot;
+        let retired = mem::replace(&mut st.latest, snapshot);
+        drop(st);
+        drop(retired);
     }
 }
 
@@ -177,7 +182,7 @@ impl<B: EpochSource<Snapshot = EpochSnapshot>> Deployment<B> {
     }
 
     /// Spawns the deployment: one [`TivServe`] + gate per replica,
-    /// each seeded with a clone of the snapshot, plus the publish
+    /// each serving the one snapshot, plus the publish
     /// engine when a publisher was attached.
     pub fn spawn(self) -> io::Result<DeploymentHandle<B>> {
         let mut slots = Vec::with_capacity(self.replicas);
@@ -485,6 +490,29 @@ mod tests {
             control.call_frame(&req).unwrap(),
             "restarted replica must answer byte-identically"
         );
+        handle.shutdown().unwrap();
+    }
+
+    #[test]
+    fn replicas_and_the_retained_epoch_share_one_snapshot() {
+        let (builder, snap, serve_cfg) = small_builder();
+        let handle =
+            Deployment::new(snap, serve_cfg).replicas(3).publisher(builder, 1000).spawn().unwrap();
+        let feed = handle.feed().unwrap();
+        feed.observe(Observation { src: 0, dst: 3, rtt_ms: 44.0 }).unwrap();
+        assert_eq!(handle.publish_now(), Some(1));
+        // A restarted replica reassembles the retained epoch's parts.
+        handle.crash(2).unwrap();
+        handle.restart(2).unwrap();
+        let (_, latest) = handle.cluster.lock().latest.clone().into_parts();
+        for r in 0..3 {
+            let served = handle.service(r).unwrap().snapshot();
+            assert_eq!(served.epoch(), 1);
+            let (_, parts) = EpochSnapshot::clone(&served).into_parts();
+            assert!(Arc::ptr_eq(&parts.embedding, &latest.embedding), "replica {r}: embedding");
+            assert!(Arc::ptr_eq(&parts.monitors, &latest.monitors), "replica {r}: monitors");
+            assert!(Arc::ptr_eq(&parts.matrix, &latest.matrix), "replica {r}: matrix");
+        }
         handle.shutdown().unwrap();
     }
 

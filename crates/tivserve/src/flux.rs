@@ -42,28 +42,40 @@
 //! a builder settled after every observation against one never
 //! settled.
 //!
-//! A snapshot shares its matrix and derived state behind `Arc`s, so
-//! publishing one to every replica copies neither. The builder's
-//! working state *is* the published snapshot's buffers, copy-on-write:
+//! A snapshot holds each of its parts behind an `Arc`, so publishing
+//! one to every replica copies none of them. The builder's working
+//! state *is* the published snapshot's buffers, copy-on-write:
 //! [`bootstrap`](FluxBuilder::bootstrap) and [`build`](FluxBuilder::build)
 //! publish `Arc` clones of them, and the first write after a publish
 //! (a `settle` or `build` with delays to write, or a full rebuild)
-//! first copies both into the buffers of the epoch before, which the
-//! builder keeps as its spare. That copy is a `clone_from` into
-//! resident memory once no reader holds the spare any more, and a fresh
-//! allocation while one still does — which only a build ever makes: a
-//! settle that would have to leaves its writes to a later settle, after
-//! the reader lets go. So a read-only deployment holds one copy of the
-//! state, a churning one two (the published epoch and the recycled one
-//! it is built into), and the copy happens at an epoch's first settle,
-//! not between its last observation and its publish.
+//! first copies the matrix and the derived state into the buffers of
+//! the epoch before, which the builder keeps as its spare. That copy is
+//! a `clone_from` into resident memory once no reader holds the spare
+//! any more, and a fresh allocation while one still does — which only a
+//! build ever makes: a settle that would have to leaves its writes to a
+//! later settle, after the reader lets go. So a read-only deployment
+//! holds one copy of the state, a churning one two (the published epoch
+//! and the recycled one it is built into), and the copy happens at an
+//! epoch's first settle, not between its last observation and its
+//! publish. The embedding is recycled the same way: the epoch's first
+//! refinement copies the published embedding into the one the last
+//! build retired, and the build publishes the refined copy by a pointer
+//! swap.
+//!
+//! So the close builds only what the epoch's observations changed. Of
+//! the monitor table it re-exports the entries of the monitors that
+//! observed since the last build and shares every other entry with the
+//! epoch before (a summary is a pure function of its monitor's state);
+//! an epoch without an observation republishes the whole table.
 //!
 //! `FluxBuilder` implements [`EpochSource`], so
 //! [`crate::epoch::spawn_with`] runs it on a background thread without
 //! losing an observation.
 
 use crate::epoch::{EpochConfig, EpochSource, Observation};
-use crate::snapshot::{DenseParts, EpochSnapshot, ServedSnapshot};
+use crate::snapshot::{
+    empty_monitor_table, DenseParts, EpochSnapshot, MonitorTable, ServedSnapshot,
+};
 use delayspace::matrix::{DelayMatrix, NodeId};
 use simnet::net::{JitterModel, Network};
 use std::collections::HashMap;
@@ -71,7 +83,7 @@ use std::mem;
 use std::sync::Arc;
 use tivcore::TivMonitor;
 use tivflux::{refine_nodes, BuildKind, DerivedState, DirtySet, RebuildPolicy, RefineConfig};
-use vivaldi::{Coord, Embedding, VivaldiSystem};
+use vivaldi::{Embedding, VivaldiSystem};
 
 /// Construction parameters of the incremental builder.
 #[derive(Clone, Copy, Debug)]
@@ -137,14 +149,24 @@ pub struct FluxBuilder {
     /// The working matrix. Shared with the last published snapshot
     /// until the first write after the publish unshares it.
     matrix: Arc<DelayMatrix>,
-    /// The last built epoch's embedding: what monitors predict with and
-    /// what every refinement of the epoch solves against.
-    embedding: Embedding,
+    /// The last built epoch's embedding, shared with its snapshot: what
+    /// monitors predict with and what every refinement of the epoch
+    /// solves against.
+    embedding: Arc<Embedding>,
     /// The next epoch's coordinates: `embedding`'s, with every node
     /// settled this epoch refined against the matrix as of its last
-    /// settle.
-    coords: Vec<Coord>,
+    /// settle. The same `Arc` as `embedding` until the epoch's first
+    /// refinement unshares it; the build publishes it as is.
+    next: Arc<Embedding>,
+    /// The embedding the last build retired (`None` until one did):
+    /// what the next unshare of `next` copies `embedding` into.
+    retired: Option<Arc<Embedding>>,
     monitors: Vec<TivMonitor>,
+    /// The monitor table the last build published.
+    table: MonitorTable,
+    /// `observed[i]`: monitor `i` absorbed a sample since the last
+    /// build, so its entry of `table` is stale.
+    observed: Vec<bool>,
     /// The working derived state, shared and unshared with `matrix`.
     /// Bit for bit what a recompute of `matrix` gives, as of the last
     /// settle or build.
@@ -179,22 +201,26 @@ impl FluxBuilder {
     pub fn bootstrap(matrix: DelayMatrix, cfg: impl Into<FluxConfig>) -> (Self, EpochSnapshot) {
         let cfg = cfg.into();
         assert!(cfg.detour_k >= 1, "the detour table needs k >= 1");
-        let embedding = embed(&matrix, &cfg.epoch);
+        let embedding = Arc::new(embed(&matrix, &cfg.epoch));
         let derived = Arc::new(DerivedState::compute(&matrix, cfg.detour_k, cfg.threads));
         let matrix = Arc::new(matrix);
         let n = matrix.len();
+        let table = empty_monitor_table(n);
         let parts = DenseParts {
             matrix: Arc::clone(&matrix),
-            embedding: embedding.clone(),
-            monitors: vec![Vec::new(); n],
+            embedding: Arc::clone(&embedding),
+            monitors: Arc::clone(&table),
             derived: Some(Arc::clone(&derived)),
         };
         let builder = FluxBuilder {
             cfg,
             matrix,
-            coords: embedding.coords().to_vec(),
+            next: Arc::clone(&embedding),
+            retired: None,
             embedding,
             monitors: vec![TivMonitor::new(cfg.epoch.monitor); n],
+            table,
+            observed: vec![false; n],
             derived,
             dirty: DirtySet::new(n),
             unsettled: DirtySet::new(n),
@@ -263,6 +289,7 @@ impl FluxBuilder {
         assert_ne!(obs.src, obs.dst, "self-observation at node {}", obs.src);
         let predicted = self.embedding.predicted(obs.src, obs.dst);
         self.monitors[obs.src].observe(obs.dst, obs.rtt_ms, predicted);
+        self.observed[obs.src] = true;
         let smoothed = self.monitors[obs.src].rtt(obs.dst).expect("observe tracked the peer");
         let edge = (obs.src.min(obs.dst), obs.src.max(obs.dst));
         let before = self.writes.get(&edge).copied().unwrap_or(self.matrix.raw(obs.src, obs.dst));
@@ -303,17 +330,34 @@ impl FluxBuilder {
             return;
         }
         self.write();
-        refine_nodes(
-            &self.embedding,
-            &self.matrix,
-            &self.unsettled.sorted_nodes(),
-            &self.cfg.refine,
-            self.cfg.threads,
-            &mut self.coords,
-        );
+        self.refine(&self.unsettled.sorted_nodes());
         let (matrix, derived) = unshare(&mut self.matrix, &mut self.derived, &mut self.spare);
         derived.repair_edges(matrix, self.unsettled.changed_edges(), self.cfg.threads);
         self.unsettled.clear();
+    }
+
+    /// Refines `nodes` into the next epoch's coordinates against the
+    /// last epoch's embedding. The epoch's first refinement unshares
+    /// them first: it copies the embedding into the retired one's
+    /// buffers with [`refill`], or into a fresh allocation while a
+    /// reader still holds the retired epoch.
+    fn refine(&mut self, nodes: &[NodeId]) {
+        if nodes.is_empty() {
+            return;
+        }
+        if Arc::ptr_eq(&self.next, &self.embedding) {
+            self.next = refill(self.retired.take(), &self.embedding);
+        }
+        // Copies only when a cloned builder shares the private buffer.
+        let next = Arc::make_mut(&mut self.next);
+        refine_nodes(
+            &self.embedding,
+            &self.matrix,
+            nodes,
+            &self.cfg.refine,
+            self.cfg.threads,
+            next,
+        );
     }
 
     /// Writes the unsettled delays into the working matrix, unsharing
@@ -342,11 +386,12 @@ impl FluxBuilder {
     /// reader still holds the spare ones; a full one (per the policy on
     /// the epoch's dirty rows) writes the pending delays, refines every
     /// dirty node's coordinate and recomputes the derived analyses from
-    /// scratch — identical results either way. The snapshot freezes the monitor summaries
-    /// and shares the builder's matrix and derived state; the dirty
-    /// sets and pending counter reset. An incremental epoch with no
-    /// changed edge writes nothing, so it republishes the buffers of
-    /// the epoch before.
+    /// scratch — identical results either way. The snapshot shares the
+    /// builder's matrix, derived state and refined embedding, and a
+    /// monitor table that re-exports only the monitors that observed
+    /// this epoch; the dirty sets and pending counter reset. An
+    /// incremental epoch with no changed edge writes nothing, so it
+    /// republishes the buffers and the embedding of the epoch before.
     pub fn build(&mut self) -> EpochSnapshot {
         self.epoch += 1;
         let n = self.matrix.len();
@@ -355,14 +400,7 @@ impl FluxBuilder {
             BuildKind::Incremental => self.catch_up(),
             BuildKind::Full => {
                 self.write();
-                refine_nodes(
-                    &self.embedding,
-                    &self.matrix,
-                    &self.dirty.sorted_nodes(),
-                    &self.cfg.refine,
-                    self.cfg.threads,
-                    &mut self.coords,
-                );
+                self.refine(&self.dirty.sorted_nodes());
                 let (matrix, derived) =
                     unshare(&mut self.matrix, &mut self.derived, &mut self.spare);
                 derived.rebuild(matrix, self.cfg.threads);
@@ -376,19 +414,36 @@ impl FluxBuilder {
             dirty_fraction: if n == 0 { 0.0 } else { dirty_rows as f64 / n as f64 },
             edge_marks: self.dirty.edge_marks(),
         });
-        if !self.dirty.is_empty() {
-            self.embedding = Embedding::new(self.coords.clone());
+        if !Arc::ptr_eq(&self.next, &self.embedding) {
+            let published = Arc::clone(&self.next);
+            self.retired = Some(mem::replace(&mut self.embedding, published));
+        }
+        if self.pending > 0 {
+            self.table = self.export_observed();
         }
         self.dirty.clear();
         self.unsettled.clear();
         self.pending = 0;
         let parts = DenseParts {
             matrix: Arc::clone(&self.matrix),
-            embedding: self.embedding.clone(),
-            monitors: self.monitors.iter().map(TivMonitor::summaries).collect(),
+            embedding: Arc::clone(&self.embedding),
+            monitors: Arc::clone(&self.table),
             derived: Some(Arc::clone(&self.derived)),
         };
         EpochSnapshot::assemble(self.epoch, parts)
+    }
+
+    /// The next monitor table: the observed monitors' entries exported
+    /// again, every other one shared with the last published table.
+    /// Clears the observed marks.
+    fn export_observed(&mut self) -> MonitorTable {
+        let mut next = self.table.to_vec();
+        for (i, observed) in self.observed.iter_mut().enumerate() {
+            if mem::take(observed) {
+                next[i] = self.monitors[i].summaries().into();
+            }
+        }
+        next.into()
     }
 
     /// The policy's pick for the epoch so far.
@@ -726,6 +781,63 @@ mod tests {
             let (matrices, derived): (HashSet<_>, HashSet<_>) = held.unzip();
             assert_eq!((matrices.len(), derived.len()), (2, 2), "epoch {k}: buffer sets held");
         }
+    }
+
+    /// A snapshot's monitor table.
+    fn table(s: &EpochSnapshot) -> MonitorTable {
+        s.clone().into_parts().1.monitors
+    }
+
+    #[test]
+    fn the_monitor_table_re_exports_only_the_monitors_that_observed() {
+        let m = ds2(40, 14);
+        let (mut builder, mut prev) = FluxBuilder::bootstrap(m.clone(), cfg());
+        for (e, epoch) in zipf_stream(&m, 1.2, 12 * 6, 41).chunks(6).enumerate() {
+            let observers: HashSet<NodeId> = epoch.iter().map(|o| o.src).collect();
+            for &obs in epoch {
+                builder.ingest(obs);
+                builder.settle();
+            }
+            let next = builder.build();
+            let (before, after) = (table(&prev), table(&next));
+            assert!(Arc::ptr_eq(&after, &builder.table), "epoch {e}: the builder kept a copy");
+            assert!(observers.len() < m.len(), "epoch {e}: every node observed");
+            for (i, monitor) in builder.monitors.iter().enumerate() {
+                assert_eq!(after[i][..], monitor.summaries()[..], "epoch {e}: node {i}'s entry");
+                let shared = Arc::ptr_eq(&after[i], &before[i]);
+                assert_eq!(shared, !observers.contains(&i), "epoch {e}: node {i} shared: {shared}");
+            }
+            prev = next;
+        }
+        // An epoch without an observation republishes the whole table.
+        assert!(Arc::ptr_eq(&table(&builder.build()), &table(&prev)));
+    }
+
+    /// A snapshot's embedding.
+    fn embedding(s: &EpochSnapshot) -> *const Embedding {
+        s.embedding() as *const _
+    }
+
+    #[test]
+    fn the_embedding_is_published_without_a_copy_and_recycled() {
+        let (mut builder, s0) = FluxBuilder::bootstrap(ds2(40, 15), cfg());
+        assert_eq!(embedding(&s0), Arc::as_ptr(&builder.embedding), "bootstrap copied it");
+        let s1 = next_epoch(&mut builder, 1);
+        assert_eq!(embedding(&s1), Arc::as_ptr(&builder.embedding), "epoch 1 copied it");
+        assert!(Arc::ptr_eq(&builder.next, &builder.embedding), "epoch 2 refined already");
+        assert_ne!(embedding(&s1), embedding(&s0));
+        // Epoch 2 would refill epoch 0's embedding, but a reader still
+        // holds it: fresh memory. Once epoch 1's reader lets go, epoch
+        // 3 refines into its buffers.
+        let s2 = next_epoch(&mut builder, 2);
+        assert!(![embedding(&s0), embedding(&s1)].contains(&embedding(&s2)));
+        let retired = embedding(&s1);
+        drop(s1);
+        let s3 = next_epoch(&mut builder, 3);
+        assert_eq!(embedding(&s3), retired, "the retired embedding was not reused");
+        // An epoch without a changed edge republishes the embedding.
+        assert_eq!(embedding(&builder.build()), embedding(&s3));
+        assert_eq!(s0.embedding().len(), 40);
     }
 
     #[test]

@@ -23,6 +23,7 @@ use crate::query::{QueryBatch, ReplyBatch};
 use crate::snapshot::{EpochSnapshot, EstimateConfig};
 use delayspace::matrix::NodeId;
 use delayspace::NodePair;
+use std::mem;
 use std::sync::{Arc, RwLock};
 
 /// Service construction parameters.
@@ -126,10 +127,16 @@ impl TivServe {
 
     /// Publishes a new snapshot, swapping it in atomically. In-flight
     /// batches keep the snapshot they started with, so a publish can
-    /// never make a reader mix epochs.
+    /// never make a reader mix epochs. The retired snapshot is dropped
+    /// after the lock is released, so no reader waits on its free.
     pub fn publish(&self, snapshot: EpochSnapshot) -> u64 {
         let epoch = snapshot.epoch();
-        *self.current.write().expect("snapshot lock poisoned") = Arc::new(snapshot);
+        let next = Arc::new(snapshot);
+        let retired = {
+            let mut current = self.current.write().expect("snapshot lock poisoned");
+            mem::replace(&mut *current, next)
+        };
+        drop(retired);
         epoch
     }
 

@@ -133,18 +133,32 @@ pub trait ServedSnapshot: Clone + Send + Sync + 'static {
     fn epoch(&self) -> u64;
 }
 
+/// A frozen monitor table: entry `i` is node `i`'s exported monitor
+/// state, sorted by peer id (possibly empty). Shared node by node, so
+/// an epoch that re-exports a few monitors shares every other entry
+/// with the epoch before.
+pub type MonitorTable = Arc<[Arc<[MonitorSummary]>]>;
+
+/// The monitor table of `n` nodes that track no peer: one shared empty
+/// entry.
+pub(crate) fn empty_monitor_table(n: usize) -> MonitorTable {
+    let empty: Arc<[MonitorSummary]> = Arc::from([]);
+    vec![empty; n].into()
+}
+
 /// The constituent parts of a dense [`EpochSnapshot`] — what
-/// [`ServedSnapshot::assemble`] freezes besides the epoch tag.
+/// [`ServedSnapshot::assemble`] freezes besides the epoch tag. Every
+/// part is behind an `Arc`, so cloning a snapshot (one per replica, one
+/// retained for restarts) bumps four counts and copies nothing.
 #[derive(Clone, Debug)]
 pub struct DenseParts {
-    /// The measured delay matrix, shared like `derived`: cloning a
-    /// snapshot (one per replica) bumps a count instead of copying it.
+    /// The measured delay matrix.
     pub matrix: Arc<DelayMatrix>,
     /// The Vivaldi embedding of the matrix.
-    pub embedding: Embedding,
+    pub embedding: Arc<Embedding>,
     /// `monitors[i]` is node `i`'s exported monitor state, sorted by
     /// peer id (possibly empty).
-    pub monitors: Vec<Vec<MonitorSummary>>,
+    pub monitors: MonitorTable,
     /// Precomputed O(n³) analyses, which the flux builder maintains
     /// (`None` makes `route` scan).
     pub derived: Option<Arc<DerivedState>>,
@@ -156,10 +170,10 @@ pub struct DenseParts {
 pub struct EpochSnapshot {
     epoch: u64,
     matrix: Arc<DelayMatrix>,
-    embedding: Embedding,
+    embedding: Arc<Embedding>,
     /// `monitors[i]` is node `i`'s exported [`TivMonitor`] state,
     /// sorted by peer id (possibly empty).
-    monitors: Vec<Vec<MonitorSummary>>,
+    monitors: MonitorTable,
     /// Precomputed O(n³) analyses (exact severity + detour table) kept
     /// fresh by the flux builder. When present, `route` answers from
     /// the table's rank 0 — bit-identical to the O(n) scan, O(1) per
@@ -227,8 +241,13 @@ impl EpochSnapshot {
     /// A snapshot with no monitor state (alerts fall back to the ratio
     /// rule for every edge) and no derived state (`route` scans).
     pub fn without_monitors(epoch: u64, matrix: DelayMatrix, embedding: Embedding) -> Self {
-        let monitors = vec![Vec::new(); matrix.len()];
-        let parts = DenseParts { matrix: Arc::new(matrix), embedding, monitors, derived: None };
+        let monitors = empty_monitor_table(matrix.len());
+        let parts = DenseParts {
+            matrix: Arc::new(matrix),
+            embedding: Arc::new(embedding),
+            monitors,
+            derived: None,
+        };
         Self::assemble(epoch, parts)
     }
 
@@ -265,7 +284,7 @@ impl EpochSnapshot {
 
     /// Total alerted `(observer, peer)` monitor entries in the snapshot.
     pub fn alerted_monitor_entries(&self) -> usize {
-        self.monitors.iter().flatten().filter(|s| s.alerted).count()
+        self.monitors.iter().flat_map(|peers| peers.iter()).filter(|s| s.alerted).count()
     }
 
     /// Evaluates one edge query against the frozen state.
@@ -396,9 +415,14 @@ mod tests {
         for _ in 0..5 {
             mon.observe(1, 100.0, 10.0);
         }
-        let mut monitors = vec![Vec::new(); m.len()];
-        monitors[0] = mon.summaries();
-        let parts = DenseParts { matrix: Arc::new(m), embedding: emb, monitors, derived: None };
+        let mut monitors = empty_monitor_table(m.len()).to_vec();
+        monitors[0] = mon.summaries().into();
+        let parts = DenseParts {
+            matrix: Arc::new(m),
+            embedding: Arc::new(emb),
+            monitors: monitors.into(),
+            derived: None,
+        };
         let snap = EpochSnapshot::assemble(1, parts);
         let cfg = EstimateConfig { alert_threshold: 0.0, ..EstimateConfig::default() };
         // Threshold 0 never alerts by ratio, yet (0, 1) alerts via the
@@ -483,8 +507,9 @@ mod tests {
         let (m, emb) = fixture(60, 13);
         let scan = EpochSnapshot::without_monitors(2, m.clone(), emb.clone());
         let derived = Some(Arc::new(DerivedState::compute(&m, 1, 2)));
-        let monitors = vec![Vec::new(); m.len()];
-        let parts = DenseParts { matrix: Arc::new(m.clone()), embedding: emb, monitors, derived };
+        let monitors = empty_monitor_table(m.len());
+        let parts =
+            DenseParts { matrix: Arc::new(m.clone()), embedding: Arc::new(emb), monitors, derived };
         let table = EpochSnapshot::assemble(2, parts);
         for a in 0..60 {
             for c in 0..60 {
@@ -510,8 +535,8 @@ mod tests {
         let (m, emb) = fixture(30, 2);
         let small = DelayMatrix::from_complete_fn(5, |i, j| (i + j) as f64 + 1.0);
         let derived = Some(Arc::new(DerivedState::compute(&small, 1, 1)));
-        let monitors = vec![Vec::new(); m.len()];
-        let parts = DenseParts { matrix: Arc::new(m), embedding: emb, monitors, derived };
+        let monitors = empty_monitor_table(m.len());
+        let parts = DenseParts { matrix: Arc::new(m), embedding: Arc::new(emb), monitors, derived };
         let _ = EpochSnapshot::assemble(0, parts);
     }
 
@@ -519,8 +544,35 @@ mod tests {
     #[should_panic(expected = "monitor table covers")]
     fn mismatched_monitor_table_rejected() {
         let (m, emb) = fixture(30, 2);
-        let monitors = vec![Vec::new(); 7];
-        let parts = DenseParts { matrix: Arc::new(m), embedding: emb, monitors, derived: None };
+        let monitors = empty_monitor_table(7);
+        let parts =
+            DenseParts { matrix: Arc::new(m), embedding: Arc::new(emb), monitors, derived: None };
         EpochSnapshot::assemble(0, parts);
+    }
+
+    #[test]
+    fn a_cloned_snapshot_shares_every_part() {
+        let (m, emb) = fixture(30, 4);
+        let derived = Some(Arc::new(DerivedState::compute(&m, 1, 1)));
+        let parts = DenseParts {
+            matrix: Arc::new(m),
+            embedding: Arc::new(emb),
+            monitors: empty_monitor_table(30),
+            derived,
+        };
+        let snap = EpochSnapshot::assemble(3, parts);
+        let twin = snap.clone();
+        assert!(Arc::ptr_eq(&snap.matrix, &twin.matrix), "the clone copied the matrix");
+        assert!(Arc::ptr_eq(&snap.embedding, &twin.embedding), "the clone copied the embedding");
+        assert!(Arc::ptr_eq(&snap.monitors, &twin.monitors), "the clone copied the monitor table");
+        let (sd, td) = (snap.derived.as_ref().unwrap(), twin.derived.as_ref().unwrap());
+        assert!(Arc::ptr_eq(sd, td), "the clone copied the derived state");
+        // A round trip through the parts (a chaos restart) shares too.
+        let (epoch, parts) = twin.into_parts();
+        let restarted = EpochSnapshot::assemble(epoch, parts);
+        assert!(Arc::ptr_eq(&snap.embedding, &restarted.embedding));
+        assert!(Arc::ptr_eq(&snap.monitors, &restarted.monitors));
+        // Every node's empty entry is one allocation.
+        assert!(snap.monitors.windows(2).all(|w| Arc::ptr_eq(&w[0], &w[1])));
     }
 }

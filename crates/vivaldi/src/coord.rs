@@ -17,11 +17,26 @@ use rand::Rng;
 /// models the high-speed core, the heights model each node's access
 /// link, which every path must traverse at both ends. Heights are
 /// clamped non-negative.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Coord {
     v: Vec<f64>,
     /// Access-link height (ms); 0 in the plain Euclidean model.
     h: f64,
+}
+
+impl Clone for Coord {
+    fn clone(&self) -> Self {
+        Coord { v: self.v.clone(), h: self.h }
+    }
+
+    /// Copies `source` into this coordinate's component buffer instead
+    /// of allocating a new one (what the derived `clone_from` would do),
+    /// so refilling a recycled [`Embedding`](crate::Embedding) of the
+    /// same dimensionality allocates nothing.
+    fn clone_from(&mut self, source: &Self) {
+        self.v.clone_from(&source.v);
+        self.h = source.h;
+    }
 }
 
 impl Coord {

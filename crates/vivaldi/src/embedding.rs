@@ -12,9 +12,22 @@ use delayspace::matrix::{DelayMatrix, NodeId};
 use delayspace::stats::Cdf;
 
 /// A frozen embedding: one coordinate per node.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Embedding {
     coords: Vec<Coord>,
+}
+
+impl Clone for Embedding {
+    fn clone(&self) -> Self {
+        Embedding { coords: self.coords.clone() }
+    }
+
+    /// Copies `source` coordinate by coordinate into this embedding's
+    /// buffers ([`Coord`]'s `clone_from`), so an epoch builder refilling
+    /// a retired embedding of the same shape allocates nothing.
+    fn clone_from(&mut self, source: &Self) {
+        self.coords.clone_from(&source.coords);
+    }
 }
 
 impl Embedding {
@@ -44,6 +57,15 @@ impl Embedding {
     /// All coordinates.
     pub fn coords(&self) -> &[Coord] {
         &self.coords
+    }
+
+    /// Replaces node `i`'s coordinate.
+    ///
+    /// # Panics
+    /// Panics when `c` has another dimensionality than the embedding.
+    pub fn set_coord(&mut self, i: NodeId, c: Coord) {
+        assert_eq!(c.dims(), self.coords[i].dims(), "mixed dimensionality");
+        self.coords[i] = c;
     }
 
     /// Predicted delay between `i` and `j` (Euclidean distance, ms).
@@ -138,6 +160,31 @@ mod tests {
         assert_eq!(e.select_nearest(0, &[1, 2]), Some(1));
         assert_eq!(e.select_nearest(2, &[0, 1]), Some(1));
         assert_eq!(e.select_nearest(1, &[1]), None); // only self
+    }
+
+    #[test]
+    fn clone_from_reuses_every_buffer() {
+        let src = line_embedding();
+        let mut dst = Embedding::new(vec![Coord::with_height(vec![7.0, 7.0], 1.0); 3]);
+        let buffers: Vec<*const f64> = dst.coords().iter().map(|c| c.as_slice().as_ptr()).collect();
+        dst.clone_from(&src);
+        assert_eq!(dst.coords(), src.coords());
+        let after: Vec<*const f64> = dst.coords().iter().map(|c| c.as_slice().as_ptr()).collect();
+        assert_eq!(after, buffers, "clone_from allocated a coordinate");
+    }
+
+    #[test]
+    fn set_coord_replaces_one_node() {
+        let mut e = line_embedding();
+        e.set_coord(1, Coord::from_vec(vec![25.0, 0.0]));
+        assert_eq!(e.predicted(1, 2), 0.0);
+        assert_eq!(e.predicted(0, 1), 25.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "mixed dimensionality")]
+    fn set_coord_rejects_another_dimensionality() {
+        line_embedding().set_coord(0, Coord::origin(3));
     }
 
     #[test]
