@@ -16,11 +16,11 @@
 //!   estimation error, the mean 95% CI half-width, and the fraction of
 //!   edges whose exact severity the CI actually covers;
 //! * **scaling** — build sparse stores at growing n with a fixed
-//!   observed degree and report their resident bytes and build time
-//!   against the `n² × 8` bytes the dense matrix would need.
+//!   observed degree and report their resident bytes against the
+//!   `n² × 8` bytes the dense matrix would need.
 //!
-//! Everything except wall-clock build time is a pure function of the
-//! options: the accuracy figure's CSV is bit-reproducible.
+//! The whole report is a pure function of the options: both figures'
+//! CSVs are bit-reproducible.
 
 use crate::figure::{Figure, Series};
 use delayspace::rng::{sample_indices, sub_rng};
@@ -94,8 +94,6 @@ pub struct ScalingRow {
     pub sparse_bytes: usize,
     /// Bytes the dense matrix would need (`n² × 8`).
     pub dense_bytes: usize,
-    /// Wall milliseconds to build the store from its edge list.
-    pub build_ms: f64,
 }
 
 /// The outcome `repro sparse` prints and writes.
@@ -137,13 +135,11 @@ impl fmt::Display for SparseReport {
         for s in &self.scaling {
             writeln!(
                 f,
-                "  n = {:>7}: sparse {:.1} MB vs dense {:.1} MB ({:.1}x smaller), \
-                 built in {:.0} ms ({} edges)",
+                "  n = {:>7}: sparse {:.1} MB vs dense {:.1} MB ({:.1}x smaller, {} edges)",
                 s.nodes,
                 s.sparse_bytes as f64 / 1e6,
                 s.dense_bytes as f64 / 1e6,
                 s.dense_bytes as f64 / s.sparse_bytes.max(1) as f64,
-                s.build_ms,
                 s.edges
             )?;
         }
@@ -251,15 +247,12 @@ pub fn run_sparse(opts: &SparseOptions) -> SparseReport {
             continue;
         }
         let edges = scale_edges(sn, opts.degree, opts.seed);
-        let started = std::time::Instant::now();
         let built = SparseDelayStore::from_edges(sn, edges.iter().copied());
-        let build_ms = started.elapsed().as_secs_f64() * 1e3;
         scaling.push(ScalingRow {
             nodes: sn,
             edges: built.edge_count(),
             sparse_bytes: built.memory_bytes(),
             dense_bytes: sn * sn * std::mem::size_of::<f64>(),
-            build_ms,
         });
     }
 
@@ -289,28 +282,20 @@ pub fn run_sparse(opts: &SparseOptions) -> SparseReport {
         n,
         opts.seed
     ));
-    let scaling_fig = Figure::new(
-        "sparse-scaling",
-        "Sparse store cost vs dense matrix",
-        "nodes",
-        "resident MB (and build ms)",
-    )
-    .with_series(Series::new(
-        "sparse store MB",
-        scaling.iter().map(|s| (s.nodes as f64, s.sparse_bytes as f64 / 1e6)).collect(),
-    ))
-    .with_series(Series::new(
-        "dense matrix MB",
-        scaling.iter().map(|s| (s.nodes as f64, s.dense_bytes as f64 / 1e6)).collect(),
-    ))
-    .with_series(Series::new(
-        "sparse build ms",
-        scaling.iter().map(|s| (s.nodes as f64, s.build_ms)).collect(),
-    ))
-    .with_note(format!(
-        "{} observed edges per node; sparse memory grows Θ(n·degree) against dense Θ(n²)",
-        opts.degree
-    ));
+    let scaling_fig =
+        Figure::new("sparse-scaling", "Sparse store cost vs dense matrix", "nodes", "resident MB")
+            .with_series(Series::new(
+                "sparse store MB",
+                scaling.iter().map(|s| (s.nodes as f64, s.sparse_bytes as f64 / 1e6)).collect(),
+            ))
+            .with_series(Series::new(
+                "dense matrix MB",
+                scaling.iter().map(|s| (s.nodes as f64, s.dense_bytes as f64 / 1e6)).collect(),
+            ))
+            .with_note(format!(
+                "{} observed edges per node; sparse memory grows Θ(n·degree) against dense Θ(n²)",
+                opts.degree
+            ));
 
     SparseReport { opts: *opts, rows, scaling, figures: vec![accuracy_fig, scaling_fig] }
 }
@@ -371,14 +356,12 @@ mod tests {
 
     #[test]
     fn report_is_deterministic() {
-        // Everything except wall-clock build time is a pure function of
-        // the options; the scaling figure's build-ms series is timing,
-        // so only the accuracy figure and the byte columns are compared.
         let a = run_sparse(&tiny());
         let b = run_sparse(&tiny());
-        assert_eq!(a.figures[0].to_csv(), b.figures[0].to_csv());
-        for (x, y) in a.scaling.iter().zip(&b.scaling) {
-            assert_eq!((x.nodes, x.edges, x.sparse_bytes), (y.nodes, y.edges, y.sparse_bytes));
+        assert_eq!(a.figures.len(), b.figures.len());
+        for (x, y) in a.figures.iter().zip(&b.figures) {
+            assert_eq!(x.to_csv(), y.to_csv(), "{} differs between runs", x.id);
         }
+        assert_eq!(a.to_string(), b.to_string());
     }
 }

@@ -34,7 +34,7 @@
 //! config)`, and the deployment retains the latest *built* snapshot.
 //! A restart reconstructs the replica's [`TivServe`] from that
 //! retained snapshot through the one validated constructor surface
-//! ([`ServedSnapshot::assemble`]) — so a restarted replica holds
+//! ([`EpochSnapshot::assemble`]) — so a restarted replica holds
 //! byte-for-byte the state of a replica that never crashed, which the
 //! `chaos_equivalence` suite pins at the wire level.
 //!
@@ -59,7 +59,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use tivserve::epoch::{spawn_with, EpochSource, EpochStream, FeedSender};
 use tivserve::flux::FluxBuilder;
 use tivserve::service::{ServeConfig, TivServe};
-use tivserve::snapshot::{EpochSnapshot, ServedSnapshot};
+use tivserve::snapshot::EpochSnapshot;
 
 /// One replica's slot in the deployment: its in-process service and
 /// gate while up, `None` of each while crashed, plus its publish-fault
@@ -127,7 +127,7 @@ fn no_replica(replica: usize) -> io::Error {
 /// Builder for a multi-replica gate deployment — the construction
 /// path behind `repro chaos`, the chaos harness and tivmark. See
 /// the [module docs](self) for the full story.
-pub struct Deployment<B: EpochSource<Snapshot = EpochSnapshot> = FluxBuilder> {
+pub struct Deployment<B: EpochSource = FluxBuilder> {
     snapshot: EpochSnapshot,
     serve_cfg: ServeConfig,
     gate_cfg: GateConfig,
@@ -149,7 +149,7 @@ impl Deployment {
     }
 }
 
-impl<B: EpochSource<Snapshot = EpochSnapshot>> Deployment<B> {
+impl<B: EpochSource> Deployment<B> {
     /// Serves `replicas` full-copy replicas (≥ 1).
     pub fn replicas(mut self, replicas: usize) -> Self {
         assert!(replicas >= 1, "a deployment needs at least one replica");
@@ -167,7 +167,7 @@ impl<B: EpochSource<Snapshot = EpochSnapshot>> Deployment<B> {
     /// observations and a snapshot is built and published into every
     /// replica each `observations_per_epoch` observations (or on
     /// [`publish_now`](DeploymentHandle::publish_now)).
-    pub fn publisher<B2: EpochSource<Snapshot = EpochSnapshot>>(
+    pub fn publisher<B2: EpochSource>(
         self,
         builder: B2,
         observations_per_epoch: usize,
@@ -223,7 +223,7 @@ impl<B: EpochSource<Snapshot = EpochSnapshot>> Deployment<B> {
 /// surface. Obtained from [`Deployment::spawn`]. A replica index past
 /// [`replicas`](Self::replicas) reads as `None` and fails a lifecycle
 /// call with [`io::ErrorKind::InvalidInput`].
-pub struct DeploymentHandle<B: EpochSource<Snapshot = EpochSnapshot> = FluxBuilder> {
+pub struct DeploymentHandle<B: EpochSource = FluxBuilder> {
     cluster: Arc<Cluster>,
     serve_cfg: ServeConfig,
     gate_cfg: GateConfig,
@@ -231,7 +231,7 @@ pub struct DeploymentHandle<B: EpochSource<Snapshot = EpochSnapshot> = FluxBuild
     feed: Option<FeedSender>,
 }
 
-impl<B: EpochSource<Snapshot = EpochSnapshot>> DeploymentHandle<B> {
+impl<B: EpochSource> DeploymentHandle<B> {
     /// Replica slot count (up or down).
     pub fn replicas(&self) -> usize {
         self.cluster.lock().slots.len()
@@ -326,7 +326,7 @@ impl<B: EpochSource<Snapshot = EpochSnapshot>> DeploymentHandle<B> {
     /// Restarts replica `i` from the retained latest-built snapshot,
     /// returning its new address. The service state is rebuilt through
     /// the one validated constructor surface
-    /// ([`ServedSnapshot::assemble`] via `into_parts`), so the
+    /// ([`EpochSnapshot::assemble`] via `into_parts`), so the
     /// invariants are re-checked on every recovery and the restarted
     /// replica's answers are byte-identical to a replica that never
     /// crashed. Clears any pending publish-fault gate. Errors when the

@@ -7,8 +7,8 @@
 //! `(snapshot, query, config)`, every replica of a [`Deployment`]
 //! holds a full copy of the same snapshot, and a restart rebuilds its
 //! service from the latest built snapshot through the one validated
-//! constructor surface (`ServedSnapshot::into_parts` →
-//! `ServedSnapshot::assemble`). There is nothing a crash is allowed to
+//! constructor surface (`EpochSnapshot::into_parts` →
+//! `EpochSnapshot::assemble`). There is nothing a crash is allowed to
 //! change, so "recovered" means `call_frame` equality on whole frames —
 //! every `f64` compared by its IEEE bit pattern, not approximately.
 

@@ -15,13 +15,15 @@
 //!
 //! The witness set is built without the kernels' index arithmetic: the
 //! reference draw indexes the list of node ids other than `a` and `c`.
-//! Every field is compared bit for bit, on a dense matrix with holes and
-//! on a synthetic complete store large enough to reach both membership
-//! paths (`n − 2` on either side of 4096).
+//! Every field is compared bit for bit: on a dense matrix with holes,
+//! on a sparse store holding the same delays (so both storage layouts
+//! answer from the same reference draw), and on a synthetic complete
+//! store large enough to reach both membership paths (`n − 2` on either
+//! side of 4096).
 
 use rand::Rng;
 use tivoid::delayspace::rng::sub_rng;
-use tivoid::delayspace::DelayStore;
+use tivoid::delayspace::{DelayStore, SparseDelayStore};
 use tivoid::prelude::*;
 use tivoid::tivcore::severity::{estimate_severity_ci, estimate_severity_in};
 use tivoid::tivroute::detour::sampled_detour;
@@ -163,10 +165,12 @@ fn ks(n: usize) -> Vec<usize> {
 fn dense_kernels_match_the_reference_draw() {
     for n in [2, 3, 4, 5, 33, 66, 67] {
         let m = DelayMatrix::from_fn(n, |i, j| Some(delay(i, j)).filter(|d| !d.is_nan()));
+        let sparse = SparseDelayStore::from_matrix(&m);
         for (a, c) in pairs(n) {
             for k in ks(n) {
                 for seed in 0..10 {
                     check(&m, a, c, k, seed);
+                    check(&sparse, a, c, k, seed);
                 }
             }
         }

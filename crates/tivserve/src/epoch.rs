@@ -1,8 +1,7 @@
 //! The epoch engine: streams RTT observations into a builder and
 //! publishes the snapshots it builds.
 //!
-//! Readers only ever see immutable
-//! [`EpochSnapshot`](crate::snapshot::EpochSnapshot)s; all mutation
+//! Readers only ever see immutable [`EpochSnapshot`]s; all mutation
 //! lives in a builder behind the [`EpochSource`] trait. There is one
 //! dense builder, [`FluxBuilder`]: each observation updates the source
 //! node's [`TivMonitor`](tivcore::TivMonitor) (the paper's §5.1
@@ -18,13 +17,12 @@
 //! and publishing every `observations_per_epoch` observations into an
 //! arbitrary publish closure — there is exactly one copy of the
 //! drain/publish loop, and every deployment shape (one in-process
-//! service, a sparse service, the chaos-capable multi-replica
-//! `tivgate::Deployment`) is a closure over it. A [`FeedSender`]
-//! streams observations in and can force a synchronous build+publish
-//! with [`FeedSender::flush`].
+//! service, the chaos-capable multi-replica `tivgate::Deployment`) is
+//! a closure over it. A [`FeedSender`] streams observations in and can
+//! force a synchronous build+publish with [`FeedSender::flush`].
 
 use crate::flux::FluxBuilder;
-use crate::snapshot::ServedSnapshot;
+use crate::snapshot::EpochSnapshot;
 use delayspace::matrix::NodeId;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -81,19 +79,11 @@ impl Default for EpochConfig {
     }
 }
 
-/// Anything that can fold streamed observations into successive epoch
-/// snapshots: the dense [`FluxBuilder`] (`Snapshot = EpochSnapshot`)
-/// and the million-node
-/// [`SparseEpochBuilder`](crate::sparse::SparseEpochBuilder)
-/// (`Snapshot = SparseSnapshot` — never materializes n²). The
-/// background publish loop ([`spawn_with`]) is generic over this, so
-/// every builder shares one hardened ingest/publish path.
+/// What the publish engine ([`spawn_with`]) drives: something that
+/// folds streamed observations into successive [`EpochSnapshot`]s.
+/// [`FluxBuilder`] is the one builder; the trait lets a test stand a
+/// recording fake in its place.
 pub trait EpochSource: Send + 'static {
-    /// The snapshot type one build produces. Bounded by
-    /// [`ServedSnapshot`] so the publish engine can report the epoch
-    /// it just published (the [`FeedSender::flush`] ack) and so
-    /// deployments can retain/rebuild any snapshot kind uniformly.
-    type Snapshot: ServedSnapshot;
     /// Number of nodes the builder covers (what
     /// [`Observation::is_valid`] checks against).
     fn node_count(&self) -> usize;
@@ -104,14 +94,13 @@ pub trait EpochSource: Send + 'static {
     /// Does ahead of the build whatever of the epoch's work the
     /// observations folded in so far allow, so that the build has less
     /// left to do. [`spawn_with`] calls it whenever the feed runs dry
-    /// mid-epoch. Must not change what the next build returns. The
-    /// default does nothing.
-    fn settle(&mut self) {}
+    /// mid-epoch. Must not change what the next build returns.
+    fn settle(&mut self);
     /// Total observations ever folded in — the no-loss accounting the
     /// observe/publish interleaving regression tests assert on.
     fn ingested_total(&self) -> u64;
     /// Builds and returns the next snapshot, resetting `pending`.
-    fn build(&mut self) -> Self::Snapshot;
+    fn build(&mut self) -> EpochSnapshot;
 }
 
 /// Kept only because tivmark's `tivserve.epoch_build` layer imports
@@ -235,8 +224,7 @@ impl<B: EpochSource> EpochStream<B> {
 ///
 /// This is the single copy of the drain/publish loop every deployment
 /// shape goes through: `|s| { service.publish(s); }` feeds one
-/// in-process [`TivServe`](crate::TivServe) or
-/// [`SparseServe`](crate::SparseServe), and `tivgate::Deployment`
+/// in-process [`TivServe`](crate::TivServe), and `tivgate::Deployment`
 /// routes each snapshot through its per-replica fault gates — each is
 /// just a different `publish` closure.
 ///
@@ -263,7 +251,7 @@ impl<B: EpochSource> EpochStream<B> {
 pub fn spawn_with<B: EpochSource>(
     mut builder: B,
     observations_per_epoch: usize,
-    mut publish: impl FnMut(B::Snapshot) + Send + 'static,
+    mut publish: impl FnMut(EpochSnapshot) + Send + 'static,
 ) -> EpochStream<B> {
     assert!(observations_per_epoch >= 1, "need at least one observation per epoch");
     let (tx, rx) = mpsc::channel::<Feed>();
@@ -280,7 +268,7 @@ pub fn spawn_with<B: EpochSource>(
             }
         };
         let flush =
-            |builder: &mut B, publish: &mut dyn FnMut(B::Snapshot), ack: mpsc::Sender<u64>| {
+            |builder: &mut B, publish: &mut dyn FnMut(EpochSnapshot), ack: mpsc::Sender<u64>| {
                 let snapshot = builder.build();
                 let epoch = snapshot.epoch();
                 publish(snapshot);
@@ -333,7 +321,6 @@ mod tests {
     use super::*;
     use crate::query::QueryBatch;
     use crate::service::{ServeConfig, TivServe};
-    use crate::snapshot::EpochSnapshot;
     use delayspace::matrix::DelayMatrix;
     use delayspace::synth::{Dataset, InternetDelaySpace};
     use std::time::Duration;
@@ -561,7 +548,6 @@ mod tests {
     }
 
     impl EpochSource for Counting {
-        type Snapshot = EpochSnapshot;
         fn node_count(&self) -> usize {
             EpochSource::node_count(&self.inner)
         }

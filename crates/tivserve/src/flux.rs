@@ -73,9 +73,7 @@
 //! losing an observation.
 
 use crate::epoch::{EpochConfig, EpochSource, Observation};
-use crate::snapshot::{
-    empty_monitor_table, DenseParts, EpochSnapshot, MonitorTable, ServedSnapshot,
-};
+use crate::snapshot::{empty_monitor_table, DenseParts, EpochSnapshot, MonitorTable};
 use delayspace::matrix::{DelayMatrix, NodeId};
 use simnet::net::{JitterModel, Network};
 use std::collections::HashMap;
@@ -499,7 +497,6 @@ fn refill<T: Clone>(spare: Option<Arc<T>>, src: &T) -> Arc<T> {
 }
 
 impl EpochSource for FluxBuilder {
-    type Snapshot = EpochSnapshot;
     fn node_count(&self) -> usize {
         self.matrix.len()
     }

@@ -4,7 +4,7 @@
 //! (predicted RTTs, prediction ratios, TIV severity, alert states);
 //! this crate *serves* them, the way the paper's §5 deployments assume
 //! an online component applications can query. The design is built
-//! around four ideas:
+//! around three ideas:
 //!
 //! 1. **Immutable epoch snapshots** ([`snapshot::EpochSnapshot`]):
 //!    a frozen `(delay matrix, Vivaldi embedding, per-node
@@ -30,12 +30,6 @@
 //!    ([`epoch::spawn_with`]) publishes without stalling readers, and
 //!    observations arriving *during* a publish are buffered into the
 //!    next epoch, never dropped.
-//! 4. **A sparse million-node path** ([`sparse`]): snapshots over a
-//!    [`delayspace::SparseDelayStore`] of *observed edges*, answering
-//!    sampled severity (with confidence intervals) and sampled detour
-//!    queries in O(witnesses) per pair — the same
-//!    [`epoch::spawn_with`] loop streams sparse epochs, never
-//!    materialising n².
 //!
 //! [`loadgen`] generates Zipf-skewed workloads and holds the one
 //! percentile rule; it times nothing. Serving is timed from outside
@@ -68,14 +62,10 @@ pub mod loadgen;
 pub mod query;
 pub mod service;
 pub mod snapshot;
-pub mod sparse;
 
 pub use epoch::{spawn_with, EpochConfig, EpochSource, EpochStream, Feed, FeedSender, Observation};
 pub use flux::{BuildOutcome, FluxBuilder, FluxConfig};
 pub use loadgen::{percentile, WorkloadConfig};
 pub use query::{QueryBatch, ReplyBatch, SeverityEstimate};
 pub use service::{CacheStats, ServeConfig, TivServe};
-pub use snapshot::{
-    DenseParts, EdgeEstimate, EpochSnapshot, EstimateConfig, RouteEstimate, ServedSnapshot,
-};
-pub use sparse::{SparseEpochBuilder, SparseServe, SparseSnapshot};
+pub use snapshot::{DenseParts, EdgeEstimate, EpochSnapshot, EstimateConfig, RouteEstimate};

@@ -33,8 +33,7 @@ pub enum QueryBatch {
     Alerts(Vec<NodePair>),
     /// Sampled severities with 95% confidence intervals, at an explicit
     /// witness budget (`witnesses == 0` uses the service's configured
-    /// default). The million-node query kind: answerable from a sparse
-    /// store in `O(witnesses)` per pair.
+    /// default), in `O(witnesses)` per pair.
     SampledSeverity {
         /// The queried pairs.
         pairs: Vec<NodePair>,

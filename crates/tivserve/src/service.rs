@@ -16,8 +16,7 @@
 //! is a pure function of `(snapshot, pair, config)`, so
 //! [`TivServe::query`] returns **bit-identical results at every width**
 //! — pinned by `tivoid`'s `serve_equivalence` and `route_equivalence`
-//! integration tests. [`SparseServe`](crate::SparseServe) takes the
-//! same path.
+//! integration tests.
 
 use crate::query::{QueryBatch, ReplyBatch};
 use crate::snapshot::{EpochSnapshot, EstimateConfig};
@@ -62,20 +61,20 @@ pub struct CacheStats {
 
 /// The witnesses a sampled query draws per pair: the `witnesses` it
 /// asks for, or the configured budget when it asks for `0`.
-pub(crate) fn witness_budget(witnesses: u32, cfg: &EstimateConfig) -> usize {
+fn witness_budget(witnesses: u32, cfg: &EstimateConfig) -> usize {
     match witnesses {
         0 => cfg.severity_witnesses,
         k => k as usize,
     }
 }
 
-/// The one batch path of every query kind, dense or sparse: range-check
-/// every pair against an `n`-node snapshot, then `eval` each pair over
-/// `width` workers, in input order.
+/// The one batch path of every query kind: range-check every pair
+/// against an `n`-node snapshot, then `eval` each pair over `width`
+/// workers, in input order.
 ///
 /// # Panics
 /// Panics when a query names a node outside the snapshot.
-pub(crate) fn answer<V: Send>(
+fn answer<V: Send>(
     n: usize,
     pairs: &[NodePair],
     width: usize,

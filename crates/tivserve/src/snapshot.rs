@@ -41,8 +41,6 @@ impl EstimateConfig {
     /// The witness-sampling seed of one unordered edge at `epoch`: a
     /// pure function of `(seed, epoch, {a, c})`, so estimates are
     /// symmetric in the endpoints and stable for a snapshot's lifetime.
-    /// The dense and the sparse snapshot both seed through it, which is
-    /// what makes them answer bit-identically over the same delays.
     pub(crate) fn edge_seed(&self, epoch: u64, a: NodeId, c: NodeId) -> u64 {
         let (lo, hi) = if a < c { (a, c) } else { (c, a) };
         self.seed
@@ -105,34 +103,6 @@ pub struct EdgeEstimate {
     pub alert: bool,
 }
 
-/// Anything the serving stack can publish and serve an epoch from:
-/// the dense [`EpochSnapshot`] and the million-node
-/// [`SparseSnapshot`](crate::sparse::SparseSnapshot).
-///
-/// The trait is the **one constructor surface** for snapshots: every
-/// build path — the dense flux builder, the sparse builder, and a
-/// chaos restart rebuilding a replica from the deployment's retained
-/// state — goes through
-/// [`assemble`](ServedSnapshot::assemble), so dense and sparse
-/// snapshots are constructed (and reconstructed) uniformly.
-/// [`into_parts`](ServedSnapshot::into_parts) is the inverse; a
-/// round-trip re-tagged with a new epoch is exactly how a restarted
-/// replica's state is rebuilt.
-pub trait ServedSnapshot: Clone + Send + Sync + 'static {
-    /// Everything the snapshot freezes besides the epoch tag.
-    type Parts: Send;
-
-    /// Freezes `parts` as the snapshot of `epoch` — the single
-    /// validated constructor every build path funnels through.
-    fn assemble(epoch: u64, parts: Self::Parts) -> Self;
-
-    /// Splits the snapshot back into its epoch tag and parts.
-    fn into_parts(self) -> (u64, Self::Parts);
-
-    /// The epoch this snapshot froze.
-    fn epoch(&self) -> u64;
-}
-
 /// A frozen monitor table: entry `i` is node `i`'s exported monitor
 /// state, sorted by peer id (possibly empty). Shared node by node, so
 /// an epoch that re-exports a few monitors shares every other entry
@@ -146,8 +116,8 @@ pub(crate) fn empty_monitor_table(n: usize) -> MonitorTable {
     vec![empty; n].into()
 }
 
-/// The constituent parts of a dense [`EpochSnapshot`] — what
-/// [`ServedSnapshot::assemble`] freezes besides the epoch tag. Every
+/// The constituent parts of an [`EpochSnapshot`] — what
+/// [`EpochSnapshot::assemble`] freezes besides the epoch tag. Every
 /// part is behind an `Arc`, so cloning a snapshot (one per replica, one
 /// retained for restarts) bumps four counts and copies nothing.
 #[derive(Clone, Debug)]
@@ -183,18 +153,17 @@ pub struct EpochSnapshot {
     derived: Option<Arc<DerivedState>>,
 }
 
-impl ServedSnapshot for EpochSnapshot {
-    type Parts = DenseParts;
-
-    /// Freezes a dense snapshot — the single validated construction
-    /// path behind [`EpochSnapshot::without_monitors`], and the one
-    /// the flux builder and a chaos restart build through.
+impl EpochSnapshot {
+    /// Freezes `parts` as the snapshot of `epoch` — the single
+    /// validated constructor every build path funnels through:
+    /// [`EpochSnapshot::without_monitors`], the flux builder, and a
+    /// chaos restart rebuilding a replica from retained state.
     ///
     /// # Panics
     /// Panics when the matrix, embedding, monitor table or derived
     /// state disagree on the node count, or when a monitor export is
     /// not sorted by peer.
-    fn assemble(epoch: u64, parts: Self::Parts) -> Self {
+    pub fn assemble(epoch: u64, parts: DenseParts) -> Self {
         let DenseParts { matrix, embedding, monitors, derived } = parts;
         let n = matrix.len();
         assert_eq!(embedding.len(), n, "embedding covers {} of {n} nodes", embedding.len());
@@ -212,17 +181,14 @@ impl ServedSnapshot for EpochSnapshot {
         EpochSnapshot { epoch, matrix, embedding, monitors, derived }
     }
 
-    fn into_parts(self) -> (u64, DenseParts) {
+    /// Splits the snapshot back into its epoch tag and parts — the
+    /// inverse of [`assemble`](Self::assemble). A round trip re-tagged
+    /// with a new epoch is how a restarted replica's state is rebuilt.
+    pub fn into_parts(self) -> (u64, DenseParts) {
         let EpochSnapshot { epoch, matrix, embedding, monitors, derived } = self;
         (epoch, DenseParts { matrix, embedding, monitors, derived })
     }
 
-    fn epoch(&self) -> u64 {
-        self.epoch
-    }
-}
-
-impl EpochSnapshot {
     /// The attached derived state (`None` only for a snapshot assembled
     /// without it, such as [`EpochSnapshot::without_monitors`]).
     pub fn derived(&self) -> Option<&DerivedState> {
