@@ -24,7 +24,9 @@
 //!   re-solves its coordinate against the *previous* epoch's frozen
 //!   embedding, so the update is a pure per-row function, parallelises
 //!   over the dirty set, is bit-identical at every thread count, and can
-//!   be done a few nodes at a time as their rows change.
+//!   be done a few nodes at a time as their rows change. The solve
+//!   reads the previous embedding through a [`FrozenEmbedding`], a flat
+//!   copy its caller makes once per epoch.
 //! * [`RebuildPolicy`] ([`repair`]) — the fallback rule: past a
 //!   dirtiness threshold a row-by-row repair does more bookkeeping than
 //!   a from-scratch pass, so the builder switches to a full rebuild.
@@ -45,5 +47,5 @@ pub mod refine;
 pub mod repair;
 
 pub use dirty::DirtySet;
-pub use refine::{refine_embedding, refine_nodes, RefineConfig};
+pub use refine::{refine_embedding, refine_nodes, FrozenEmbedding, RefineConfig};
 pub use repair::{BuildKind, DerivedState, RebuildPolicy};

@@ -15,11 +15,17 @@
 //!    whenever the feed runs dry mid-epoch, brings the working state up
 //!    to date with those edges: it writes their delays, refines the
 //!    coordinates of the nodes whose rows changed
-//!    ([`tivflux::refine_nodes`] — deterministic,
-//!    parallel over the nodes, against the *previous* epoch's frozen
-//!    embedding) and *repairs* the derived analyses edge by edge
-//!    ([`DerivedState::repair_edges`]: `O(|E|·n)` plus `O(n)` per pair
-//!    whose answer can move);
+//!    ([`tivflux::refine_nodes`] — deterministic, against a flat copy
+//!    of the *previous* epoch's frozen embedding, laid out once per
+//!    epoch at its first refinement) and *repairs* the derived analyses
+//!    edge by edge ([`DerivedState::repair_edges`]: `O(|E|·n)` plus
+//!    `O(n)` per pair whose answer can move). A catch-up of one changed
+//!    edge — every settle and every close under a steady feed — runs on
+//!    the builder's own thread; a backlog of several edges fans both
+//!    steps out over [`FluxConfig::threads`], as the bootstrap and a
+//!    full rebuild do. Under a deployment the pool's other workers
+//!    share the CPUs with the request path, so handing them a one-edge
+//!    catch-up delays it rather than speeding it up;
 //! 3. [`build`](FluxBuilder::build) settles whatever is left and
 //!    freezes the snapshot — or, past the [`RebuildPolicy`] threshold
 //!    on the epoch's dirty rows, refines every dirty node and recomputes
@@ -63,10 +69,11 @@
 //! swap.
 //!
 //! So the close builds only what the epoch's observations changed. Of
-//! the monitor table it re-exports the entries of the monitors that
-//! observed since the last build and shares every other entry with the
-//! epoch before (a summary is a pure function of its monitor's state);
-//! an epoch without an observation republishes the whole table.
+//! the monitor table, each settle re-exports the entries of the
+//! monitors that observed since the last settle, and the close only
+//! those that observed after it; every other entry is shared with the
+//! epoch before (a summary is a pure function of its monitor's state).
+//! An epoch without an observation republishes the whole table.
 //!
 //! `FluxBuilder` implements [`EpochSource`], so
 //! [`crate::epoch::spawn_with`] runs it on a background thread without
@@ -79,8 +86,10 @@ use simnet::net::{JitterModel, Network};
 use std::collections::HashMap;
 use std::mem;
 use std::sync::Arc;
-use tivcore::TivMonitor;
-use tivflux::{refine_nodes, BuildKind, DerivedState, DirtySet, RebuildPolicy, RefineConfig};
+use tivcore::{MonitorSummary, TivMonitor};
+use tivflux::{
+    refine_nodes, BuildKind, DerivedState, DirtySet, FrozenEmbedding, RebuildPolicy, RefineConfig,
+};
 use vivaldi::{Embedding, VivaldiSystem};
 
 /// Construction parameters of the incremental builder.
@@ -97,8 +106,10 @@ pub struct FluxConfig {
     /// When to fall back from edge repair to a full rebuild. Only ever
     /// changes build cost, never results.
     pub policy: RebuildPolicy,
-    /// Worker threads for the bootstrap, repairs and rebuilds
-    /// (0 = auto, [`tivpar::resolve_threads`] semantics).
+    /// Worker threads for the bootstrap, full rebuilds, and the
+    /// catch-ups of a backlog of several changed edges (0 = auto,
+    /// [`tivpar::resolve_threads`] semantics). A one-edge catch-up runs
+    /// on the builder's own thread whatever this says.
     pub threads: usize,
 }
 
@@ -159,11 +170,18 @@ pub struct FluxBuilder {
     /// The embedding the last build retired (`None` until one did):
     /// what the next unshare of `next` copies `embedding` into.
     retired: Option<Arc<Embedding>>,
+    /// `embedding` laid out for the refinement kernel: made at the
+    /// first refinement after the build that published `embedding`.
+    frozen: Option<FrozenEmbedding>,
     monitors: Vec<TivMonitor>,
     /// The monitor table the last build published.
     table: MonitorTable,
+    /// The next table's entries: `table`'s, with the entries of the
+    /// monitors observed this epoch exported again as of the last
+    /// settle.
+    entries: Vec<Arc<[MonitorSummary]>>,
     /// `observed[i]`: monitor `i` absorbed a sample since the last
-    /// build, so its entry of `table` is stale.
+    /// export, so its entry of `entries` is stale.
     observed: Vec<bool>,
     /// The working derived state, shared and unshared with `matrix`.
     /// Bit for bit what a recompute of `matrix` gives, as of the last
@@ -215,8 +233,10 @@ impl FluxBuilder {
             matrix,
             next: Arc::clone(&embedding),
             retired: None,
+            frozen: None,
             embedding,
             monitors: vec![TivMonitor::new(cfg.epoch.monitor); n],
+            entries: table.to_vec(),
             table,
             observed: vec![false; n],
             derived,
@@ -303,10 +323,11 @@ impl FluxBuilder {
     /// Brings the working state up to date with the observations folded
     /// in since the last settle, ahead of the build: writes the changed
     /// delays, refines the coordinates of the nodes whose rows changed,
-    /// against the last epoch's embedding, and repairs the derived
-    /// analyses for the changed edges ([`DerivedState::repair_edges`]).
-    /// The epoch's snapshot comes out bit-identical however often it
-    /// was settled; only the time its build takes moves.
+    /// against the last epoch's embedding, repairs the derived analyses
+    /// for the changed edges ([`DerivedState::repair_edges`]) and
+    /// re-exports the summaries of the monitors that observed. The
+    /// epoch's snapshot comes out bit-identical however often it was
+    /// settled; only the time its build takes moves.
     ///
     /// Does nothing when nothing changed since the last settle, when
     /// the policy already picks a full rebuild for the epoch so far (the
@@ -314,48 +335,49 @@ impl FluxBuilder {
     /// the working buffers into fresh memory because a reader still
     /// holds the spare ones: a later settle, or the build, writes once
     /// the reader lets go, so the builder keeps two copies of the state
-    /// and not three.
+    /// and not three. A settle that does nothing leaves its monitors'
+    /// exports to the build too.
     pub fn settle(&mut self) {
         if self.kind() == BuildKind::Incremental && !self.spare_held() {
             self.catch_up();
+            self.export_observed();
         }
     }
 
-    /// [`settle`](Self::settle) without its conditions: what an
-    /// incremental build runs.
+    /// [`settle`](Self::settle) without its conditions or its exports:
+    /// what an incremental build runs. Up to [`INLINE_EDGES`] changed
+    /// edges are caught up on this thread, more over the pool.
     fn catch_up(&mut self) {
-        if self.unsettled.is_empty() {
+        let edges = self.unsettled.changed_edges().len();
+        if edges == 0 {
             return;
         }
+        let threads = if edges <= INLINE_EDGES { 1 } else { self.cfg.threads };
         self.write();
-        self.refine(&self.unsettled.sorted_nodes());
+        self.refine(&self.unsettled.sorted_nodes(), threads);
         let (matrix, derived) = unshare(&mut self.matrix, &mut self.derived, &mut self.spare);
-        derived.repair_edges(matrix, self.unsettled.changed_edges(), self.cfg.threads);
+        derived.repair_edges(matrix, self.unsettled.changed_edges(), threads);
         self.unsettled.clear();
     }
 
     /// Refines `nodes` into the next epoch's coordinates against the
-    /// last epoch's embedding. The epoch's first refinement unshares
-    /// them first: it copies the embedding into the retired one's
-    /// buffers with [`refill`], or into a fresh allocation while a
-    /// reader still holds the retired epoch.
-    fn refine(&mut self, nodes: &[NodeId]) {
+    /// last epoch's embedding, with up to `threads` workers. The
+    /// epoch's first refinement unshares them first: it copies the
+    /// embedding into the retired one's buffers with [`refill`], or into
+    /// a fresh allocation while a reader still holds the retired epoch,
+    /// and lays the embedding out for the kernel unless the last build
+    /// left it as it was.
+    fn refine(&mut self, nodes: &[NodeId], threads: usize) {
         if nodes.is_empty() {
             return;
         }
         if Arc::ptr_eq(&self.next, &self.embedding) {
             self.next = refill(self.retired.take(), &self.embedding);
         }
+        let frozen = self.frozen.get_or_insert_with(|| FrozenEmbedding::new(&self.embedding));
         // Copies only when a cloned builder shares the private buffer.
         let next = Arc::make_mut(&mut self.next);
-        refine_nodes(
-            &self.embedding,
-            &self.matrix,
-            nodes,
-            &self.cfg.refine,
-            self.cfg.threads,
-            next,
-        );
+        refine_nodes(frozen, &self.matrix, nodes, &self.cfg.refine, threads, next);
     }
 
     /// Writes the unsettled delays into the working matrix, unsharing
@@ -398,7 +420,7 @@ impl FluxBuilder {
             BuildKind::Incremental => self.catch_up(),
             BuildKind::Full => {
                 self.write();
-                self.refine(&self.dirty.sorted_nodes());
+                self.refine(&self.dirty.sorted_nodes(), self.cfg.threads);
                 let (matrix, derived) =
                     unshare(&mut self.matrix, &mut self.derived, &mut self.spare);
                 derived.rebuild(matrix, self.cfg.threads);
@@ -415,9 +437,11 @@ impl FluxBuilder {
         if !Arc::ptr_eq(&self.next, &self.embedding) {
             let published = Arc::clone(&self.next);
             self.retired = Some(mem::replace(&mut self.embedding, published));
+            self.frozen = None;
         }
         if self.pending > 0 {
-            self.table = self.export_observed();
+            self.export_observed();
+            self.table = self.entries.as_slice().into();
         }
         self.dirty.clear();
         self.unsettled.clear();
@@ -431,17 +455,14 @@ impl FluxBuilder {
         EpochSnapshot::assemble(self.epoch, parts)
     }
 
-    /// The next monitor table: the observed monitors' entries exported
-    /// again, every other one shared with the last published table.
-    /// Clears the observed marks.
-    fn export_observed(&mut self) -> MonitorTable {
-        let mut next = self.table.to_vec();
+    /// Exports the summaries of the monitors observed since the last
+    /// export into the next table's entries, and clears their marks.
+    fn export_observed(&mut self) {
         for (i, observed) in self.observed.iter_mut().enumerate() {
             if mem::take(observed) {
-                next[i] = self.monitors[i].summaries().into();
+                self.entries[i] = self.monitors[i].summaries().into();
             }
         }
-        next.into()
     }
 
     /// The policy's pick for the epoch so far.
@@ -449,6 +470,14 @@ impl FluxBuilder {
         self.cfg.policy.decide(self.dirty.node_count(), self.matrix.len())
     }
 }
+
+/// The most changed edges a catch-up runs on the builder's own thread;
+/// a larger backlog fans out over [`FluxConfig::threads`]. One: a
+/// deployment's steady feed settles every observation alone, and its
+/// pool workers share the CPUs with the request path, so a one-edge
+/// catch-up finishes sooner inline (`churn_mixed`'s `fresh_p50_ms`),
+/// while a backlog still gains from the pool (`catch_up_cut_off_sweep`).
+const INLINE_EDGES: usize = 1;
 
 /// The bootstrap embedding: `cfg.bootstrap_rounds` deterministic
 /// Vivaldi rounds over `matrix`, seeded by `cfg.seed`.
@@ -808,6 +837,72 @@ mod tests {
         }
         // An epoch without an observation republishes the whole table.
         assert!(Arc::ptr_eq(&table(&builder.build()), &table(&prev)));
+    }
+
+    #[test]
+    fn settled_and_unsettled_builders_publish_equal_monitor_tables() {
+        let m = ds2(40, 16);
+        let (mut settled, _) = FluxBuilder::bootstrap(m.clone(), cfg());
+        let (mut unsettled, _) = FluxBuilder::bootstrap(m.clone(), cfg());
+        for (e, epoch) in zipf_stream(&m, 0.9, 8 * 7, 43).chunks(7).enumerate() {
+            for &obs in epoch {
+                settled.ingest(obs);
+                settled.settle();
+                unsettled.ingest(obs);
+            }
+            let (a, b) = (table(&settled.build()), table(&unsettled.build()));
+            for (i, monitor) in settled.monitors.iter().enumerate() {
+                let summaries = monitor.summaries();
+                assert_eq!(a[i][..], summaries[..], "epoch {e}: the settled builder's node {i}");
+                assert_eq!(b[i][..], summaries[..], "epoch {e}: the unsettled builder's node {i}");
+            }
+        }
+    }
+
+    /// Times a catch-up of `edges` changed edges at n = 1024 as the
+    /// builder runs one (write, refine both endpoints of each edge,
+    /// repair), inline and over two workers, and prints the medians:
+    /// the isolated half of the sweep behind [`INLINE_EDGES`]. Run with
+    /// `cargo test --release -p tivserve --lib catch_up_cut_off_sweep
+    /// -- --ignored --nocapture`.
+    #[test]
+    #[ignore = "a timing sweep, not a check"]
+    fn catch_up_cut_off_sweep() {
+        let m = ds2(1024, 31);
+        let (builder, _) = FluxBuilder::bootstrap(m.clone(), FluxConfig { threads: 2, ..cfg() });
+        let frozen = FrozenEmbedding::new(&builder.embedding);
+        let mut r = delayspace::rng::rng(5);
+        for edges in [1usize, 2, 4, 16] {
+            let mut times = [Vec::new(), Vec::new()];
+            for round in 0..12 {
+                let mut changed = m.clone();
+                let mut dirty = DirtySet::new(m.len());
+                while dirty.changed_edges().len() < edges {
+                    let (a, b) = (r.gen_range(0..m.len()), r.gen_range(0..m.len()));
+                    if a != b && m.get(a, b).is_some() {
+                        dirty.mark_change(a, b, m.raw(a, b));
+                        changed.set(a, b, m.raw(a, b) * r.gen_range(0.7..1.3));
+                    }
+                }
+                let nodes = dirty.sorted_nodes();
+                for (slot, threads) in [1usize, 2].into_iter().enumerate() {
+                    let (mut derived, mut next) =
+                        (builder.derived.as_ref().clone(), builder.embedding.as_ref().clone());
+                    let t = std::time::Instant::now();
+                    refine_nodes(&frozen, &changed, &nodes, &cfg().refine, threads, &mut next);
+                    derived.repair_edges(&changed, dirty.changed_edges(), threads);
+                    if round > 1 {
+                        times[slot].push(t.elapsed().as_secs_f64() * 1e3);
+                    }
+                }
+            }
+            let median = |v: &mut Vec<f64>| {
+                v.sort_by(f64::total_cmp);
+                v[v.len() / 2]
+            };
+            let (inline, pooled) = (median(&mut times[0]), median(&mut times[1]));
+            println!("{edges:>2} edges: inline {inline:.3} ms, 2 workers {pooled:.3} ms");
+        }
     }
 
     /// A snapshot's embedding.
