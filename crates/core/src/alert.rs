@@ -13,7 +13,6 @@
 use crate::severity::Severity;
 use delayspace::matrix::{DelayMatrix, NodeId};
 use delayspace::stats::BinnedStats;
-use std::collections::HashSet;
 use vivaldi::Embedding;
 
 /// A configured alert: edges with prediction ratio strictly below
@@ -93,11 +92,10 @@ pub fn accuracy_recall_sweep(
     accuracy_recall_sweep_threaded(emb, m, sev, worst_frac, thresholds, 0)
 }
 
-/// The sweep behind Figures 20–21 with an explicit worker count
-/// ([`tivpar::resolve_threads`] semantics). The worst-set and the
-/// per-edge prediction ratios are computed once; each threshold is then
-/// scored independently, fanned out over up to `threads` workers. The
-/// output is bit-identical at every thread count.
+/// The sweep behind Figures 20–21 for one worst-set fraction, with an
+/// explicit worker count ([`tivpar::resolve_threads`] semantics): the
+/// one-fraction call of [`accuracy_recall_sweeps`]. The output is
+/// bit-identical at every thread count.
 pub fn accuracy_recall_sweep_threaded(
     emb: &Embedding,
     m: &DelayMatrix,
@@ -106,36 +104,95 @@ pub fn accuracy_recall_sweep_threaded(
     thresholds: &[f64],
     threads: usize,
 ) -> Vec<AlertQuality> {
-    let worst: HashSet<(NodeId, NodeId)> = sev.worst_edges(m, worst_frac).into_iter().collect();
-    // Prediction ratio per measured edge, computed once.
-    let ratios: Vec<(NodeId, NodeId, f64)> = m
-        .edges()
-        .filter(|&(_, _, d)| d > 0.0)
-        .map(|(i, j, d)| (i, j, emb.predicted(i, j) / d))
-        .collect();
-    let total_edges = ratios.len().max(1);
+    accuracy_recall_sweeps(emb, m, sev, &[worst_frac], thresholds, threads).remove(0)
+}
 
-    tivpar::par_map_rows(thresholds.len(), threads, |ti| {
-        let t = thresholds[ti];
-        let alert = TivAlert::new(t);
+/// The accuracy/recall sweep for several worst-set fractions at once:
+/// entry `f` of the result is the sweep against the worst
+/// `worst_fracs[f]` of edges, one [`AlertQuality`] per threshold.
+///
+/// The ground truth for a fraction is [`Severity::worst_edges`]: the
+/// first `round(ranked · frac)` edges with a severity, worst first and
+/// ties in [`DelayMatrix::edges`] order. The edges are ranked once, so
+/// each fraction's worst set is "rank below its size", tested by one
+/// integer compare; the per-edge prediction ratios are computed once
+/// too. Each threshold then scores every fraction in one pass over the
+/// edges, fanned out over up to `threads` workers. The output is
+/// bit-identical at every thread count and to one sweep per fraction.
+///
+/// # Panics
+/// Panics when a fraction lies outside `[0, 1]` or a threshold is
+/// negative or not finite.
+pub fn accuracy_recall_sweeps(
+    emb: &Embedding,
+    m: &DelayMatrix,
+    sev: &Severity,
+    worst_fracs: &[f64],
+    thresholds: &[f64],
+    threads: usize,
+) -> Vec<Vec<AlertQuality>> {
+    let alerts: Vec<TivAlert> = thresholds.iter().map(|&t| TivAlert::new(t)).collect();
+    // Per measured edge, in `m.edges()` order: its prediction ratio
+    // (NaN for a zero delay, which never alerts) and its severity rank.
+    let mut ratios = Vec::new();
+    let mut by_severity: Vec<(f64, u32)> = Vec::new();
+    let mut positive = 0usize;
+    for (i, j, d) in m.edges() {
+        let e = u32::try_from(ratios.len()).expect("more than u32::MAX edges");
+        positive += usize::from(d > 0.0);
+        ratios.push(if d > 0.0 { emb.predicted(i, j) / d } else { f64::NAN });
+        if let Some(s) = sev.severity(i, j) {
+            by_severity.push((s, e));
+        }
+    }
+    // Worst first, ties in edge order: the order `worst_edges`' stable
+    // sort gives, as one total order.
+    by_severity.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+    let mut rank = vec![u32::MAX; ratios.len()];
+    for (r, &(_, e)) in by_severity.iter().enumerate() {
+        rank[e as usize] = r as u32;
+    }
+    let sizes: Vec<usize> = worst_fracs
+        .iter()
+        .map(|&frac| {
+            assert!((0.0..=1.0).contains(&frac), "fraction {frac} outside [0,1]");
+            ((by_severity.len() as f64) * frac).round() as usize
+        })
+        .collect();
+    drop(by_severity);
+
+    let per_threshold = tivpar::par_map_rows(alerts.len(), threads, |ti| {
+        let alert = alerts[ti];
         let mut alerted = 0usize;
-        let mut hits = 0usize;
-        for &(i, j, r) in &ratios {
+        let mut hits = vec![0usize; sizes.len()];
+        for (&r, &rk) in ratios.iter().zip(&rank) {
             if alert.is_alert(r) {
                 alerted += 1;
-                if worst.contains(&(i, j)) {
-                    hits += 1;
+                for (h, &size) in hits.iter_mut().zip(&sizes) {
+                    *h += usize::from((rk as usize) < size);
                 }
             }
         }
-        AlertQuality {
-            threshold: t,
-            worst_frac,
-            accuracy: if alerted > 0 { hits as f64 / alerted as f64 } else { 1.0 },
-            recall: if worst.is_empty() { 1.0 } else { hits as f64 / worst.len() as f64 },
-            alerted_frac: alerted as f64 / total_edges as f64,
-        }
-    })
+        (alerted, hits)
+    });
+    worst_fracs
+        .iter()
+        .zip(&sizes)
+        .enumerate()
+        .map(|(f, (&worst_frac, &size))| {
+            alerts
+                .iter()
+                .zip(&per_threshold)
+                .map(|(alert, (alerted, hits))| AlertQuality {
+                    threshold: alert.threshold,
+                    worst_frac,
+                    accuracy: if *alerted > 0 { hits[f] as f64 / *alerted as f64 } else { 1.0 },
+                    recall: if size == 0 { 1.0 } else { hits[f] as f64 / size as f64 },
+                    alerted_frac: *alerted as f64 / positive.max(1) as f64,
+                })
+                .collect()
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -249,6 +306,77 @@ mod tests {
                 assert_eq!(p.accuracy.to_bits(), s.accuracy.to_bits());
                 assert_eq!(p.recall.to_bits(), s.recall.to_bits());
                 assert_eq!(p.alerted_frac.to_bits(), s.alerted_frac.to_bits());
+            }
+        }
+    }
+
+    /// The one-fraction sweep as it stood before the shared ranking: a
+    /// `HashSet` of the worst edges, probed for every alerted edge.
+    fn sweep_reference(
+        emb: &Embedding,
+        m: &DelayMatrix,
+        sev: &Severity,
+        worst_frac: f64,
+        thresholds: &[f64],
+    ) -> Vec<AlertQuality> {
+        let worst: std::collections::HashSet<(NodeId, NodeId)> =
+            sev.worst_edges(m, worst_frac).into_iter().collect();
+        let ratios: Vec<(NodeId, NodeId, f64)> = m
+            .edges()
+            .filter(|&(_, _, d)| d > 0.0)
+            .map(|(i, j, d)| (i, j, emb.predicted(i, j) / d))
+            .collect();
+        thresholds
+            .iter()
+            .map(|&t| {
+                let alerted: Vec<_> = ratios.iter().filter(|&&(_, _, r)| r < t).collect();
+                let hits = alerted.iter().filter(|&&&(i, j, _)| worst.contains(&(i, j))).count();
+                AlertQuality {
+                    threshold: t,
+                    worst_frac,
+                    accuracy: if alerted.is_empty() {
+                        1.0
+                    } else {
+                        hits as f64 / alerted.len() as f64
+                    },
+                    recall: if worst.is_empty() { 1.0 } else { hits as f64 / worst.len() as f64 },
+                    alerted_frac: alerted.len() as f64 / ratios.len().max(1) as f64,
+                }
+            })
+            .collect()
+    }
+
+    fn same_bits(got: &[AlertQuality], want: &[AlertQuality], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (g, w) in got.iter().zip(want) {
+            let bits = |q: &AlertQuality| {
+                [q.threshold, q.worst_frac, q.accuracy, q.recall, q.alerted_frac].map(f64::to_bits)
+            };
+            assert_eq!(bits(g), bits(w), "{what}, threshold {}", w.threshold);
+        }
+    }
+
+    #[test]
+    fn multi_fraction_sweep_matches_one_sweep_per_fraction() {
+        // Tiny scale's DS² (150 nodes), three seeds; the fractions are
+        // figures 20/21's plus the edges of the range, where the worst
+        // set runs deep into the tied zero severities.
+        let fracs = [0.01, 0.05, 0.10, 0.20, 0.0, 0.5, 1.0];
+        let ts: Vec<f64> = (0..=20).map(|i| i as f64 * 0.05).chain([1.5, 4.0]).collect();
+        for seed in [42, 7, 3] {
+            let s = InternetDelaySpace::preset(Dataset::Ds2).with_nodes(150).build(seed);
+            let m = s.matrix();
+            let emb = embed(m, seed);
+            let sev = Severity::compute(m, 0);
+            for threads in [1, 3] {
+                let all = accuracy_recall_sweeps(&emb, m, &sev, &fracs, &ts, threads);
+                assert_eq!(all.len(), fracs.len());
+                for (got, &frac) in all.iter().zip(&fracs) {
+                    let what = format!("seed {seed}, fraction {frac}, {threads} threads");
+                    let one = accuracy_recall_sweep_threaded(&emb, m, &sev, frac, &ts, threads);
+                    same_bits(got, &one, &what);
+                    same_bits(got, &sweep_reference(&emb, m, &sev, frac, &ts), &what);
+                }
             }
         }
     }

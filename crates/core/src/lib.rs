@@ -41,8 +41,8 @@ pub mod severity;
 pub mod tivmeridian;
 
 pub use alert::{
-    accuracy_recall_sweep, accuracy_recall_sweep_threaded, ratio_severity_bins, AlertQuality,
-    TivAlert,
+    accuracy_recall_sweep, accuracy_recall_sweep_threaded, accuracy_recall_sweeps,
+    ratio_severity_bins, AlertQuality, TivAlert,
 };
 pub use dynvivaldi::{DynVivaldiConfig, IterationRecord};
 pub use filter::EdgeMask;

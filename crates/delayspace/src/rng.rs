@@ -62,25 +62,45 @@ pub fn pareto(r: &mut impl Rng, alpha: f64, cap: f64) -> f64 {
 /// The order is a contract: entry `i` is draw `i` of Floyd's loop. The
 /// sampled estimators sum their witnesses in this order, so their bits,
 /// and the wire bytes that carry them, depend on it. Membership is an
-/// O(1) test of a stack bitset for `n ≤ 4096` and a linear scan of the
-/// draws so far above that; both make the same decisions.
+/// O(1) bitset test: a stack bitset for `n ≤ 4096`, and above that a
+/// heap bitset of `n` bits once `k² > n / 8`. A smaller `k` over a
+/// larger space instead scans the draws so far (at most about `n / 16`
+/// compares), so a million-node estimator at `k = 16` allocates
+/// nothing of size `n`. Every path makes the same decisions.
 pub fn sample_indices(r: &mut impl Rng, n: usize, k: usize) -> Vec<usize> {
     assert!(k <= n, "cannot sample {k} of {n}");
-    let mut chosen = Vec::with_capacity(k);
     if n <= 4096 {
-        let mut seen = [0u64; 64];
-        for j in (n - k)..n {
-            let t = r.gen_range(0..=j);
-            // Every earlier draw is below j, so j itself is never taken.
-            let pick = if seen[t / 64] >> (t % 64) & 1 == 1 { j } else { t };
-            seen[pick / 64] |= 1 << (pick % 64);
-            chosen.push(pick);
-        }
-    } else {
+        floyd(r, n, k, &mut [0u64; 64])
+    } else if scans_draws(n, k) {
+        let mut chosen = Vec::with_capacity(k);
         for j in (n - k)..n {
             let t = r.gen_range(0..=j);
             chosen.push(if chosen.contains(&t) { j } else { t });
         }
+        chosen
+    } else {
+        floyd(r, n, k, &mut vec![0u64; n.div_ceil(64)])
+    }
+}
+
+/// Whether [`sample_indices`] scans its draws instead of allocating a
+/// bitset, for `n > 4096`: while the scan's ~k²/2 compares cost less
+/// than zeroing `n / 64` words, about while `k² ≤ n / 8`.
+fn scans_draws(n: usize, k: usize) -> bool {
+    k.saturating_mul(k) <= n / 8
+}
+
+/// Floyd's loop with membership in `seen`, a zeroed bitset of at least
+/// `n` bits.
+#[inline]
+fn floyd(r: &mut impl Rng, n: usize, k: usize, seen: &mut [u64]) -> Vec<usize> {
+    let mut chosen = Vec::with_capacity(k);
+    for j in (n - k)..n {
+        let t = r.gen_range(0..=j);
+        // Every earlier draw is below j, so j itself is never taken.
+        let pick = if seen[t / 64] >> (t % 64) & 1 == 1 { j } else { t };
+        seen[pick / 64] |= 1 << (pick % 64);
+        chosen.push(pick);
     }
     chosen
 }
@@ -205,14 +225,35 @@ mod tests {
                 }
             }
         }
+        // Above 4096, on both sides of the scan/bitset cut-off: the last
+        // k that scans, the first that allocates, and k far either side.
+        for n in [4097usize, 10_000, 50_000] {
+            let cut = (1..n).take_while(|&k| scans_draws(n, k)).last().unwrap();
+            assert!(!scans_draws(n, cut + 1));
+            for k in [16, 64, cut, cut + 1, 5_000].into_iter().filter(|&k| k <= n) {
+                for seed in 0..8 {
+                    let got = sample_indices(&mut rng(seed), n, k);
+                    let want = sample_indices_reference(&mut rng(seed), n, k);
+                    assert_eq!(got, want, "n = {n}, k = {k}, seed = {seed}");
+                }
+            }
+        }
     }
 
     #[test]
     fn sample_witnesses_skips_the_pair_in_draw_order() {
-        for (n, a, c) in
-            [(2usize, 0, 1), (3, 2, 0), (10, 3, 7), (10, 7, 3), (10, 4, 4), (500, 0, 499)]
-        {
-            for k in [0, 1, 5, n] {
+        for (n, a, c) in [
+            (2usize, 0, 1),
+            (3, 2, 0),
+            (10, 3, 7),
+            (10, 7, 3),
+            (10, 4, 4),
+            (500, 0, 499),
+            (5_000, 4_321, 17),
+        ] {
+            // k = n − 2 draws every witness: above 4096 that is the heap
+            // bitset, O(n) for the pair rather than O(n²).
+            for k in [0, 1, 5, n.saturating_sub(2), n] {
                 let got: Vec<usize> = sample_witnesses(&mut rng(9), n, a, c, k).collect();
                 let m = n.saturating_sub(2);
                 let (lo, hi) = (a.min(c), a.max(c));

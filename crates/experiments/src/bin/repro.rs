@@ -36,7 +36,7 @@
 //!
 //! `repro churn` drives the incremental epoch pipeline (`tivflux` +
 //! `tivserve::flux`) against a deterministically churning delay space
-//! and prints staleness/freshness and rebuild-latency figures; with
+//! and prints staleness/freshness and per-epoch build-work figures; with
 //! `--out` it writes the `churn-staleness` and `churn-rebuild` CSVs.
 //! See `experiments::churn`.
 //!
@@ -472,9 +472,8 @@ fn main() -> ExitCode {
         // Serial: stream each figure as it finishes, sharing one
         // artifact cache that --report below can reuse.
         for id in &args.ids {
-            let started = std::time::Instant::now();
-            let output = suite::run(id, &lab);
-            emit(id, output, started.elapsed().as_secs_f64(), &args, &mut failed);
+            let outcome = suite::run_timed(id, &lab);
+            emit(&outcome.id, outcome.output, outcome.seconds, &args, &mut failed);
         }
     }
     if let Some(path) = &args.report {

@@ -1,6 +1,6 @@
 //! The `repro churn` experiment: drive the incremental epoch pipeline
 //! against a deterministically churning delay space and report
-//! staleness, freshness and rebuild latency.
+//! staleness, freshness and the work each epoch folds in.
 //!
 //! The pipeline under test is the full incremental stack: a
 //! [`simnet::churn::ChurnProcess`] drifts the true delays (diurnal
@@ -17,9 +17,13 @@
 //!   delays and the world's current true delays, per tick;
 //! * **freshness** — the fraction of edges observed within the last
 //!   epoch window, and the mean age of each edge's last observation;
-//! * **rebuild latency** — wall milliseconds per epoch build, split by
-//!   incremental vs full, with the dirty-row fraction that drove the
-//!   policy's choice.
+//! * **epoch work** — the matrix-changing observations each epoch
+//!   build folds in, split by incremental vs full, with the dirty-row
+//!   fraction that drove the policy's choice.
+//!
+//! Every output is a pure function of the options: nothing here reads
+//! a clock. Build latency is timed by the benchmark (tivmark's
+//! `churn_mixed` workload), not by this experiment.
 
 use crate::figure::{Figure, Series};
 use delayspace::matrix::DelayMatrix;
@@ -122,8 +126,9 @@ pub struct EpochRecord {
     pub dirty_rows: usize,
     /// Dirty-row fraction.
     pub dirty_fraction: f64,
-    /// Wall milliseconds of build + publish.
-    pub build_ms: f64,
+    /// Matrix-changing observations the build folded in (repeats of an
+    /// edge included): [`tivserve::flux::BuildOutcome::edge_marks`].
+    pub edge_marks: usize,
 }
 
 /// The outcome `repro churn` prints and writes.
@@ -152,14 +157,14 @@ impl ChurnReport {
         self.epochs.iter().filter(|e| e.kind == kind).collect()
     }
 
-    /// Mean build latency of one kind, ms (`None` when no such build
-    /// ran).
-    pub fn mean_build_ms(&self, kind: BuildKind) -> Option<f64> {
+    /// Mean matrix-changing observations per build of one kind (`None`
+    /// when no such build ran).
+    pub fn mean_edge_marks(&self, kind: BuildKind) -> Option<f64> {
         let builds = self.builds_of(kind);
         if builds.is_empty() {
             return None;
         }
-        Some(builds.iter().map(|e| e.build_ms).sum::<f64>() / builds.len() as f64)
+        Some(builds.iter().map(|e| e.edge_marks as f64).sum::<f64>() / builds.len() as f64)
     }
 }
 
@@ -179,11 +184,11 @@ impl fmt::Display for ChurnReport {
             self.epochs.len(),
             o.full_rebuild_fraction * 100.0
         )?;
-        if let Some(ms) = self.mean_build_ms(BuildKind::Incremental) {
-            writeln!(f, "  incremental build: {ms:.1} ms mean")?;
+        if let Some(marks) = self.mean_edge_marks(BuildKind::Incremental) {
+            writeln!(f, "  incremental build: {marks:.1} changed observations mean")?;
         }
-        if let Some(ms) = self.mean_build_ms(BuildKind::Full) {
-            writeln!(f, "  full rebuild:      {ms:.1} ms mean")?;
+        if let Some(marks) = self.mean_edge_marks(BuildKind::Full) {
+            writeln!(f, "  full rebuild:      {marks:.1} changed observations mean")?;
         }
         writeln!(
             f,
@@ -252,10 +257,7 @@ pub fn run_churn(opts: &ChurnOptions) -> ChurnReport {
             last_obs[s.b * n + s.a] = tick.tick;
         }
         if t % opts.epoch_ticks == 0 {
-            let started = std::time::Instant::now();
-            let snap = builder.build();
-            service.publish(snap);
-            let build_ms = started.elapsed().as_secs_f64() * 1e3;
+            service.publish(builder.build());
             let o = builder.last_outcome().expect("build just ran");
             epochs.push(EpochRecord {
                 epoch: o.epoch,
@@ -263,7 +265,7 @@ pub fn run_churn(opts: &ChurnOptions) -> ChurnReport {
                 kind: o.kind,
                 dirty_rows: o.dirty_rows,
                 dirty_fraction: o.dirty_fraction,
-                build_ms,
+                edge_marks: o.edge_marks,
             });
         }
         let snap = service.snapshot();
@@ -296,16 +298,16 @@ pub fn run_churn(opts: &ChurnOptions) -> ChurnReport {
             ));
             let rebuild_fig = Figure::new(
                 "churn-rebuild",
-                "Epoch build latency under churn (DS2)",
+                "Epoch build work under churn (DS2)",
                 "epoch",
-                "build latency (ms)",
+                "matrix-changing observations folded in",
             )
             .with_series(Series::new(
                 "incremental repair",
                 epochs
                     .iter()
                     .filter(|e| e.kind == BuildKind::Incremental)
-                    .map(|e| (e.epoch as f64, e.build_ms))
+                    .map(|e| (e.epoch as f64, e.edge_marks as f64))
                     .collect(),
             ))
             .with_series(Series::new(
@@ -313,7 +315,7 @@ pub fn run_churn(opts: &ChurnOptions) -> ChurnReport {
                 epochs
                     .iter()
                     .filter(|e| e.kind == BuildKind::Full)
-                    .map(|e| (e.epoch as f64, e.build_ms))
+                    .map(|e| (e.epoch as f64, e.edge_marks as f64))
                     .collect(),
             ))
             .with_note(format!(
@@ -360,7 +362,8 @@ mod tests {
     fn run_churn_builds_epochs_and_reports() {
         let report = run_churn(&tiny());
         assert_eq!(report.epochs.len(), 4, "8 ticks at 2 per epoch");
-        assert!(report.epochs.iter().all(|e| e.build_ms >= 0.0));
+        // 120 observations a tick: every epoch folds in changes.
+        assert!(report.epochs.iter().all(|e| e.edge_marks > 0), "{:?}", report.epochs);
         assert!(report.mean_staleness >= 0.0 && report.mean_staleness < 1.0);
         assert!(report.final_fresh_fraction > 0.0, "some edges must have been observed");
         assert_eq!(report.figures.len(), 2);
@@ -429,16 +432,21 @@ mod tests {
 
     #[test]
     fn report_is_deterministic() {
-        // Everything except wall-clock build latency is a pure function
-        // of the options (the rebuild figure's y-axis is timing, so
-        // only its x structure and the staleness figure are compared).
+        // Every figure, build record and summary line is a pure
+        // function of the options: no clock is read.
         let a = run_churn(&tiny());
         let b = run_churn(&tiny());
-        assert_eq!(a.figures[0].to_csv(), b.figures[0].to_csv());
+        for (x, y) in a.figures.iter().zip(&b.figures) {
+            assert_eq!(x.to_csv(), y.to_csv(), "{} differs between runs", x.id);
+        }
         assert_eq!(a.epochs.len(), b.epochs.len());
         assert_eq!(a.mean_staleness.to_bits(), b.mean_staleness.to_bits());
         for (x, y) in a.epochs.iter().zip(&b.epochs) {
-            assert_eq!((x.kind, x.dirty_rows, x.tick), (y.kind, y.dirty_rows, y.tick));
+            assert_eq!(
+                (x.kind, x.dirty_rows, x.tick, x.edge_marks),
+                (y.kind, y.dirty_rows, y.tick, y.edge_marks)
+            );
         }
+        assert_eq!(a.to_string(), b.to_string());
     }
 }

@@ -9,15 +9,27 @@
 //! than building its own. [`crate::suite::run_many`] shares one lab
 //! between all of its workers.
 //!
-//! The two figure pairs that come out of one computation — figures
-//! 20/21 (one accuracy/recall sweep) and 22/23 (one dynamic-neighbor
-//! Vivaldi run) — are cached as finished figures, so whichever figure of
-//! a pair runs first builds both. The sweep and the per-iteration
-//! records behind them are dropped once the figures exist: keeping them
-//! for a whole pass would hold every iteration's embedding resident.
+//! Beside the artifacts, the lab keeps each result that more than one
+//! figure computes identically, so a pass computes it once:
+//!
+//! | Shared result | Figures | Cached as |
+//! |---|---|---|
+//! | accuracy/recall sweep | 20, 21 | both finished figures |
+//! | dynamic-neighbor Vivaldi run | 22, 23 | both finished figures |
+//! | Vivaldi-original penalty CDF on DS² | 15, 16, 17 | its [`Cdf`] |
+//! | plain Meridian, normal setting, on DS² | 18, 24 | its [`MeridianPenalty`] |
+//! | plain Meridian, idealized setting, on DS² | 14, 25 | its [`MeridianPenalty`] |
+//!
+//! Whichever figure asks first computes the result; the rest read it.
+//! Only results are kept, never their inputs: the sweep and the
+//! per-iteration records behind figures 20–23 are dropped once the
+//! figures exist, because keeping them for a whole pass would hold
+//! every iteration's embedding resident.
 
 use crate::figure::Figure;
+use crate::penalty::MeridianPenalty;
 use crate::scale::ExperimentScale;
+use delayspace::stats::Cdf;
 use delayspace::synth::{Dataset, InternetDelaySpace};
 use simnet::net::{JitterModel, Network};
 use std::sync::{Arc, OnceLock};
@@ -43,6 +55,12 @@ pub struct Lab {
     pub(crate) fig20_21: OnceLock<(Figure, Figure)>,
     /// Figures 22 and 23, built together from one dynamic-neighbor run.
     pub(crate) fig22_23: OnceLock<(Figure, Figure)>,
+    /// Vivaldi's penalty CDF on DS², shared by figures 15, 16 and 17.
+    pub(crate) vivaldi_baseline: OnceLock<Cdf>,
+    /// Plain Meridian's normal-setting run, shared by figures 18 and 24.
+    pub(crate) meridian_original: OnceLock<MeridianPenalty>,
+    /// Plain Meridian's idealized DS² run, shared by figures 14 and 25.
+    pub(crate) ideal_meridian_ds2: OnceLock<MeridianPenalty>,
 }
 
 impl Lab {
@@ -68,6 +86,9 @@ impl Lab {
             artifacts: Default::default(),
             fig20_21: OnceLock::new(),
             fig22_23: OnceLock::new(),
+            vivaldi_baseline: OnceLock::new(),
+            meridian_original: OnceLock::new(),
+            ideal_meridian_ds2: OnceLock::new(),
         }
     }
 
@@ -185,6 +206,50 @@ mod tests {
             let partner = crate::suite::run(second, &lab).unwrap().figure;
             assert_eq!(partner.id, second);
             assert_eq!(partner.notes.last().map(String::as_str), Some("cached"));
+        }
+    }
+
+    #[test]
+    fn shared_runs_come_from_one_computation() {
+        // (first figure, partners): the first caches the shared run, the
+        // partners must read it; the marker below proves they did.
+        let cases: [(&str, &[&str]); 3] =
+            [("fig18", &["fig24"]), ("fig14", &["fig25"]), ("fig15", &["fig16", "fig17"])];
+        for (first, partners) in cases {
+            let mut lab = Lab::new(ExperimentScale::Tiny, 5);
+            let mut csvs = vec![crate::suite::run(first, &lab).unwrap().figure.to_csv()];
+            csvs.extend(
+                partners.iter().map(|id| crate::suite::run(id, &lab).unwrap().figure.to_csv()),
+            );
+            // Whoever asks first computes the same bits: run the
+            // partners first on a fresh lab.
+            let fresh = Lab::new(ExperimentScale::Tiny, 5);
+            for (i, id) in partners.iter().chain([&first]).enumerate() {
+                let want = &csvs[(i + 1) % csvs.len()];
+                assert_eq!(&crate::suite::run(id, &fresh).unwrap().figure.to_csv(), want, "{id}");
+            }
+            // Mark the cached result with a value no run produces (a
+            // negative fraction or penalty): a partner that recomputed
+            // would not print it.
+            let missing = format!("{first} did not cache its shared run");
+            match first {
+                "fig18" => {
+                    lab.meridian_original.get_mut().expect(&missing).exact_fraction = -4321.0
+                }
+                "fig14" => {
+                    lab.ideal_meridian_ds2.get_mut().expect(&missing).exact_fraction = -4321.0
+                }
+                _ => {
+                    *lab.vivaldi_baseline.get_mut().expect(&missing) = Cdf::from_samples([-4321.0])
+                }
+            }
+            for id in partners {
+                let notes = crate::suite::run(id, &lab).unwrap().figure.notes;
+                assert!(
+                    notes.iter().any(|n| n.contains("-4321.0")),
+                    "{id} recomputed the run {first} cached: {notes:?}"
+                );
+            }
         }
     }
 

@@ -25,8 +25,14 @@ pub fn fig1(lab: &Lab) -> Figure {
     let space = lab.space(Dataset::Ds2);
     let sev = lab.severity(Dataset::Ds2);
     let m = space.matrix();
-    // The most severe edge stands in for the paper's hypothetical edge.
-    let (a, c) = sev.worst_edges(m, 1.0 / m.edges().count().max(1) as f64)[0];
+    // The most severe edge stands in for the paper's hypothetical edge:
+    // the first maximum in `edges()` order, as `Severity::worst_edges`
+    // would rank it.
+    let (a, c, _) = sev
+        .edges(m)
+        .filter(|(_, _, s)| !s.is_nan())
+        .reduce(|best, e| if e.2.total_cmp(&best.2).is_gt() { e } else { best })
+        .expect("DS² has a measured edge");
     let ratios = triangulation_ratios(m, a, c);
     let cdf = Cdf::from_samples(ratios.iter().copied());
     let frac_violating = 1.0 - cdf.eval(1.0);

@@ -3,7 +3,7 @@
 
 use crate::figure::{Figure, Series};
 use crate::lab::Lab;
-use crate::penalty::meridian_penalty_cdf;
+use crate::penalty::{meridian_penalty_cdf, MeridianPenalty};
 use crate::scale::ExperimentScale;
 use delayspace::matrix::DelayMatrix;
 use delayspace::synth::Dataset;
@@ -193,32 +193,40 @@ fn all_members_config(members: usize) -> MeridianConfig {
     MeridianConfig { k: members, ..MeridianConfig::default() }
 }
 
+/// Plain Meridian's penalty run on `ds` in the idealized setting:
+/// every member rings every other, and termination is disabled.
+fn ideal_meridian(lab: &Lab, ds: Dataset) -> MeridianPenalty {
+    let space = lab.space(ds);
+    let members = lab.scale().meridian_small_members();
+    let cfg = all_members_config(members);
+    meridian_penalty_cdf(
+        space.matrix(),
+        |net, mset, bseed| MeridianOverlay::build(cfg, mset, net, bseed, &BuildOptions::default()),
+        |ov, net, start, target| closest_neighbor(ov, net, start, target, Termination::None),
+        members,
+        lab.scale().runs(),
+        lab.seed(),
+    )
+}
+
+/// The idealized run on DS² (Figure 14's DS² series and Figure 25's
+/// "Meridian-no-termination"), computed once per lab by whichever of
+/// the two asks first.
+pub fn ideal_meridian_ds2(lab: &Lab) -> &MeridianPenalty {
+    lab.ideal_meridian_ds2.get_or_init(|| ideal_meridian(lab, Dataset::Ds2))
+}
+
 /// Figure 14: Meridian neighbor-selection penalty under idealized
 /// settings on an artificial Euclidean matrix versus DS².
 pub fn fig14(lab: &Lab) -> Figure {
-    let members = lab.scale().meridian_small_members();
-    let runs = lab.scale().runs();
-    let seed = lab.seed();
     let mut fig = Figure::new(
         "fig14",
         "Neighbor selection performance of Meridian with ideal settings",
         "percentage penalty",
         "cumulative distribution",
     );
-    for ds in [Dataset::Euclidean, Dataset::Ds2] {
-        let space = lab.space(ds);
-        let m = space.matrix();
-        let cfg = all_members_config(members);
-        let out = meridian_penalty_cdf(
-            m,
-            |net, mset, bseed| {
-                MeridianOverlay::build(cfg, mset, net, bseed, &BuildOptions::default())
-            },
-            |ov, net, start, target| closest_neighbor(ov, net, start, target, Termination::None),
-            members,
-            runs,
-            seed,
-        );
+    let euclidean = ideal_meridian(lab, Dataset::Euclidean);
+    for (ds, out) in [(Dataset::Euclidean, &euclidean), (Dataset::Ds2, ideal_meridian_ds2(lab))] {
         fig.notes.push(format!(
             "{}: exact-neighbor fraction {:.3}, mean penalty {:.1}%, p99 {:.1}% \
              (paper: near-perfect on Euclidean, ~13% misses on DS²)",

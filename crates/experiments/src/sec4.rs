@@ -2,7 +2,7 @@
 
 use crate::figure::{Figure, Series};
 use crate::lab::Lab;
-use crate::penalty::{meridian_penalty_cdf, predictor_penalty_cdf};
+use crate::penalty::{meridian_penalty_cdf, predictor_penalty_cdf, MeridianPenalty};
 use delayspace::rng;
 use delayspace::stats::Cdf;
 use delayspace::synth::Dataset;
@@ -17,17 +17,40 @@ use vivaldi::{LatModel, VivaldiConfig, VivaldiSystem};
 pub const FILTER_FRACTION: f64 = 0.20;
 
 /// Penalty CDF of plain Vivaldi on DS² (the "Vivaldi-original" baseline
-/// reused by Figures 15, 16, 17 and 23).
-pub fn vivaldi_baseline(lab: &Lab) -> Cdf {
-    let space = lab.space(Dataset::Ds2);
-    let emb = lab.embedding(Dataset::Ds2);
-    predictor_penalty_cdf(
-        space.matrix(),
-        |client, cands| emb.select_nearest(client, cands),
-        lab.scale().candidates(),
-        lab.scale().runs(),
-        lab.seed(),
-    )
+/// of Figures 15, 16 and 17), computed once per lab by whichever of the
+/// three asks first.
+pub fn vivaldi_baseline(lab: &Lab) -> &Cdf {
+    lab.vivaldi_baseline.get_or_init(|| {
+        let space = lab.space(Dataset::Ds2);
+        let emb = lab.embedding(Dataset::Ds2);
+        predictor_penalty_cdf(
+            space.matrix(),
+            |client, cands| emb.select_nearest(client, cands),
+            lab.scale().candidates(),
+            lab.scale().runs(),
+            lab.seed(),
+        )
+    })
+}
+
+/// Plain Meridian's penalty run on DS² in the normal setting (the
+/// "Meridian-original" series of Figures 18 and 24), computed once per
+/// lab by whichever of the two asks first.
+pub fn meridian_original(lab: &Lab) -> &MeridianPenalty {
+    lab.meridian_original.get_or_init(|| {
+        let space = lab.space(Dataset::Ds2);
+        let cfg = MeridianConfig::default();
+        meridian_penalty_cdf(
+            space.matrix(),
+            |net, mset, bseed| {
+                MeridianOverlay::build(cfg, mset, net, bseed, &BuildOptions::default())
+            },
+            |ov, net, s, t| closest_neighbor(ov, net, s, t, Termination::Beta),
+            lab.scale().meridian_members(Dataset::Ds2),
+            lab.scale().runs(),
+            lab.seed(),
+        )
+    })
 }
 
 /// Figure 15: IDES versus original Vivaldi.
@@ -56,7 +79,7 @@ pub fn fig15(lab: &Lab) -> Figure {
         "cumulative distribution",
     )
     .with_series(Series::from_cdf("IDES", &ides_cdf, 120))
-    .with_series(Series::from_cdf("Vivaldi-original", &viv_cdf, 120))
+    .with_series(Series::from_cdf("Vivaldi-original", viv_cdf, 120))
     .with_note(format!(
         "median penalty: IDES ({landmarks} landmarks) {:.1}% vs Vivaldi {:.1}% — \
          paper finds IDES *worse* for neighbor selection despite better \
@@ -88,7 +111,7 @@ pub fn fig16(lab: &Lab) -> Figure {
         "cumulative distribution",
     )
     .with_series(Series::from_cdf("Vivaldi-with-LAT", &lat_cdf, 120))
-    .with_series(Series::from_cdf("Vivaldi-original", &viv_cdf, 120))
+    .with_series(Series::from_cdf("Vivaldi-original", viv_cdf, 120))
     .with_note(format!(
         "median penalty: LAT {:.1}% vs original {:.1}% — paper: only slightly better",
         lat_cdf.median(),
@@ -141,7 +164,7 @@ pub fn fig17(lab: &Lab) -> Figure {
         "percentage penalty",
         "cumulative distribution",
     )
-    .with_series(Series::from_cdf("Vivaldi-original", &viv_cdf, 120))
+    .with_series(Series::from_cdf("Vivaldi-original", viv_cdf, 120))
     .with_series(Series::from_cdf("Vivaldi-TIV-severity-filter", &filt_cdf, 120))
     .with_note(format!(
         "median penalty: filtered {:.1}% vs original {:.1}% — paper: only a \
@@ -162,14 +185,7 @@ pub fn fig18(lab: &Lab) -> Figure {
     let runs = lab.scale().runs();
     let cfg = MeridianConfig::default();
 
-    let original = meridian_penalty_cdf(
-        m,
-        |net, mset, bseed| MeridianOverlay::build(cfg, mset, net, bseed, &BuildOptions::default()),
-        |ov, net, s, t| closest_neighbor(ov, net, s, t, Termination::Beta),
-        members,
-        runs,
-        lab.seed(),
-    );
+    let original = meridian_original(lab);
     // Track ring under-population of the filtered overlays.
     let mut thin_rings = 0usize;
     let mut total_nodes = 0usize;

@@ -8,7 +8,7 @@ use crate::scale::ExperimentScale;
 use delayspace::stats::Cdf;
 use delayspace::synth::Dataset;
 use meridian::{closest_neighbor, BuildOptions, MeridianConfig, MeridianOverlay, Termination};
-use tivcore::alert::{accuracy_recall_sweep_threaded, ratio_severity_bins};
+use tivcore::alert::{accuracy_recall_sweeps, ratio_severity_bins};
 use tivcore::dynvivaldi::{self, DynVivaldiConfig, IterationRecord};
 use tivcore::severity::Severity;
 use tivcore::tivmeridian::{build_tiv_aware, tiv_aware_query, TivMeridianConfig};
@@ -67,8 +67,9 @@ fn alert_sweep_figures(lab: &Lab) -> (Figure, Figure) {
         "alert ratio threshold",
         "recall",
     );
-    for worst in [0.01, 0.05, 0.10, 0.20] {
-        let sweep = accuracy_recall_sweep_threaded(&emb, m, &sev, worst, &ts, lab.threads());
+    let fracs = [0.01, 0.05, 0.10, 0.20];
+    let sweeps = accuracy_recall_sweeps(&emb, m, &sev, &fracs, &ts, lab.threads());
+    for (worst, sweep) in fracs.into_iter().zip(sweeps) {
         let label = format!("worst {:.0}%", worst * 100.0);
         acc.series.push(Series::new(
             label.clone(),
@@ -223,14 +224,7 @@ pub fn fig24(lab: &Lab) -> Figure {
     let cfg = MeridianConfig::default();
     let tiv_cfg = TivMeridianConfig { base: cfg, ..Default::default() };
 
-    let original = meridian_penalty_cdf(
-        m,
-        |net, mset, bseed| MeridianOverlay::build(cfg, mset, net, bseed, &BuildOptions::default()),
-        |ov, net, s, t| closest_neighbor(ov, net, s, t, Termination::Beta),
-        members,
-        runs,
-        lab.seed(),
-    );
+    let original = crate::sec4::meridian_original(lab);
     let aware = meridian_penalty_cdf(
         m,
         |net, mset, bseed| build_tiv_aware(&tiv_cfg, mset, &emb, net, bseed, None),
@@ -289,14 +283,7 @@ pub fn fig25(lab: &Lab) -> Figure {
         runs,
         lab.seed(),
     );
-    let no_term = meridian_penalty_cdf(
-        m,
-        |net, mset, bseed| MeridianOverlay::build(cfg, mset, net, bseed, &BuildOptions::default()),
-        |ov, net, s, t| closest_neighbor(ov, net, s, t, Termination::None),
-        members,
-        runs,
-        lab.seed(),
-    );
+    let no_term = crate::sec3::ideal_meridian_ds2(lab);
     let overhead = (aware.probes_per_query / original.probes_per_query.max(1e-9) - 1.0) * 100.0;
 
     Figure::new(

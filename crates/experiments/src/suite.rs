@@ -33,6 +33,9 @@ impl From<Figure> for ExperimentOutput {
 /// Figures 20/21 share one alert sweep and figures 22/23 one
 /// dynamic-neighbor Vivaldi run; the first of a pair to run on `lab`
 /// builds both figures and the second reads its partner from the lab.
+/// Likewise figures 15, 16 and 17 share one Vivaldi baseline, 18 and 24
+/// one plain-Meridian run, and 14 and 25 one idealized Meridian run on
+/// DS² ([`Lab`] lists every shared result).
 pub fn run(id: &str, lab: &Lab) -> Option<ExperimentOutput> {
     let out: ExperimentOutput = match id {
         "fig1" => sec2::fig1(lab).into(),
@@ -82,7 +85,24 @@ pub struct RunOutcome {
     /// Wall-clock seconds this experiment took inside its worker,
     /// including any wait for a shared artifact (a severity matrix, a
     /// figure pair) that another worker was building at the time.
+    ///
+    /// A shared result is charged to whichever figure asked for it
+    /// first: the plain-Meridian run shared by figures 18 and 24 lands
+    /// in §4 or §5, and the idealized DS² run shared by figures 14 and
+    /// 25 in §3 or §5, depending on which worker got there first. So
+    /// per-section sums of these seconds (tivmark's
+    /// `experiments.sec*_s`) move between sections from pass to pass.
     pub seconds: f64,
+}
+
+/// Runs one experiment by id on `lab` and times it: the timing
+/// [`run_many`] and a serial `repro` loop both report. This is the
+/// one clock the experiments read; every figure is a pure function of
+/// `(scale, seed)`.
+pub fn run_timed(id: &str, lab: &Lab) -> RunOutcome {
+    let started = std::time::Instant::now();
+    let output = run(id, lab);
+    RunOutcome { id: id.to_string(), output, seconds: started.elapsed().as_secs_f64() }
 }
 
 /// Runs a batch of experiments fanned out over up to `threads` workers
@@ -90,9 +110,10 @@ pub struct RunOutcome {
 /// order.
 ///
 /// Every worker shares one [`Lab`], so each per-dataset artifact (delay
-/// space, severity matrix, embedding) and each figure pair is computed
-/// once per batch, by whichever worker asks first, while the others
-/// wait for it. The ids are dealt to the pool in fine chunks with work
+/// space, severity matrix, embedding), each figure pair and each result
+/// two figures share (the Vivaldi baseline of figures 15–17 and the
+/// plain-Meridian runs of figures 18/24 and 14/25) is computed once per
+/// batch, by whichever worker asks first, while the others wait for it. The ids are dealt to the pool in fine chunks with work
 /// stealing, so a worker that draws cheap figures takes over the
 /// remaining ids of one that drew expensive ones. Every figure is a
 /// pure function of `(scale, seed)`, so the results are identical to a
@@ -113,11 +134,7 @@ pub fn run_many(
     let workers = budget.min(ids.len().max(1));
     let inner = (budget / workers.max(1)).max(1);
     let lab = Lab::with_threads(scale, seed, inner);
-    tivpar::par_map_rows(ids.len(), workers, |i| {
-        let started = std::time::Instant::now();
-        let output = run(&ids[i], &lab);
-        RunOutcome { id: ids[i].clone(), output, seconds: started.elapsed().as_secs_f64() }
-    })
+    tivpar::par_map_rows(ids.len(), workers, |i| run_timed(&ids[i], &lab))
 }
 
 /// Ablation experiment ids (DESIGN.md §5), runnable like figure ids.

@@ -36,6 +36,12 @@ impl PairMisplacement {
 }
 
 /// Computes misplacement for one ordered pair `(ni, nj)`.
+///
+/// One pass over the two rows, branch-free: each node adds its
+/// "inside the neighborhood" and "misplaced" bits to the counts, so the
+/// cost does not depend on how the rows' delays fall. Unmeasured (NaN)
+/// delays compare false: a node `Nj` has no delay to is outside the
+/// neighborhood, and one `Ni` has no delay to is misplaced.
 pub fn pair_misplacement(
     m: &DelayMatrix,
     ni: NodeId,
@@ -46,26 +52,34 @@ pub fn pair_misplacement(
     if d <= 0.0 {
         return None;
     }
-    let lo = (1.0 - beta) * d;
-    let hi = (1.0 + beta) * d;
-    let mut neighborhood = 0usize;
-    let mut misplaced = 0usize;
     let (row_j, row_i) = (m.row(nj), m.row(ni));
-    for x in 0..m.len() {
-        if x == ni || x == nj {
-            continue;
-        }
-        let djx = row_j[x];
-        // NaN comparison is false → unmeasured x skipped for free.
-        if djx <= beta * d {
-            neighborhood += 1;
-            let dix = row_i[x];
-            if !(dix >= lo && dix <= hi) {
-                misplaced += 1;
-            }
-        }
+    let window = (beta * d, (1.0 - beta) * d, (1.0 + beta) * d);
+    // The pair's own endpoints are not candidates: count the row
+    // segments around them.
+    let (a, b) = (ni.min(nj), ni.max(nj));
+    let mut counts = (0usize, 0usize);
+    for span in [0..a, a + 1..b, b + 1..m.len()] {
+        count_misplaced(&row_j[span.clone()], &row_i[span], window, &mut counts);
     }
+    let (neighborhood, misplaced) = counts;
     Some(PairMisplacement { ni, nj, delay: d, neighborhood, misplaced })
+}
+
+/// Adds to `(neighborhood, misplaced)` the nodes of one row segment:
+/// `x` is in the neighborhood when `d(Nj, x) ≤ reach`, and misplaced
+/// when it is and `d(Ni, x)` lies outside `[lo, hi]`.
+#[inline]
+fn count_misplaced(
+    row_j: &[f64],
+    row_i: &[f64],
+    (reach, lo, hi): (f64, f64, f64),
+    (neighborhood, misplaced): &mut (usize, usize),
+) {
+    for (&djx, &dix) in row_j.iter().zip(row_i) {
+        let near = djx <= reach;
+        *neighborhood += usize::from(near);
+        *misplaced += usize::from(near & !((dix >= lo) & (dix <= hi)));
+    }
 }
 
 /// Figure 13: misplacement fraction versus pair delay, over a random
@@ -161,6 +175,64 @@ mod tests {
         let f01 = frac_at(0.1);
         let f09 = frac_at(0.9);
         assert!(f09 < f01, "beta=0.9 should misplace less than beta=0.1 ({f09} vs {f01})");
+    }
+
+    /// The loop `pair_misplacement` ran before it went branch-free: skip
+    /// the endpoints, then branch on each comparison.
+    fn pair_misplacement_reference(
+        m: &DelayMatrix,
+        ni: NodeId,
+        nj: NodeId,
+        beta: f64,
+    ) -> Option<(usize, usize)> {
+        let d = m.get(ni, nj)?;
+        if d <= 0.0 {
+            return None;
+        }
+        let (lo, hi) = ((1.0 - beta) * d, (1.0 + beta) * d);
+        let (mut neighborhood, mut misplaced) = (0, 0);
+        let (row_j, row_i) = (m.row(nj), m.row(ni));
+        for x in 0..m.len() {
+            if x == ni || x == nj {
+                continue;
+            }
+            if row_j[x] <= beta * d {
+                neighborhood += 1;
+                let dix = row_i[x];
+                if !(dix >= lo && dix <= hi) {
+                    misplaced += 1;
+                }
+            }
+        }
+        Some((neighborhood, misplaced))
+    }
+
+    #[test]
+    fn branch_free_counts_match_the_branchy_loop() {
+        // A DS²-style space with every third pair unmeasured (NaN), so
+        // both rows carry holes, plus a zero-delay edge that yields None.
+        let s = InternetDelaySpace::preset(Dataset::Ds2).with_nodes(90).build(21);
+        let full = s.matrix();
+        let mut m = DelayMatrix::new(full.len());
+        for (i, j, d) in full.edges() {
+            if (i * 7 + j) % 3 != 0 {
+                m.set(i, j, d);
+            }
+        }
+        m.set(4, 5, 0.0);
+        let mut compared = 0;
+        for beta in [0.1, 0.5, 0.9] {
+            for ni in 0..m.len() {
+                for nj in 0..m.len() {
+                    let got = pair_misplacement(&m, ni, nj, beta)
+                        .map(|pm| (pm.neighborhood, pm.misplaced));
+                    let want = pair_misplacement_reference(&m, ni, nj, beta);
+                    assert_eq!(got, want, "pair ({ni}, {nj}), beta {beta}");
+                    compared += usize::from(want.is_some_and(|(_, x)| x > 0));
+                }
+            }
+        }
+        assert!(compared > 1000, "too few misplacing pairs to pin anything: {compared}");
     }
 
     #[test]

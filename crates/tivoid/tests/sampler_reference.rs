@@ -1,7 +1,8 @@
 //! The witness sampler against the quadratic Floyd loop it replaced.
 //!
 //! `delayspace::rng::sample_indices` tracks membership in a stack bitset
-//! for `n ≤ 4096` and scans the draws above that. Its own unit tests pin
+//! for `n ≤ 4096`; above that it scans the draws while `k² ≤ n / 8` and
+//! takes a heap bitset past it. Its own unit tests pin
 //! the `Vec` it returns, order included, to the old linear-`contains`
 //! loop. This suite pins the three kernels built on it to textbook loops
 //! over that reference draw:
@@ -18,8 +19,9 @@
 //! Every field is compared bit for bit: on a dense matrix with holes,
 //! on a sparse store holding the same delays (so both storage layouts
 //! answer from the same reference draw), and on a synthetic complete
-//! store large enough to reach both membership paths (`n − 2` on either
-//! side of 4096).
+//! store large enough to reach every membership path (`n − 2` on either
+//! side of 4096; above it, k = 16 and 17 scan, k ≥ 64 take the heap
+//! bitset).
 
 use rand::Rng;
 use tivoid::delayspace::rng::sub_rng;
@@ -179,7 +181,8 @@ fn dense_kernels_match_the_reference_draw() {
 
 #[test]
 fn large_store_kernels_match_the_reference_draw_on_both_paths() {
-    // n − 2 = 1022, 4096 (the last bitset size) and 4097 (a scan).
+    // n − 2 = 1022, 4096 (the last stack-bitset size) and 4097 (a scan
+    // for small k, a heap bitset for large).
     for n in [1024, 4098, 4099] {
         let store = HashStore(n);
         for (a, c) in pairs(n) {
