@@ -55,6 +55,10 @@ pub fn filter_fraction_sweep(lab: &Lab) -> Figure {
         );
         points.push((frac * 100.0, cdf.median()));
     }
+    let note = format!(
+        "paper fixes 20%; median penalty {:.1}% with nothing removed, {:.1}% at 20%, {:.1}% at 40%",
+        points[0].1, points[3].1, points[4].1
+    );
     Figure::new(
         "ablation-filter",
         "Severity-filter fraction vs Vivaldi selection penalty",
@@ -62,7 +66,7 @@ pub fn filter_fraction_sweep(lab: &Lab) -> Figure {
         "median percentage penalty",
     )
     .with_series(Series::new("median penalty", points))
-    .with_note("paper fixes 20%; the sweep shows removal never fixes Vivaldi".to_string())
+    .with_note(note)
 }
 
 /// Ablation A2: Vivaldi embedding dimensionality (paper fixes 5-D).
@@ -319,6 +323,21 @@ mod tests {
         let fig = filter_fraction_sweep(&lab());
         assert_eq!(fig.series[0].points.len(), 5);
         assert_eq!(fig.series[0].points[0].0, 0.0);
+    }
+
+    #[test]
+    fn filter_sweep_note_quotes_its_series() {
+        let fig = filter_fraction_sweep(&lab());
+        let pts = &fig.series[0].points;
+        assert_eq!(pts[3].0, 20.0);
+        let note = &fig.notes[0];
+        for want in [
+            format!("{:.1}% with nothing removed", pts[0].1),
+            format!("{:.1}% at 20%", pts[3].1),
+            format!("{:.1}% at 40%", pts[4].1),
+        ] {
+            assert!(note.contains(&want), "note {note:?} lacks {want:?}");
+        }
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! witness sampling give up, and how much memory does the sparse store
 //! give back?
 //!
-//! The million-node regime (ROADMAP item 3) rests on two substitutions:
-//! the dense `n² × 8`-byte [`DelayMatrix`](delayspace::matrix::DelayMatrix)
+//! Severity at a million nodes, where neither n² stored delays nor an
+//! O(n) scan per edge fits, rests on two substitutions: the dense
+//! `n² × 8`-byte [`DelayMatrix`](delayspace::matrix::DelayMatrix)
 //! becomes an observed-edge [`SparseDelayStore`], and the exact O(n)
 //! per-edge severity scan becomes a k-witness sampled estimate with a
 //! 95% confidence interval ([`tivcore::estimate_severity_ci`]). This

@@ -4,7 +4,9 @@
 //! workspace (Vivaldi, Meridian and their TIV-aware variants). It
 //! provides:
 //!
-//! * a virtual clock and a deterministic event queue ([`sim`]),
+//! * a virtual clock and a deterministic event queue ([`sim`]) —
+//!   nothing consumes it today; it is kept for the whole-deployment
+//!   simulator of ROADMAP slice 10b,
 //! * a simulated network that answers round-trip probes from a delay
 //!   matrix, with optional measurement jitter and full **probe
 //!   accounting** ([`net`]) — the paper reports Meridian improvements

@@ -105,8 +105,8 @@ pub trait EpochSource: Send + 'static {
 
 /// Kept only because tivmark's `tivserve.epoch_build` layer imports
 /// the name (`benchmark/src/layers.rs`), which now times a
-/// [`FluxBuilder`] build; the benchmark slice that retires that layer
-/// (ROADMAP item 4) deletes it. Nothing in `crates/` may use it.
+/// [`FluxBuilder`] build. ROADMAP slice 1b retires that layer, and
+/// slice 1c then deletes the alias. Nothing in `crates/` may use it.
 pub type EpochBuilder = FluxBuilder;
 
 /// One message into the publish engine's feed channel.

@@ -29,7 +29,6 @@
 #![deny(missing_docs)]
 
 pub mod coord;
-pub mod deployment;
 pub mod embedding;
 pub mod gnp;
 pub mod lat;
@@ -37,7 +36,6 @@ pub mod system;
 pub mod trace;
 
 pub use coord::Coord;
-pub use deployment::{Deployment, DeploymentConfig};
 pub use embedding::Embedding;
 pub use gnp::{GnpConfig, GnpModel};
 pub use lat::LatModel;

@@ -188,7 +188,7 @@ impl VivaldiSystem {
     /// One probe-and-update step of node `i` against neighbor `j`.
     /// Returns the displacement applied to `i`, or `None` when the pair
     /// is unmeasured in the data set.
-    pub fn step(&mut self, net: &mut Network<'_>, i: NodeId, j: NodeId) -> Option<f64> {
+    fn step(&mut self, net: &mut Network<'_>, i: NodeId, j: NodeId) -> Option<f64> {
         debug_assert_ne!(i, j);
         let rtt = net.probe(i, j)?;
         if rtt <= 0.0 {
