@@ -80,8 +80,8 @@ pub struct AlertQuality {
 
 /// Sweeps alert thresholds against a ground-truth "worst `worst_frac`"
 /// severity set, producing the accuracy and recall curves of Figures 20
-/// and 21. Runs with automatic parallelism — equivalent to
-/// [`accuracy_recall_sweep_threaded`] with `threads == 0`.
+/// and 21: the one-fraction call of [`accuracy_recall_sweeps`], run with
+/// automatic parallelism (`threads == 0`).
 pub fn accuracy_recall_sweep(
     emb: &Embedding,
     m: &DelayMatrix,
@@ -89,22 +89,7 @@ pub fn accuracy_recall_sweep(
     worst_frac: f64,
     thresholds: &[f64],
 ) -> Vec<AlertQuality> {
-    accuracy_recall_sweep_threaded(emb, m, sev, worst_frac, thresholds, 0)
-}
-
-/// The sweep behind Figures 20–21 for one worst-set fraction, with an
-/// explicit worker count ([`tivpar::resolve_threads`] semantics): the
-/// one-fraction call of [`accuracy_recall_sweeps`]. The output is
-/// bit-identical at every thread count.
-pub fn accuracy_recall_sweep_threaded(
-    emb: &Embedding,
-    m: &DelayMatrix,
-    sev: &Severity,
-    worst_frac: f64,
-    thresholds: &[f64],
-    threads: usize,
-) -> Vec<AlertQuality> {
-    accuracy_recall_sweeps(emb, m, sev, &[worst_frac], thresholds, threads).remove(0)
+    accuracy_recall_sweeps(emb, m, sev, &[worst_frac], thresholds, 0).remove(0)
 }
 
 /// The accuracy/recall sweep for several worst-set fractions at once:
@@ -298,9 +283,9 @@ mod tests {
         let emb = embed(m, 17);
         let sev = Severity::compute(m, 0);
         let ts: Vec<f64> = (0..=20).map(|i| i as f64 * 0.05).collect();
-        let serial = accuracy_recall_sweep_threaded(&emb, m, &sev, 0.1, &ts, 1);
+        let serial = accuracy_recall_sweeps(&emb, m, &sev, &[0.1], &ts, 1).remove(0);
         for threads in [2usize, 4, 7] {
-            let par = accuracy_recall_sweep_threaded(&emb, m, &sev, 0.1, &ts, threads);
+            let par = accuracy_recall_sweeps(&emb, m, &sev, &[0.1], &ts, threads).remove(0);
             assert_eq!(par.len(), serial.len());
             for (p, s) in par.iter().zip(&serial) {
                 assert_eq!(p.accuracy.to_bits(), s.accuracy.to_bits());
@@ -373,7 +358,8 @@ mod tests {
                 assert_eq!(all.len(), fracs.len());
                 for (got, &frac) in all.iter().zip(&fracs) {
                     let what = format!("seed {seed}, fraction {frac}, {threads} threads");
-                    let one = accuracy_recall_sweep_threaded(&emb, m, &sev, frac, &ts, threads);
+                    let one =
+                        accuracy_recall_sweeps(&emb, m, &sev, &[frac], &ts, threads).remove(0);
                     same_bits(got, &one, &what);
                     same_bits(got, &sweep_reference(&emb, m, &sev, frac, &ts), &what);
                 }

@@ -41,16 +41,14 @@ pub mod severity;
 pub mod tivmeridian;
 
 pub use alert::{
-    accuracy_recall_sweep, accuracy_recall_sweep_threaded, accuracy_recall_sweeps,
-    ratio_severity_bins, AlertQuality, TivAlert,
+    accuracy_recall_sweep, accuracy_recall_sweeps, ratio_severity_bins, AlertQuality, TivAlert,
 };
 pub use dynvivaldi::{DynVivaldiConfig, IterationRecord};
 pub use filter::EdgeMask;
 pub use metrics::{closest_neighbor_loss, relative_rank_loss, PredictorMetrics};
 pub use monitor::{MonitorConfig, MonitorSummary, TivMonitor};
 pub use severity::{
-    estimate_severity, estimate_severity_batch, estimate_severity_batch_in, estimate_severity_ci,
-    estimate_severity_ci_batch, estimate_severity_in, proximity_experiment, triangulation_ratios,
-    ProximityResult, Severity, SeverityEstimate,
+    estimate_severity, estimate_severity_ci, estimate_severity_ci_batch, proximity_experiment,
+    triangulation_ratios, ProximityResult, Severity, SeverityEstimate,
 };
 pub use tivmeridian::{build_tiv_aware, tiv_aware_query, TivMeridianConfig};

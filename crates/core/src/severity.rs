@@ -498,25 +498,15 @@ pub fn triangulation_ratios(m: &DelayMatrix, a: NodeId, c: NodeId) -> Vec<f64> {
 /// `d(B,C)` can compute this estimate with `2k` measurements, which is
 /// what a practical TIV-severity monitor would do. Accuracy improves
 /// as `O(1/√k)`.
-pub fn estimate_severity(
-    m: &DelayMatrix,
-    a: NodeId,
-    c: NodeId,
-    k: usize,
-    seed: u64,
-) -> Option<f64> {
-    estimate_severity_in(m, a, c, k, seed)
-}
-
-/// [`estimate_severity`] generalised over any [`DelayStore`] — the same
-/// RNG stream, the same accumulation order, so on a dense matrix the
-/// result is bit-identical to the historical dense-only function (the
-/// wire-equivalence suite depends on this), and on a
+///
+/// Generic over any [`DelayStore`]: on a dense matrix this is the
+/// estimator the service's `SampledSeverity` query runs (the
+/// wire-equivalence suite depends on its bits), and on a
 /// [`SparseDelayStore`](delayspace::SparseDelayStore) it is the
 /// million-node estimator: unmeasured witness legs are `NaN`, fail the
 /// violation comparison, and drop out exactly as missing dense entries
 /// always have.
-pub fn estimate_severity_in<S: DelayStore>(
+pub fn estimate_severity<S: DelayStore>(
     store: &S,
     a: NodeId,
     c: NodeId,
@@ -587,7 +577,7 @@ pub struct SeverityEstimate {
 /// z for a two-sided 95% normal confidence interval.
 const Z95: f64 = 1.96;
 
-/// Like [`estimate_severity_in`], but also returns a 95% confidence
+/// Like [`estimate_severity`], but also returns a 95% confidence
 /// interval from the sample standard deviation of the per-witness
 /// contributions.
 ///
@@ -608,7 +598,7 @@ pub fn estimate_severity_ci<S: DelayStore>(
 ) -> Option<SeverityEstimate> {
     let dac = store.get(a, c)?;
     let n = store.len();
-    // The same draws and summation order as estimate_severity_in, so the
+    // The same draws and summation order as estimate_severity, so the
     // point is bit-identical; the sum of squares feeds only the interval.
     let mut sum_sq = 0.0;
     let (sum, sampled) = witness_sum(store, a, c, dac, k, seed, |x| sum_sq += x * x);
@@ -632,45 +622,16 @@ pub fn estimate_severity_ci<S: DelayStore>(
     })
 }
 
-/// Estimates severity for a whole batch of edges in parallel, using up
-/// to `threads` workers ([`tivpar::resolve_threads`] semantics).
+/// Estimates a whole batch of edges with [`estimate_severity_ci`] in
+/// parallel, using up to `threads` workers ([`tivpar::resolve_threads`]
+/// semantics).
 ///
 /// Edge `i` of the batch is estimated exactly as
-/// `estimate_severity(m, a, c, k, seed + i)` — the per-edge seed offset
-/// decorrelates the witness samples across edges while keeping the
-/// output a pure function of `(m, edges, k, seed)`, independent of the
-/// thread count. This is the kernel a severity monitor sweeping its
-/// whole peer set runs.
-pub fn estimate_severity_batch(
-    m: &DelayMatrix,
-    edges: &[(NodeId, NodeId)],
-    k: usize,
-    seed: u64,
-    threads: usize,
-) -> Vec<Option<f64>> {
-    estimate_severity_batch_in(m, edges, k, seed, threads)
-}
-
-/// [`estimate_severity_batch`] generalised over any [`DelayStore`] —
-/// the same per-edge seed offsets, so dense results are bit-identical
-/// to the historical function at every thread count.
-pub fn estimate_severity_batch_in<S: DelayStore + Sync>(
-    store: &S,
-    edges: &[NodePair],
-    k: usize,
-    seed: u64,
-    threads: usize,
-) -> Vec<Option<f64>> {
-    tivpar::par_map_rows(edges.len(), threads, |i| {
-        let (a, c) = edges[i];
-        estimate_severity_in(store, a, c, k, seed.wrapping_add(i as u64))
-    })
-}
-
-/// Batch form of [`estimate_severity_ci`], parallelised like
-/// [`estimate_severity_batch`] with the same per-edge seed offsets —
-/// `point` values are bit-identical to the plain batch estimator at
-/// every thread count.
+/// `estimate_severity_ci(store, a, c, k, seed + i)`: the per-edge seed
+/// offset decorrelates the witness samples across edges while keeping
+/// the output a pure function of `(store, edges, k, seed)`, independent
+/// of the thread count. This is the kernel a severity monitor sweeping
+/// its whole peer set runs.
 pub fn estimate_severity_ci_batch<S: DelayStore + Sync>(
     store: &S,
     edges: &[NodePair],
@@ -910,10 +871,13 @@ mod tests {
         let s = InternetDelaySpace::preset(Dataset::Ds2).with_nodes(80).build(17);
         let m = s.matrix();
         let edges: Vec<_> = m.edges().map(|(i, j, _)| (i, j)).take(40).collect();
-        let batch = estimate_severity_batch(m, &edges, 12, 9, 4);
-        assert_eq!(batch.len(), edges.len());
-        for (i, &(a, c)) in edges.iter().enumerate() {
-            assert_eq!(batch[i], estimate_severity(m, a, c, 12, 9 + i as u64));
+        for threads in [1, 4] {
+            let batch = estimate_severity_ci_batch(m, &edges, 12, 9, threads);
+            assert_eq!(batch.len(), edges.len());
+            for (i, &(a, c)) in edges.iter().enumerate() {
+                let single = estimate_severity(m, a, c, 12, 9 + i as u64);
+                assert_eq!(batch[i].map(|e| e.point.to_bits()), single.map(f64::to_bits));
+            }
         }
     }
 
@@ -1113,15 +1077,15 @@ mod tests {
         let edges: Vec<_> = m.edges().map(|(i, j, _)| (i, j)).take(40).collect();
         for (i, &(a, c)) in edges.iter().enumerate() {
             let dense = estimate_severity(m, a, c, 12, 7 + i as u64);
-            let via_sparse = estimate_severity_in(&sparse, a, c, 12, 7 + i as u64);
+            let via_sparse = estimate_severity(&sparse, a, c, 12, 7 + i as u64);
             assert_eq!(
                 dense.map(f64::to_bits),
                 via_sparse.map(f64::to_bits),
                 "sparse estimate diverged on ({a},{c})"
             );
         }
-        let dense_batch = estimate_severity_batch(m, &edges, 12, 7, 2);
-        let sparse_batch = estimate_severity_batch_in(&sparse, &edges, 12, 7, 2);
+        let dense_batch = estimate_severity_ci_batch(m, &edges, 12, 7, 2);
+        let sparse_batch = estimate_severity_ci_batch(&sparse, &edges, 12, 7, 2);
         assert_eq!(dense_batch, sparse_batch);
     }
 
@@ -1130,10 +1094,10 @@ mod tests {
         let s = InternetDelaySpace::preset(Dataset::Ds2).with_nodes(80).build(31);
         let m = s.matrix();
         let edges: Vec<_> = m.edges().map(|(i, j, _)| (i, j)).take(60).collect();
-        let plain = estimate_severity_batch(m, &edges, 16, 3, 2);
         let with_ci = estimate_severity_ci_batch(m, &edges, 16, 3, 2);
-        for (i, (p, e)) in plain.iter().zip(&with_ci).enumerate() {
-            let (p, e) = (p.unwrap(), e.unwrap());
+        for (i, (&(a, c), e)) in edges.iter().zip(&with_ci).enumerate() {
+            let p = estimate_severity(m, a, c, 16, 3 + i as u64).unwrap();
+            let e = e.unwrap();
             assert_eq!(p.to_bits(), e.point.to_bits(), "point diverged on edge {i}");
             assert!(e.ci_lo <= e.point && e.point <= e.ci_hi, "point outside CI on edge {i}");
             assert!(e.ci_lo >= 0.0 && e.ci_hi.is_finite());

@@ -19,10 +19,7 @@
 //! improvements at +5–6% probing overhead (Figures 24–25).
 
 use delayspace::matrix::NodeId;
-use meridian::{
-    closest_neighbor, BuildOptions, MeridianConfig, MeridianOverlay, Placement, QueryResult,
-    Termination,
-};
+use meridian::{BuildOptions, MeridianConfig, MeridianOverlay, Placement, QueryResult};
 use simnet::net::Network;
 use vivaldi::Embedding;
 
@@ -185,23 +182,12 @@ pub fn tiv_aware_query(
     Some(QueryResult { selected: best.0, selected_delay: best.1, hops, target_probes })
 }
 
-/// Convenience: runs the *plain* query on the same overlay for
-/// overhead/penalty comparisons.
-pub fn plain_query(
-    overlay: &MeridianOverlay,
-    net: &mut Network<'_>,
-    start: NodeId,
-    target: NodeId,
-    termination: Termination,
-) -> Option<QueryResult> {
-    closest_neighbor(overlay, net, start, target, termination)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use delayspace::matrix::DelayMatrix;
     use delayspace::synth::{Dataset, InternetDelaySpace};
+    use meridian::{closest_neighbor, Termination};
     use simnet::net::JitterModel;
     use vivaldi::{VivaldiConfig, VivaldiSystem};
 
@@ -300,7 +286,7 @@ mod tests {
             MeridianOverlay::build(cfg.base, vec![0, 1, 2], &mut net, 4, &BuildOptions::default());
         // Plain query from S: annulus [50,150] of S contains nobody
         // (M at 30, F at 400) → returns S itself at 100.
-        let plain = plain_query(&overlay, &mut net, 0, 3, Termination::Beta).unwrap();
+        let plain = closest_neighbor(&overlay, &mut net, 0, 3, Termination::Beta).unwrap();
         assert_eq!(plain.selected, 0);
         // TIV-aware query: ratio 30.4/100 < 0.6 → restart around 30.4:
         // annulus [15.2, 45.6] contains M → M probes T (8 ms) → found.

@@ -107,8 +107,8 @@ fn floyd(r: &mut impl Rng, n: usize, k: usize, seen: &mut [u64]) -> Vec<usize> {
 
 /// Draws `min(k, n − 2)` witnesses for the pair `(a, c)` of an `n`-node
 /// space, in draw order: [`sample_indices`] over `0..n − 2`, each index
-/// shifted past `a` and `c`. The sampled severity estimators and the
-/// sampled detour search draw here, each from its own labelled stream.
+/// shifted past `a` and `c`. The sampled severity estimators draw here,
+/// from the `"severity/estimate"` stream.
 pub fn sample_witnesses(
     r: &mut impl Rng,
     n: usize,

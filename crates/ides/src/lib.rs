@@ -15,9 +15,9 @@
 //! * [`model`] — the [`IdesModel`] predictor over either backend,
 //!   including the deployable landmark variant the paper evaluates.
 //!
-//! The factorization inner loops run on the [`tivpar`] kernels layer
-//! (see [`nmf::factorize_threaded`] and [`svd::truncated_svd_threaded`])
-//! and are bit-identical at every thread count.
+//! The factorization inner loops run on the [`tivpar`] kernels layer:
+//! [`nmf::factorize`] and [`svd::truncated_svd`] take an explicit
+//! worker count and are bit-identical at every thread count.
 //!
 //! ```
 //! use delayspace::synth::{Dataset, InternetDelaySpace};
@@ -39,5 +39,5 @@ pub mod svd;
 
 pub use linalg::Mat;
 pub use model::{Factorization, IdesModel};
-pub use nmf::{factorize_threaded, Nmf};
-pub use svd::{truncated_svd, truncated_svd_threaded, SingularTriplet};
+pub use nmf::{factorize, Nmf};
+pub use svd::{truncated_svd, SingularTriplet};

@@ -70,17 +70,11 @@ impl Mat {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// `y = self · x` (matrix–vector product). Serial; see
-    /// [`Mat::matvec_threaded`] for the parallel form.
-    pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        self.matvec_threaded(x, 1)
-    }
-
-    /// `y = self · x` with up to `threads` workers
-    /// ([`tivpar::resolve_threads`] semantics). Each output element is
-    /// one row dot product, so the result is bit-identical to
-    /// [`Mat::matvec`] at every thread count.
-    pub fn matvec_threaded(&self, x: &[f64], threads: usize) -> Vec<f64> {
+    /// `y = self · x` (matrix–vector product) with up to `threads`
+    /// workers ([`tivpar::resolve_threads`] semantics). Each output
+    /// element is one row dot product, so the result is bit-identical
+    /// at every thread count.
+    pub fn matvec(&self, x: &[f64], threads: usize) -> Vec<f64> {
         assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
         let threads = effective_threads(self.rows * self.cols, threads);
         tivpar::par_map_rows(self.rows, threads, |r| {
@@ -88,35 +82,27 @@ impl Mat {
         })
     }
 
-    /// `y = selfᵀ · x` (transposed matrix–vector product). Serial; see
-    /// [`Mat::matvec_t_threaded`] for the parallel form.
-    pub fn matvec_t(&self, x: &[f64]) -> Vec<f64> {
+    /// `y = selfᵀ · x` (transposed matrix–vector product) with up to
+    /// `threads` workers. With one effective worker it sweeps the rows,
+    /// adding each row's contribution into `y`. With more it
+    /// materialises the transpose in a blocked scratch pass (see
+    /// [`Mat::transposed`]) and computes each output element as a
+    /// contiguous row dot — unit-stride loads that autovectorise,
+    /// instead of a strided column walk per element. Either way `y[c]`
+    /// accumulates over rows in ascending order, so the result is
+    /// bit-identical at every thread count.
+    pub fn matvec_t(&self, x: &[f64], threads: usize) -> Vec<f64> {
         assert_eq!(x.len(), self.rows, "matvec_t dimension mismatch");
-        let mut y = vec![0.0; self.cols];
-        for (r, &xr) in x.iter().enumerate() {
-            for (c, &a) in self.row(r).iter().enumerate() {
-                y[c] += a * xr;
-            }
-        }
-        y
-    }
-
-    /// `y = selfᵀ · x` with up to `threads` workers. Materialises the
-    /// transpose in a blocked scratch pass (see [`Mat::transposed`])
-    /// and computes each output element as a contiguous row dot —
-    /// unit-stride loads that autovectorise, instead of the strided
-    /// column walk the first generation did per element. `y[c]` still
-    /// accumulates over rows in ascending order, exactly as
-    /// [`Mat::matvec_t`] does, so the result is bit-identical to the
-    /// serial product at every thread count. With one effective worker
-    /// it delegates to the row-sweeping [`Mat::matvec_t`] — same
-    /// accumulation order, same bits — and skips the scratch.
-    pub fn matvec_t_threaded(&self, x: &[f64], threads: usize) -> Vec<f64> {
         let threads = effective_threads(self.rows * self.cols, threads);
         if tivpar::resolve_threads(threads) <= 1 {
-            return self.matvec_t(x);
+            let mut y = vec![0.0; self.cols];
+            for (r, &xr) in x.iter().enumerate() {
+                for (c, &a) in self.row(r).iter().enumerate() {
+                    y[c] += a * xr;
+                }
+            }
+            return y;
         }
-        assert_eq!(x.len(), self.rows, "matvec_t dimension mismatch");
         let t = self.transposed();
         tivpar::par_map_rows(self.cols, threads, |c| dot(t.row(c), x))
     }
@@ -303,8 +289,8 @@ mod tests {
     #[test]
     fn matvec_computes_product() {
         let m = Mat::from_fn(2, 3, |r, c| (r * 3 + c) as f64); // [[0,1,2],[3,4,5]]
-        assert_eq!(m.matvec(&[1.0, 1.0, 1.0]), vec![3.0, 12.0]);
-        assert_eq!(m.matvec_t(&[1.0, 1.0]), vec![3.0, 5.0, 7.0]);
+        assert_eq!(m.matvec(&[1.0, 1.0, 1.0], 1), vec![3.0, 12.0]);
+        assert_eq!(m.matvec_t(&[1.0, 1.0], 1), vec![3.0, 5.0, 7.0]);
     }
 
     #[test]
@@ -330,7 +316,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "dimension mismatch")]
     fn matvec_checks_dims() {
-        Mat::zeros(2, 3).matvec(&[1.0]);
+        Mat::zeros(2, 3).matvec(&[1.0], 1);
     }
 
     #[test]
@@ -363,12 +349,17 @@ mod tests {
 
     #[test]
     fn threaded_matvecs_are_bit_identical_to_serial() {
-        let m = Mat::from_fn(23, 9, |r, c| 1.0 / ((r + 2 * c + 1) as f64));
-        let x: Vec<f64> = (0..9).map(|i| (i as f64).sin()).collect();
-        let y: Vec<f64> = (0..23).map(|i| (i as f64).cos()).collect();
-        for t in [2usize, 4, 7] {
-            assert_eq!(m.matvec_threaded(&x, t), m.matvec(&x));
-            assert_eq!(m.matvec_t_threaded(&y, t), m.matvec_t(&y));
+        // The small shape stays on one worker; the large one is past
+        // `MIN_PAR_WORK`, so `matvec_t` takes its transposed branch.
+        for (rows, cols) in [(23, 9), (211, 163)] {
+            let m = Mat::from_fn(rows, cols, |r, c| 1.0 / ((r + 2 * c + 1) as f64));
+            let x: Vec<f64> = (0..cols).map(|i| (i as f64).sin()).collect();
+            let y: Vec<f64> = (0..rows).map(|i| (i as f64).cos()).collect();
+            let (serial, serial_t) = (m.matvec(&x, 1), m.matvec_t(&y, 1));
+            for t in [2usize, 4, 7] {
+                assert_eq!(m.matvec(&x, t), serial);
+                assert_eq!(m.matvec_t(&y, t), serial_t);
+            }
         }
     }
 
@@ -391,7 +382,7 @@ mod tests {
     fn solve_larger_system_roundtrips() {
         let a = Mat::from_fn(5, 5, |r, c| if r == c { 10.0 } else { ((r * 3 + c * 7) % 5) as f64 });
         let x_true: Vec<f64> = (0..5).map(|i| i as f64 - 2.0).collect();
-        let b = a.matvec(&x_true);
+        let b = a.matvec(&x_true, 1);
         let x = solve(&a, &b).unwrap();
         for (got, want) in x.iter().zip(&x_true) {
             assert!((got - want).abs() < 1e-9);

@@ -43,7 +43,7 @@ impl IdesModel {
         let dense = impute(m);
         match kind {
             Factorization::Svd => {
-                let triplets = svd::truncated_svd(&dense, rank, 60, seed);
+                let triplets = svd::truncated_svd(&dense, rank, 60, seed, 0);
                 let k = triplets.len();
                 let n = m.len();
                 let mut out = Mat::zeros(n, k);
@@ -58,7 +58,7 @@ impl IdesModel {
                 IdesModel { out, inc }
             }
             Factorization::Nmf => {
-                let f = nmf::factorize(&dense, rank, 200, seed);
+                let f = nmf::factorize(&dense, rank, 200, seed, 0);
                 let n = m.len();
                 let out = f.w.clone();
                 // H is k×n; incoming vector of j is column j of H.
@@ -95,7 +95,7 @@ impl IdesModel {
         // Factorize the landmark sub-matrix (imputing its gaps).
         let sub = m.submatrix(&landmarks);
         let dense = impute(&sub);
-        let triplets = svd::truncated_svd(&dense, rank, 60, seed);
+        let triplets = svd::truncated_svd(&dense, rank, 60, seed, 0);
         let k = triplets.len().max(1);
         let l = landmarks.len();
         let mut out_l = Mat::zeros(l, k);

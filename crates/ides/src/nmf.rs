@@ -26,23 +26,14 @@ pub struct Nmf {
 }
 
 /// Runs `iters` multiplicative updates for a rank-`k` factorization
-/// with automatic parallelism — [`factorize_threaded`] with
-/// `threads == 0`.
+/// with up to `threads` workers ([`tivpar::resolve_threads`]
+/// semantics). The O(n·m·k) products of every update run row-parallel;
+/// the fit is a pure function of `(a, k, iters, seed)`, bit-identical at
+/// every thread count.
 ///
 /// # Panics
 /// Panics if `a` contains negative entries or `k` is zero.
-pub fn factorize(a: &Mat, k: usize, iters: usize, seed: u64) -> Nmf {
-    factorize_threaded(a, k, iters, seed, 0)
-}
-
-/// [`factorize`] with an explicit worker count
-/// ([`tivpar::resolve_threads`] semantics). The O(n·m·k) products of
-/// every update run row-parallel; the fit is a pure function of
-/// `(a, k, iters, seed)`, bit-identical at every thread count.
-///
-/// # Panics
-/// Panics if `a` contains negative entries or `k` is zero.
-pub fn factorize_threaded(a: &Mat, k: usize, iters: usize, seed: u64, threads: usize) -> Nmf {
+pub fn factorize(a: &Mat, k: usize, iters: usize, seed: u64, threads: usize) -> Nmf {
     assert!(k > 0, "rank must be positive");
     let (n, m) = (a.rows(), a.cols());
     for r in 0..n {
@@ -100,7 +91,7 @@ mod tests {
     #[test]
     fn factors_stay_nonnegative() {
         let a = Mat::from_fn(8, 8, |r, c| ((r * 3 + c * 5) % 13) as f64);
-        let nmf = factorize(&a, 3, 100, 1);
+        let nmf = factorize(&a, 3, 100, 1, 0);
         for r in 0..8 {
             assert!(nmf.w.row(r).iter().all(|&v| v >= 0.0));
         }
@@ -112,8 +103,8 @@ mod tests {
     #[test]
     fn residual_decreases_with_iterations() {
         let a = Mat::from_fn(10, 10, |r, c| (r as f64 - c as f64).abs() * 4.0 + 2.0);
-        let early = factorize(&a, 4, 5, 2).residual;
-        let late = factorize(&a, 4, 200, 2).residual;
+        let early = factorize(&a, 4, 5, 2, 0).residual;
+        let late = factorize(&a, 4, 200, 2, 0).residual;
         assert!(late < early, "NMF did not converge: {late} !< {early}");
     }
 
@@ -123,7 +114,7 @@ mod tests {
         let w0 = Mat::from_fn(6, 2, |r, c| ((r + c) % 3 + 1) as f64);
         let h0 = Mat::from_fn(2, 6, |r, c| ((2 * r + c) % 4 + 1) as f64);
         let a = Mat::from_fn(6, 6, |r, c| (0..2).map(|x| w0.get(r, x) * h0.get(x, c)).sum());
-        let nmf = factorize(&a, 2, 500, 3);
+        let nmf = factorize(&a, 2, 500, 3, 0);
         let rel = nmf.residual / a.frobenius();
         assert!(rel < 0.05, "relative residual {rel} too high for exact rank-2 data");
     }
@@ -132,15 +123,15 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_input_rejected() {
         let a = Mat::from_fn(2, 2, |r, c| if r == c { -1.0 } else { 1.0 });
-        factorize(&a, 1, 10, 1);
+        factorize(&a, 1, 10, 1, 0);
     }
 
     #[test]
     fn threaded_fit_is_bit_identical_to_serial() {
         let a = Mat::from_fn(24, 24, |r, c| ((r * 5 + c * 11) % 17) as f64 + 0.5);
-        let serial = factorize_threaded(&a, 4, 40, 9, 1);
+        let serial = factorize(&a, 4, 40, 9, 1);
         for t in [2usize, 4, 7] {
-            let par = factorize_threaded(&a, 4, 40, 9, t);
+            let par = factorize(&a, 4, 40, 9, t);
             assert_eq!(par.w, serial.w);
             assert_eq!(par.h, serial.h);
             assert_eq!(par.residual.to_bits(), serial.residual.to_bits());
@@ -150,8 +141,8 @@ mod tests {
     #[test]
     fn deterministic_in_seed() {
         let a = Mat::from_fn(5, 5, |r, c| ((r + c) % 7) as f64);
-        let x = factorize(&a, 2, 50, 7);
-        let y = factorize(&a, 2, 50, 7);
+        let x = factorize(&a, 2, 50, 7, 0);
+        let y = factorize(&a, 2, 50, 7, 0);
         assert_eq!(x.residual, y.residual);
     }
 }

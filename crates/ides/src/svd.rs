@@ -23,22 +23,16 @@ pub struct SingularTriplet {
     pub v: Vec<f64>,
 }
 
-/// Computes the top `k` singular triplets of `a` with automatic
-/// parallelism — [`truncated_svd_threaded`] with `threads == 0`.
+/// Computes the top `k` singular triplets of `a` with up to `threads`
+/// workers ([`tivpar::resolve_threads`] semantics).
 ///
 /// `iters` power iterations per triplet (50 is plenty for the
 /// well-separated spectra of delay matrices). Stops early when the
-/// residual matrix is numerically zero.
-pub fn truncated_svd(a: &Mat, k: usize, iters: usize, seed: u64) -> Vec<SingularTriplet> {
-    truncated_svd_threaded(a, k, iters, seed, 0)
-}
-
-/// [`truncated_svd`] with an explicit worker count
-/// ([`tivpar::resolve_threads`] semantics). The O(n²) matrix–vector
-/// products inside the power iteration run row-parallel; they are
-/// bit-identical to the serial products, so the decomposition does not
-/// depend on the thread count.
-pub fn truncated_svd_threaded(
+/// residual matrix is numerically zero. The O(n²) matrix–vector
+/// products inside the power iteration run row-parallel and are
+/// bit-identical at every thread count, so the decomposition does not
+/// depend on it.
+pub fn truncated_svd(
     a: &Mat,
     k: usize,
     iters: usize,
@@ -70,19 +64,19 @@ fn dominant_triplet(
     }
     let mut sigma = 0.0;
     for _ in 0..iters {
-        let av = a.matvec_threaded(&v, threads);
-        let mut next = a.matvec_t_threaded(&av, threads);
+        let av = a.matvec(&v, threads);
+        let mut next = a.matvec_t(&av, threads);
         let n = normalize(&mut next);
         if n == 0.0 {
             return None; // residual is (numerically) zero
         }
         v = next;
-        sigma = norm(&a.matvec_threaded(&v, threads));
+        sigma = norm(&a.matvec(&v, threads));
     }
     if sigma < 1e-10 {
         return None;
     }
-    let mut u = a.matvec_threaded(&v, threads);
+    let mut u = a.matvec(&v, threads);
     for x in u.iter_mut() {
         *x /= sigma;
     }
@@ -103,7 +97,7 @@ mod tests {
         let u = [0.6, 0.8];
         let v = [1.0 / 2f64.sqrt(), -1.0 / 2f64.sqrt()];
         let a = Mat::from_fn(2, 2, |r, c| 3.0 * u[r] * v[c]);
-        let svd = truncated_svd(&a, 2, 60, 1);
+        let svd = truncated_svd(&a, 2, 60, 1, 0);
         assert_eq!(svd.len(), 1, "rank-1 matrix must stop after one triplet");
         assert!(approx(svd[0].sigma, 3.0, 1e-8));
     }
@@ -111,7 +105,7 @@ mod tests {
     #[test]
     fn diagonal_matrix_singular_values() {
         let a = Mat::from_fn(3, 3, |r, c| if r == c { [5.0, 3.0, 1.0][r] } else { 0.0 });
-        let svd = truncated_svd(&a, 3, 80, 2);
+        let svd = truncated_svd(&a, 3, 80, 2, 0);
         assert_eq!(svd.len(), 3);
         assert!(approx(svd[0].sigma, 5.0, 1e-6));
         assert!(approx(svd[1].sigma, 3.0, 1e-6));
@@ -123,7 +117,7 @@ mod tests {
         // A structured symmetric matrix.
         let a = Mat::from_fn(10, 10, |r, c| ((r as f64 - c as f64).abs() * 7.0) + (r + c) as f64);
         let err_at = |k: usize| {
-            let svd = truncated_svd(&a, k, 60, 3);
+            let svd = truncated_svd(&a, k, 60, 3, 0);
             let mut resid = a.clone();
             for t in &svd {
                 resid.deflate(t.sigma, &t.u, &t.v);
@@ -140,7 +134,7 @@ mod tests {
     #[test]
     fn singular_vectors_are_unit_norm() {
         let a = Mat::from_fn(6, 6, |r, c| ((r * 13 + c * 7) % 11) as f64);
-        for t in truncated_svd(&a, 4, 60, 4) {
+        for t in truncated_svd(&a, 4, 60, 4, 0) {
             assert!(approx(norm(&t.u), 1.0, 1e-8));
             assert!(approx(norm(&t.v), 1.0, 1e-8));
             assert!(t.sigma > 0.0);
@@ -150,8 +144,8 @@ mod tests {
     #[test]
     fn deterministic_in_seed() {
         let a = Mat::from_fn(5, 5, |r, c| (r * 5 + c) as f64);
-        let s1 = truncated_svd(&a, 2, 50, 9);
-        let s2 = truncated_svd(&a, 2, 50, 9);
+        let s1 = truncated_svd(&a, 2, 50, 9, 0);
+        let s2 = truncated_svd(&a, 2, 50, 9, 0);
         assert_eq!(s1[0].u, s2[0].u);
         assert_eq!(s1[1].v, s2[1].v);
     }

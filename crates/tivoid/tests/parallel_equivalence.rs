@@ -10,8 +10,8 @@
 use ides::Mat;
 use proptest::prelude::*;
 use tivoid::prelude::*;
-use tivoid::tivcore::severity::estimate_severity_batch;
-use tivoid::tivcore::{accuracy_recall_sweep_threaded, Severity};
+use tivoid::tivcore::severity::{estimate_severity_ci_batch, SeverityEstimate};
+use tivoid::tivcore::{accuracy_recall_sweeps, Severity};
 
 /// The non-serial worker counts the properties sweep.
 const THREADS: [usize; 3] = [2, 4, 7];
@@ -23,6 +23,12 @@ fn ds2(n: usize, seed: u64) -> DelayMatrix {
 /// `Option<f64>` to comparable bits (`None` ≠ any measured value).
 fn bits(v: Option<f64>) -> Option<u64> {
     v.map(f64::to_bits)
+}
+
+/// A sampled estimate to comparable bits: the point, both bounds and
+/// the witness count.
+fn estimate_bits(e: Option<SeverityEstimate>) -> Option<[u64; 4]> {
+    e.map(|e| [e.point.to_bits(), e.ci_lo.to_bits(), e.ci_hi.to_bits(), u64::from(e.sampled)])
 }
 
 proptest! {
@@ -73,12 +79,16 @@ proptest! {
     ) {
         let m = ds2(n, seed);
         let edges: Vec<(NodeId, NodeId)> = m.edges().map(|(i, j, _)| (i, j)).collect();
-        let serial = estimate_severity_batch(&m, &edges, k, seed, 1);
+        let serial = estimate_severity_ci_batch(&m, &edges, k, seed, 1);
         for &t in &THREADS {
-            let par = estimate_severity_batch(&m, &edges, k, seed, t);
+            let par = estimate_severity_ci_batch(&m, &edges, k, seed, t);
             prop_assert_eq!(par.len(), serial.len());
             for (p, s) in par.iter().zip(&serial) {
-                prop_assert_eq!(bits(*p), bits(*s), "estimator diverged at {} threads", t);
+                prop_assert_eq!(
+                    estimate_bits(*p),
+                    estimate_bits(*s),
+                    "estimator diverged at {} threads", t
+                );
             }
         }
     }
@@ -87,9 +97,9 @@ proptest! {
     fn nmf_bit_identical_across_thread_counts(n in 10usize..30, seed in 0u64..1_000) {
         let m = ds2(n, seed);
         let a = Mat::from_fn(n, n, |r, c| m.get(r, c).unwrap_or(0.0));
-        let serial = ides::factorize_threaded(&a, 3, 25, seed, 1);
+        let serial = ides::factorize(&a, 3, 25, seed, 1);
         for &t in &THREADS {
-            let par = ides::factorize_threaded(&a, 3, 25, seed, t);
+            let par = ides::factorize(&a, 3, 25, seed, t);
             prop_assert_eq!(&par.w, &serial.w, "NMF W diverged at {} threads", t);
             prop_assert_eq!(&par.h, &serial.h, "NMF H diverged at {} threads", t);
             prop_assert_eq!(par.residual.to_bits(), serial.residual.to_bits());
@@ -100,9 +110,9 @@ proptest! {
     fn svd_bit_identical_across_thread_counts(n in 10usize..30, seed in 0u64..1_000) {
         let m = ds2(n, seed);
         let a = Mat::from_fn(n, n, |r, c| m.get(r, c).unwrap_or(0.0));
-        let serial = ides::truncated_svd_threaded(&a, 4, 30, seed, 1);
+        let serial = ides::truncated_svd(&a, 4, 30, seed, 1);
         for &t in &THREADS {
-            let par = ides::truncated_svd_threaded(&a, 4, 30, seed, t);
+            let par = ides::truncated_svd(&a, 4, 30, seed, t);
             prop_assert_eq!(par.len(), serial.len());
             for (p, s) in par.iter().zip(&serial) {
                 prop_assert_eq!(p.sigma.to_bits(), s.sigma.to_bits());
@@ -124,9 +134,9 @@ fn alert_sweep_bit_identical_across_thread_counts() {
     let emb = sys.embedding();
     let sev = Severity::compute(&m, 0);
     let thresholds: Vec<f64> = (0..=20).map(|i| i as f64 * 0.05).collect();
-    let serial = accuracy_recall_sweep_threaded(&emb, &m, &sev, 0.2, &thresholds, 1);
+    let serial = accuracy_recall_sweeps(&emb, &m, &sev, &[0.2], &thresholds, 1).remove(0);
     for &t in &THREADS {
-        let par = accuracy_recall_sweep_threaded(&emb, &m, &sev, 0.2, &thresholds, t);
+        let par = accuracy_recall_sweeps(&emb, &m, &sev, &[0.2], &thresholds, t).remove(0);
         assert_eq!(par.len(), serial.len());
         for (p, s) in par.iter().zip(&serial) {
             assert_eq!(p.accuracy.to_bits(), s.accuracy.to_bits());

@@ -4,15 +4,13 @@
 //! for `n ≤ 4096`; above that it scans the draws while `k² ≤ n / 8` and
 //! takes a heap bitset past it. Its own unit tests pin
 //! the `Vec` it returns, order included, to the old linear-`contains`
-//! loop. This suite pins the three kernels built on it to textbook loops
+//! loop. This suite pins the two kernels built on it to textbook loops
 //! over that reference draw:
 //!
-//! * `estimate_severity_in`: the mean of `d(a,c)/alt` over violating
+//! * `estimate_severity`: the mean of `d(a,c)/alt` over violating
 //!   witnesses, summed in draw order, times `(n − 2)/n`;
 //! * `estimate_severity_ci`: the same point, plus the finite-population
-//!   95 % interval from the sum of squares;
-//! * `sampled_detour`: the least `(via, relay id)` among witnesses with
-//!   both hops measured.
+//!   95 % interval from the sum of squares.
 //!
 //! The witness set is built without the kernels' index arithmetic: the
 //! reference draw indexes the list of node ids other than `a` and `c`.
@@ -27,8 +25,7 @@ use rand::Rng;
 use tivoid::delayspace::rng::sub_rng;
 use tivoid::delayspace::{DelayStore, SparseDelayStore};
 use tivoid::prelude::*;
-use tivoid::tivcore::severity::{estimate_severity_ci, estimate_severity_in};
-use tivoid::tivroute::detour::sampled_detour;
+use tivoid::tivcore::severity::{estimate_severity, estimate_severity_ci};
 
 /// SplitMix64 finaliser: a fixed hash for the synthetic delays.
 fn mix(mut z: u64) -> u64 {
@@ -99,9 +96,10 @@ fn floyd_reference(r: &mut impl Rng, n: usize, k: usize) -> Vec<usize> {
 
 /// The witnesses of `(a, c)`, in draw order: the reference draw over the
 /// node ids other than `a` and `c`.
-fn witnesses(n: usize, a: NodeId, c: NodeId, k: usize, seed: u64, label: &str) -> Vec<NodeId> {
+fn witnesses(n: usize, a: NodeId, c: NodeId, k: usize, seed: u64) -> Vec<NodeId> {
     let pool: Vec<NodeId> = (0..n).filter(|&b| b != a && b != c).collect();
-    let draw = floyd_reference(&mut sub_rng(seed, label), pool.len(), k.min(pool.len()));
+    let draw =
+        floyd_reference(&mut sub_rng(seed, "severity/estimate"), pool.len(), k.min(pool.len()));
     draw.into_iter().map(|i| pool[i]).collect()
 }
 
@@ -110,7 +108,7 @@ fn check<S: DelayStore>(store: &S, a: NodeId, c: NodeId, k: usize, seed: u64) {
     let n = store.len();
     let at = format!("n = {n}, ({a}, {c}), k = {k}, seed = {seed}");
 
-    let ws = witnesses(n, a, c, k, seed, "severity/estimate");
+    let ws = witnesses(n, a, c, k, seed);
     let point = store.get(a, c).map(|dac| {
         let (mut sum, mut sum_sq) = (0.0, 0.0);
         for &b in &ws {
@@ -132,20 +130,12 @@ fn check<S: DelayStore>(store: &S, a: NodeId, c: NodeId, k: usize, seed: u64) {
         };
         (point, (point - half).max(0.0), point + half)
     });
-    let got = estimate_severity_in(store, a, c, k, seed);
+    let got = estimate_severity(store, a, c, k, seed);
     assert_eq!(got.map(f64::to_bits), point.map(|p| p.0.to_bits()), "point: {at}");
     let got = estimate_severity_ci(store, a, c, k, seed);
     let got = got.map(|e| (e.point.to_bits(), e.ci_lo.to_bits(), e.ci_hi.to_bits(), e.sampled));
     let want = point.map(|(p, lo, hi)| (p.to_bits(), lo.to_bits(), hi.to_bits(), ws.len() as u32));
     assert_eq!(got, want, "ci: {at}");
-
-    let best = witnesses(n, a, c, k, seed, "route/sample")
-        .into_iter()
-        .map(|b| (store.raw(a, b) + store.raw(c, b), b))
-        .filter(|(via, _)| !via.is_nan())
-        .min_by(|x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)));
-    let got = sampled_detour(store, a, c, k, seed).map(|r| (r.via_ms.to_bits(), r.relay));
-    assert_eq!(got, best.map(|(via, b)| (via.to_bits(), b)), "detour: {at}");
 }
 
 /// Pairs in both orientations, at the ends of the id range and inside.

@@ -437,43 +437,6 @@ pub fn best_detour(m: &DelayMatrix, a: NodeId, c: NodeId) -> Option<Relay> {
     best.map(|(via_ms, relay)| Relay { relay, via_ms })
 }
 
-/// Sampled single-pair detour search, generic over any
-/// [`DelayStore`](delayspace::DelayStore): the best relay among `k`
-/// witnesses drawn uniformly (without replacement) from `S \ {a, c}`,
-/// ranked by the same `(via, relay id)` order as [`best_detour`].
-///
-/// This is the million-node variant of the detour search: on a sparse
-/// store it costs `2k` lookups instead of an `O(n)` row scan, and a
-/// candidate with an unmeasured hop yields a NaN `via` that is skipped
-/// exactly as in the dense scan. With `k ≥ n − 2` every witness is
-/// examined, so the result equals [`best_detour`] on the same data. The
-/// witness sample is a pure function of `(seed, n, k)` — the same
-/// deterministic stream at any thread count.
-pub fn sampled_detour<S: delayspace::DelayStore>(
-    store: &S,
-    a: NodeId,
-    c: NodeId,
-    k: usize,
-    seed: u64,
-) -> Option<Relay> {
-    use delayspace::rng;
-    if a == c {
-        return None; // matches the table: self pairs have no detour
-    }
-    let mut best: Option<(f64, usize)> = None;
-    // The severity estimators' witness draw, on a stream of its own.
-    for b in rng::sample_witnesses(&mut rng::sub_rng(seed, "route/sample"), store.len(), a, c, k) {
-        let alt = store.raw(a, b) + store.raw(c, b);
-        if alt.is_nan() {
-            continue;
-        }
-        if best.map_or(true, |(bv, bb)| ranks_before(alt, b as u32, bv, bb as u32)) {
-            best = Some((alt, b));
-        }
-    }
-    best.map(|(via_ms, relay)| Relay { relay, via_ms })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -692,57 +655,5 @@ mod tests {
     #[should_panic(expected = "k >= 1")]
     fn zero_k_rejected() {
         DetourTable::compute(&DelayMatrix::new(3), 0, 1);
-    }
-
-    #[test]
-    fn sampled_detour_at_full_k_equals_exact() {
-        use delayspace::synth::{Dataset, InternetDelaySpace};
-        let s = InternetDelaySpace::preset(Dataset::Ds2).with_nodes(40).build(23);
-        let m = s.matrix();
-        for (a, c) in [(0usize, 1usize), (3, 17), (30, 9), (12, 12)] {
-            let exact = best_detour(m, a, c);
-            let sampled = sampled_detour(m, a, c, m.len(), 7);
-            assert_eq!(sampled, exact, "full-sample detour diverged on ({a},{c})");
-        }
-    }
-
-    #[test]
-    fn sampled_detour_is_bit_identical_on_sparse_store() {
-        use delayspace::store::SparseDelayStore;
-        use delayspace::synth::{Dataset, InternetDelaySpace};
-        let s = InternetDelaySpace::preset(Dataset::Ds2).with_nodes(50).build(19);
-        let m = s.matrix();
-        let sparse = SparseDelayStore::from_matrix(m);
-        for seed in 0..6u64 {
-            for (a, c) in [(0usize, 5usize), (7, 44), (20, 21)] {
-                let dense = sampled_detour(m, a, c, 8, seed);
-                let via_sparse = sampled_detour(&sparse, a, c, 8, seed);
-                match (dense, via_sparse) {
-                    (Some(d), Some(s)) => {
-                        assert_eq!(d.relay, s.relay);
-                        assert_eq!(d.via_ms.to_bits(), s.via_ms.to_bits());
-                    }
-                    (d, s) => assert_eq!(d, s),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sampled_detour_is_deterministic_and_skips_missing_hops() {
-        let mut m = DelayMatrix::new(5);
-        m.set(0, 1, 50.0);
-        m.set(0, 2, 10.0);
-        m.set(1, 2, 10.0);
-        // Relays 3 and 4 have no measured hops: NaN via, always skipped.
-        let a = sampled_detour(&m, 0, 1, 3, 42);
-        let b = sampled_detour(&m, 0, 1, 3, 42);
-        assert_eq!(a, b, "same seed must give the same relay");
-        if let Some(r) = a {
-            assert_eq!(r.relay, 2);
-            assert_eq!(r.via_ms, 20.0);
-        }
-        assert_eq!(sampled_detour(&m, 1, 1, 3, 42), None);
-        assert_eq!(sampled_detour(&DelayMatrix::new(2), 0, 1, 3, 42), None);
     }
 }

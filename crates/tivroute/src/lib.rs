@@ -53,5 +53,5 @@
 pub mod detour;
 pub mod stats;
 
-pub use detour::{best_detour, sampled_detour, DetourGain, DetourTable, Relay};
+pub use detour::{best_detour, DetourGain, DetourTable, Relay};
 pub use stats::{DetourStats, SavingsBySeverity};

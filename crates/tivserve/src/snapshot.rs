@@ -264,7 +264,7 @@ impl EpochSnapshot {
         let ratio = measured.filter(|&d| d > 0.0).map(|d| predicted / d);
         let severity = if measured.is_some() && a != c {
             let seed = cfg.edge_seed(self.epoch, a, c);
-            estimate_severity(&self.matrix, a, c, cfg.severity_witnesses, seed)
+            estimate_severity(&*self.matrix, a, c, cfg.severity_witnesses, seed)
         } else {
             None
         };

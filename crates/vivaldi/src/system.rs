@@ -127,7 +127,7 @@ impl VivaldiSystem {
 
     /// Draws `k` distinct random neighbors (excluding self) for each of
     /// `n` nodes.
-    pub fn random_neighbor_sets(n: usize, k: usize, r: &mut DetRng) -> Vec<Vec<NodeId>> {
+    fn random_neighbor_sets(n: usize, k: usize, r: &mut DetRng) -> Vec<Vec<NodeId>> {
         let k = k.min(n - 1);
         (0..n)
             .map(|i| {
@@ -173,11 +173,6 @@ impl VivaldiSystem {
     #[inline]
     pub fn predicted(&self, i: NodeId, j: NodeId) -> f64 {
         self.coords[i].distance(&self.coords[j])
-    }
-
-    /// Local error estimate of node `i`.
-    pub fn local_error(&self, i: NodeId) -> f64 {
-        self.errors[i]
     }
 
     /// Freezes the current coordinates into an [`Embedding`].
@@ -399,7 +394,7 @@ mod tests {
         let m = DelayMatrix::from_complete_fn(12, |i, j| 8.0 * (i.abs_diff(j)) as f64);
         let cfg = VivaldiConfig { dims: 2, neighbors: 6, ..VivaldiConfig::default() };
         let sys = run_system(&m, cfg, 200, 9);
-        let mean_err: f64 = (0..12).map(|i| sys.local_error(i)).sum::<f64>() / 12.0;
+        let mean_err: f64 = sys.errors.iter().sum::<f64>() / 12.0;
         assert!(mean_err < 0.5, "mean local error {mean_err} did not shrink");
     }
 

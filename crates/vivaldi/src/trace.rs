@@ -71,15 +71,32 @@ impl OscillationTracker {
         Self::new(m.edges().map(|(i, j, _)| (i, j)).collect())
     }
 
-    /// Tracks a deterministic sample of at most `k` measured edges.
+    /// Tracks a deterministic sample of at most `k` measured edges: the
+    /// edges at `k` distinct indices of [`DelayMatrix::edges`], drawn
+    /// from the `"osc/sample"` stream, kept in draw order.
+    ///
+    /// Only the chosen edges are held: the measured edges are counted,
+    /// the indices drawn, and the edges picked out in one more pass.
     pub fn sampled(m: &DelayMatrix, k: usize, seed: u64) -> Self {
-        let all: Vec<(NodeId, NodeId)> = m.edges().map(|(i, j, _)| (i, j)).collect();
-        if all.len() <= k {
-            return Self::new(all);
+        let total = m.edges().count();
+        if total <= k {
+            return Self::all_edges(m);
         }
         let mut r = delayspace::rng::sub_rng(seed, "osc/sample");
-        let idx = delayspace::rng::sample_indices(&mut r, all.len(), k);
-        Self::new(idx.into_iter().map(|i| all[i]).collect())
+        let idx = delayspace::rng::sample_indices(&mut r, total, k);
+        // (edge index, draw slot), ascending by edge index.
+        let mut wanted: Vec<(usize, usize)> = idx.into_iter().zip(0..).collect();
+        wanted.sort_unstable();
+        let mut edges = vec![(0, 0); wanted.len()];
+        let mut wanted = wanted.into_iter().peekable();
+        for (e, (i, j, _)) in m.edges().enumerate() {
+            let Some(&(next, slot)) = wanted.peek() else { break };
+            if e == next {
+                edges[slot] = (i, j);
+                wanted.next();
+            }
+        }
+        Self::new(edges)
     }
 
     fn new(edges: Vec<(NodeId, NodeId)>) -> Self {
@@ -187,6 +204,23 @@ mod tests {
         assert_eq!(t.edges.len(), 50);
         let t_all = OscillationTracker::sampled(&m, 10_000, 3);
         assert_eq!(t_all.edges.len(), 30 * 29 / 2);
+    }
+
+    #[test]
+    fn sampled_tracker_keeps_the_collected_draw() {
+        // The construction `sampled` replaced: collect every measured
+        // edge, then index it by the draw. Holes make edge indices differ
+        // from pair positions, and k > 4096 takes the sampler's large path.
+        let m = DelayMatrix::from_fn(400, |i, j| {
+            ((i * 7 + j * 13) % 11 != 0).then_some((i.abs_diff(j) % 97) as f64 + 1.0)
+        });
+        let (k, seed) = (5_000, 17);
+        let all: Vec<(NodeId, NodeId)> = m.edges().map(|(i, j, _)| (i, j)).collect();
+        assert!(all.len() > k);
+        let mut r = delayspace::rng::sub_rng(seed, "osc/sample");
+        let idx = delayspace::rng::sample_indices(&mut r, all.len(), k);
+        let want: Vec<(NodeId, NodeId)> = idx.into_iter().map(|i| all[i]).collect();
+        assert_eq!(OscillationTracker::sampled(&m, k, seed).edges, want);
     }
 
     #[test]
