@@ -29,6 +29,7 @@ use delayspace::matrix::{DelayMatrix, NodeId};
 use delayspace::rng;
 use delayspace::stats::{BinnedStats, Cdf};
 use delayspace::store::{DelayStore, NodePair};
+use std::cmp::Ordering;
 
 /// Severity and violation-count tables for every edge of a delay
 /// space, stored once per unordered pair.
@@ -188,18 +189,37 @@ impl Severity {
 
     /// The `frac` (e.g. 0.2 = worst 20%) of measured edges with the
     /// highest severity, as unordered pairs sorted by descending
-    /// severity. Edges of `m` without a computed severity (NaN — see
-    /// [`Severity::edges`]) are excluded before the fraction is taken.
+    /// severity, ties in [`Severity::edges`] order. Edges of `m` without
+    /// a computed severity (NaN — see [`Severity::edges`]) are excluded
+    /// before the fraction is taken.
+    ///
+    /// The k-th worst severity is selected in place among the severities
+    /// alone; only the k edges kept — every edge above it and the first
+    /// at it — are collected and sorted.
     pub fn worst_edges(&self, m: &DelayMatrix, frac: f64) -> Vec<(NodeId, NodeId)> {
         assert!((0.0..=1.0).contains(&frac), "fraction {frac} outside [0,1]");
-        let mut edges: Vec<(NodeId, NodeId, f64)> =
-            self.edges(m).filter(|(_, _, s)| !s.is_nan()).collect();
+        let rated = || self.edges(m).filter(|(_, _, s)| !s.is_nan());
+        let mut scores: Vec<f64> = rated().map(|(_, _, s)| s).collect();
+        let k = ((scores.len() as f64) * frac).round() as usize;
+        if k == 0 {
+            return Vec::new();
+        }
         // total_cmp, not partial_cmp().unwrap(): even though NaNs are
         // filtered above, a comparator that cannot panic keeps this
         // safe against any future source of non-finite severities.
+        let (above, &mut cut, _) = scores.select_nth_unstable_by(k - 1, |a, b| b.total_cmp(a));
+        let mut ties = k - above.iter().filter(|s| s.total_cmp(&cut).is_gt()).count();
+        drop(scores);
+        let mut edges: Vec<(NodeId, NodeId, f64)> = Vec::with_capacity(k);
+        edges.extend(rated().filter(|(_, _, s)| match s.total_cmp(&cut) {
+            Ordering::Greater => true,
+            Ordering::Equal if ties > 0 => {
+                ties -= 1;
+                true
+            }
+            _ => false,
+        }));
         edges.sort_by(|a, b| b.2.total_cmp(&a.2));
-        let k = ((edges.len() as f64) * frac).round() as usize;
-        edges.truncate(k);
         edges.into_iter().map(|(i, j, _)| (i, j)).collect()
     }
 
@@ -774,6 +794,37 @@ mod tests {
         let max = sev.edges(s.matrix()).map(|(_, _, v)| v).fold(f64::MIN, f64::max);
         let (i, j) = worst[0];
         assert_eq!(sev.severity(i, j), Some(max));
+    }
+
+    #[test]
+    fn worst_edges_match_the_full_sort() {
+        // The full stable sort `worst_edges` replaced. Delays from a
+        // small set give many tied severities; edges measured after the
+        // severity pass read NaN.
+        let reference = |sev: &Severity, m: &DelayMatrix, frac: f64| {
+            let mut edges: Vec<_> = sev.edges(m).filter(|e| !e.2.is_nan()).collect();
+            edges.sort_by(|a, b| b.2.total_cmp(&a.2));
+            edges.truncate(((edges.len() as f64) * frac).round() as usize);
+            edges.into_iter().map(|(i, j, _)| (i, j)).collect::<Vec<_>>()
+        };
+        let full = DelayMatrix::from_complete_fn(60, |i, j| [10.0, 20.0, 30.0, 70.0][(i * j) % 4]);
+        let mut m = DelayMatrix::from_fn(60, |i, j| full.get(i, j).filter(|_| (i + j) % 9 != 0));
+        let sev = Severity::compute(&m, 0);
+        for (i, j, d) in full.edges().filter(|&(i, j, _)| (i + j) % 9 == 0) {
+            m.set(i, j, d);
+        }
+        assert!(sev.edges(&m).any(|e| e.2.is_nan()));
+        let violating = sev.edges(&m).filter(|e| e.2 > 0.0).count();
+        let distinct = {
+            let mut v: Vec<u64> = sev.edges(&m).map(|e| e.2.to_bits()).collect();
+            v.sort_unstable();
+            v.dedup();
+            v.len()
+        };
+        assert!(distinct * 4 < violating, "too few ties: {distinct} values, {violating} edges");
+        for frac in [0.0, 0.01, 0.05, 0.2, 0.37, 0.5, 0.9, 1.0] {
+            assert_eq!(sev.worst_edges(&m, frac), reference(&sev, &m, frac), "frac {frac}");
+        }
     }
 
     #[test]

@@ -54,10 +54,9 @@ pub fn build_tiv_aware(
 ) -> MeridianOverlay {
     let base = cfg.base;
     let (ts, tl) = (cfg.ts, cfg.tl);
-    let place = move |owner: NodeId, member: NodeId, measured: f64| -> Vec<(usize, f64)> {
-        let by_measured = base.ring_index(measured);
+    let place = move |owner: NodeId, member: NodeId, measured: f64| -> Option<(usize, f64)> {
         if measured <= 0.0 {
-            return vec![(by_measured, measured)];
+            return None;
         }
         let predicted = emb.predicted(owner, member);
         let ratio = predicted / measured;
@@ -67,11 +66,11 @@ pub fn build_tiv_aware(
             // (TIV-distorted) measured delay still consider the member.
             let predicted = predicted.max(0.1);
             let by_predicted = base.ring_index(predicted);
-            if by_predicted != by_measured {
-                return vec![(by_measured, measured), (by_predicted, predicted)];
+            if by_predicted != base.ring_index(measured) {
+                return Some((by_predicted, predicted));
             }
         }
-        vec![(by_measured, measured)]
+        None
     };
     MeridianOverlay::build(
         base,

@@ -352,9 +352,52 @@ impl Iterator for EdgeIter<'_> {
     }
 }
 
+/// Among `candidates` other than `client`, the one with the smallest
+/// `predict(candidate)` under [`f64::total_cmp`], the first of equals
+/// winning — the neighbor-selection primitive every delay predictor
+/// shares. Each candidate is predicted once.
+pub fn nearest_by(
+    client: NodeId,
+    candidates: &[NodeId],
+    mut predict: impl FnMut(NodeId) -> f64,
+) -> Option<NodeId> {
+    let mut best: Option<(NodeId, f64)> = None;
+    for &c in candidates.iter().filter(|&&c| c != client) {
+        let p = predict(c);
+        if best.map_or(true, |(_, b)| p.total_cmp(&b).is_lt()) {
+            best = Some((c, p));
+        }
+    }
+    best.map(|(c, _)| c)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nearest_by_matches_min_by_with_ties() {
+        // The double-evaluating `min_by` the predictors used, on values
+        // with ties, a NaN and both zeros.
+        let values = [3.0, 1.0, 4.0, 1.0, 5.0, 0.0, -0.0, f64::NAN, 0.0, 2.0];
+        let predict = |c: NodeId| values[c % values.len()];
+        let reference = |client: NodeId, candidates: &[NodeId]| {
+            candidates
+                .iter()
+                .copied()
+                .filter(|&c| c != client)
+                .min_by(|&a, &b| predict(a).total_cmp(&predict(b)))
+        };
+        let pools: [&[NodeId]; 6] =
+            [&[], &[4], &[0, 1, 2, 3], &[3, 1, 0], &[7, 2, 4], &[9, 8, 6, 5, 3, 1, 11, 13]];
+        for pool in pools {
+            for client in [0, 1, 3, 6, 99] {
+                assert_eq!(nearest_by(client, pool, predict), reference(client, pool));
+            }
+        }
+        // First of equals: candidates 1 and 3 tie at 1.0.
+        assert_eq!(nearest_by(0, &[3, 1], predict), Some(3));
+    }
 
     #[test]
     fn new_matrix_is_all_missing_except_diagonal() {

@@ -16,10 +16,29 @@ pub struct Cdf {
 
 impl Cdf {
     /// Builds a CDF from samples; non-finite samples are dropped.
+    ///
+    /// The sort is unstable, so it needs no scratch copy of the samples;
+    /// the result is the stable sort's, because two floats `total_cmp`
+    /// ranks equal have the same bits.
     pub fn from_samples(samples: impl IntoIterator<Item = f64>) -> Self {
         let mut sorted: Vec<f64> = samples.into_iter().filter(|v| v.is_finite()).collect();
-        sorted.sort_by(f64::total_cmp);
+        sorted.sort_unstable_by(f64::total_cmp);
         Cdf { sorted }
+    }
+
+    /// The 10/50/90 summary of the retained samples; `None` when there
+    /// are none. Equal to [`Percentiles::of`] over the same samples,
+    /// without copying them.
+    pub fn percentiles(&self) -> Option<Percentiles> {
+        if self.sorted.is_empty() {
+            return None;
+        }
+        Some(Percentiles {
+            p10: self.quantile(0.10),
+            p50: self.quantile(0.50),
+            p90: self.quantile(0.90),
+            count: self.len(),
+        })
     }
 
     /// Number of retained samples.
@@ -111,16 +130,7 @@ pub struct Percentiles {
 impl Percentiles {
     /// Computes the 10/50/90 summary; returns `None` for empty input.
     pub fn of(samples: impl IntoIterator<Item = f64>) -> Option<Self> {
-        let cdf = Cdf::from_samples(samples);
-        if cdf.is_empty() {
-            return None;
-        }
-        Some(Percentiles {
-            p10: cdf.quantile(0.10),
-            p50: cdf.quantile(0.50),
-            p90: cdf.quantile(0.90),
-            count: cdf.len(),
-        })
+        Cdf::from_samples(samples).percentiles()
     }
 }
 
@@ -218,6 +228,7 @@ pub fn mean(it: impl IntoIterator<Item = f64>) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
 
     #[test]
     fn cdf_eval_matches_definition() {
@@ -260,6 +271,26 @@ mod tests {
             assert!(w[1].1 >= w[0].1);
         }
         assert!((pts.last().unwrap().1 - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn unstable_sort_keeps_the_stable_sorts_bits() {
+        // The stable sort `from_samples` replaced, on duplicates, both
+        // zeros and non-finite values; and the summary read off the
+        // sorted samples against one built from a copy of them.
+        let mut r = crate::rng::rng(3);
+        let pool = [0.0, -0.0, 1.5, 1.5, -2.0, 7.25, f64::NAN, f64::INFINITY, 3.0];
+        for len in [0, 1, 2, 17, 500, 5_000] {
+            let samples: Vec<f64> = (0..len)
+                .map(|_| if r.gen_bool(0.5) { pool[r.gen_range(0..pool.len())] } else { r.gen() })
+                .collect();
+            let mut want: Vec<f64> = samples.iter().copied().filter(|v| v.is_finite()).collect();
+            want.sort_by(f64::total_cmp);
+            let cdf = Cdf::from_samples(samples.clone());
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(cdf.samples()), bits(&want), "len {len}");
+            assert_eq!(cdf.percentiles(), Percentiles::of(cdf.samples().iter().copied()));
+        }
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! | accuracy/recall sweep | 20, 21 | both finished figures |
 //! | dynamic-neighbor Vivaldi run | 22, 23 | both finished figures |
 //! | Vivaldi-original penalty CDF on DS² | 15, 16, 17 | its [`Cdf`] |
+//! | worst-20% severity mask on DS² | 17, 18 | its [`EdgeMask`] |
 //! | plain Meridian, normal setting, on DS² | 18, 24 | its [`MeridianPenalty`] |
 //! | plain Meridian, idealized setting, on DS² | 14, 25 | its [`MeridianPenalty`] |
 //!
@@ -33,6 +34,7 @@ use delayspace::stats::Cdf;
 use delayspace::synth::{Dataset, InternetDelaySpace};
 use simnet::net::{JitterModel, Network};
 use std::sync::{Arc, OnceLock};
+use tivcore::filter::EdgeMask;
 use tivcore::severity::Severity;
 use vivaldi::{Embedding, VivaldiConfig, VivaldiSystem};
 
@@ -57,6 +59,8 @@ pub struct Lab {
     pub(crate) fig22_23: OnceLock<(Figure, Figure)>,
     /// Vivaldi's penalty CDF on DS², shared by figures 15, 16 and 17.
     pub(crate) vivaldi_baseline: OnceLock<Cdf>,
+    /// The DS² severity-filter mask, shared by figures 17 and 18.
+    pub(crate) severity_mask: OnceLock<EdgeMask>,
     /// Plain Meridian's normal-setting run, shared by figures 18 and 24.
     pub(crate) meridian_original: OnceLock<MeridianPenalty>,
     /// Plain Meridian's idealized DS² run, shared by figures 14 and 25.
@@ -87,6 +91,7 @@ impl Lab {
             fig20_21: OnceLock::new(),
             fig22_23: OnceLock::new(),
             vivaldi_baseline: OnceLock::new(),
+            severity_mask: OnceLock::new(),
             meridian_original: OnceLock::new(),
             ideal_meridian_ds2: OnceLock::new(),
         }
@@ -213,8 +218,12 @@ mod tests {
     fn shared_runs_come_from_one_computation() {
         // (first figure, partners): the first caches the shared run, the
         // partners must read it; the marker below proves they did.
-        let cases: [(&str, &[&str]); 3] =
-            [("fig18", &["fig24"]), ("fig14", &["fig25"]), ("fig15", &["fig16", "fig17"])];
+        let cases: [(&str, &[&str]); 4] = [
+            ("fig18", &["fig24"]),
+            ("fig14", &["fig25"]),
+            ("fig15", &["fig16", "fig17"]),
+            ("fig17", &["fig18"]),
+        ];
         for (first, partners) in cases {
             let mut lab = Lab::new(ExperimentScale::Tiny, 5);
             let mut csvs = vec![crate::suite::run(first, &lab).unwrap().figure.to_csv()];
@@ -232,6 +241,23 @@ mod tests {
             // negative fraction or penalty): a partner that recomputed
             // would not print it.
             let missing = format!("{first} did not cache its shared run");
+            if first == "fig17" {
+                // A mask that removes every edge strands every filtered
+                // overlay: a partner that rebuilt the mask would print
+                // the figure it printed before.
+                let n = lab.space(Dataset::Ds2).matrix().len();
+                let mask = lab.severity_mask.get_mut().expect(&missing);
+                for i in 0..n {
+                    for j in i + 1..n {
+                        mask.remove(i, j);
+                    }
+                }
+                for (id, want) in partners.iter().zip(&csvs[1..]) {
+                    let got = crate::suite::run(id, &lab).unwrap().figure.to_csv();
+                    assert_ne!(&got, want, "{id} rebuilt the mask {first} cached");
+                }
+                continue;
+            }
             match first {
                 "fig18" => {
                     lab.meridian_original.get_mut().expect(&missing).exact_fraction = -4321.0

@@ -53,6 +53,16 @@ pub fn meridian_original(lab: &Lab) -> &MeridianPenalty {
     })
 }
 
+/// The Section 4.3 mask on DS² (the worst [`FILTER_FRACTION`] of edges
+/// by severity) that figures 17 and 18 filter with, built once per lab
+/// by whichever of the two asks first.
+fn severity_mask(lab: &Lab) -> &EdgeMask {
+    lab.severity_mask.get_or_init(|| {
+        let space = lab.space(Dataset::Ds2);
+        EdgeMask::worst_severity(space.matrix(), &lab.severity(Dataset::Ds2), FILTER_FRACTION)
+    })
+}
+
 /// Figure 15: IDES versus original Vivaldi.
 ///
 /// IDES is fit in its deployable landmark configuration (20 landmarks
@@ -153,10 +163,7 @@ fn vivaldi_with_mask(lab: &Lab, mask: &EdgeMask) -> Cdf {
 /// Figure 17: Vivaldi with the global TIV-severity filter versus
 /// original Vivaldi.
 pub fn fig17(lab: &Lab) -> Figure {
-    let space = lab.space(Dataset::Ds2);
-    let sev = lab.severity(Dataset::Ds2);
-    let mask = EdgeMask::worst_severity(space.matrix(), &sev, FILTER_FRACTION);
-    let filt_cdf = vivaldi_with_mask(lab, &mask);
+    let filt_cdf = vivaldi_with_mask(lab, severity_mask(lab));
     let viv_cdf = vivaldi_baseline(lab);
     Figure::new(
         "fig17",
@@ -178,9 +185,8 @@ pub fn fig17(lab: &Lab) -> Figure {
 /// original Meridian (normal setting).
 pub fn fig18(lab: &Lab) -> Figure {
     let space = lab.space(Dataset::Ds2);
-    let sev = lab.severity(Dataset::Ds2);
     let m = space.matrix();
-    let mask = EdgeMask::worst_severity(m, &sev, FILTER_FRACTION);
+    let mask = severity_mask(lab);
     let members = lab.scale().meridian_members(Dataset::Ds2);
     let runs = lab.scale().runs();
     let cfg = MeridianConfig::default();

@@ -10,7 +10,7 @@
 use crate::linalg::Mat;
 use crate::nmf;
 use crate::svd;
-use delayspace::matrix::{DelayMatrix, NodeId};
+use delayspace::matrix::{nearest_by, DelayMatrix, NodeId};
 use delayspace::stats::Cdf;
 
 /// Which factorization backs the model.
@@ -187,11 +187,7 @@ impl IdesModel {
     /// Among `candidates`, the node with the smallest predicted delay to
     /// `client`.
     pub fn select_nearest(&self, client: NodeId, candidates: &[NodeId]) -> Option<NodeId> {
-        candidates
-            .iter()
-            .copied()
-            .filter(|&c| c != client)
-            .min_by(|&a, &b| self.predicted(client, a).total_cmp(&self.predicted(client, b)))
+        nearest_by(client, candidates, |c| self.predicted(client, c))
     }
 }
 
@@ -288,6 +284,34 @@ mod tests {
         let model = IdesModel::fit(space.matrix(), 4, Factorization::Nmf, 3);
         let sel = model.select_nearest(0, &[5, 10, 15]).unwrap();
         assert!([5, 10, 15].contains(&sel));
+    }
+
+    #[test]
+    fn select_nearest_matches_min_by_with_ties() {
+        // Rows repeat, so predictions tie; negative products clamp to a
+        // tied 0. The reference is the double-evaluating `min_by`.
+        let n = 9;
+        let (mut out, mut inc) = (Mat::zeros(n, 2), Mat::zeros(n, 2));
+        for i in 0..n {
+            out.set(i, 0, (i % 3) as f64 + 1.0);
+            out.set(i, 1, 1.0);
+            inc.set(i, 0, [2.0, -5.0, 2.0, 0.5][i % 4]);
+            inc.set(i, 1, [1.0, 1.0, 1.0, 1.5][i % 4]);
+        }
+        let model = IdesModel { out, inc };
+        let reference =
+            |client: NodeId, candidates: &[NodeId]| {
+                candidates.iter().copied().filter(|&c| c != client).min_by(|&a, &b| {
+                    model.predicted(client, a).total_cmp(&model.predicted(client, b))
+                })
+            };
+        let all: Vec<NodeId> = (0..n).collect();
+        let backwards: Vec<NodeId> = (0..n).rev().collect();
+        for client in 0..n {
+            for pool in [&all[..], &backwards[..], &[0, 2, 4][..], &[client][..]] {
+                assert_eq!(model.select_nearest(client, pool), reference(client, pool));
+            }
+        }
     }
 
     #[test]

@@ -10,9 +10,16 @@
 //! * an **edge filter** — the naive severity-filter strawman of
 //!   Section 4.3 forbids using the worst-TIV edges for ring
 //!   construction;
-//! * a **placement function** — the TIV-aware variant of Section 5.3
-//!   places suspicious members into *two* rings (by measured and by
-//!   predicted delay).
+//! * a **placement hook** — the TIV-aware variant of Section 5.3 also
+//!   places suspicious members into a *second* ring (by predicted
+//!   delay). Every member's primary entry is filed by measured delay;
+//!   the hook only names the optional supplementary entry of each
+//!   member that survives capacity enforcement.
+//!
+//! Each candidate is distinct (members are asserted distinct and the
+//! owner is never its own candidate), so the primary rings are filled
+//! by appending, without the duplicate scan of
+//! [`MeridianNode::insert`].
 
 use crate::rings::{MeridianConfig, MeridianNode, RingMember};
 use delayspace::matrix::NodeId;
@@ -20,24 +27,26 @@ use delayspace::rng;
 use rand::seq::SliceRandom;
 use simnet::net::Network;
 
-/// Decides which ring entries a measured member produces. The default
-/// ([`Placement::ByMeasuredDelay`]) is plain Meridian; `Custom` receives
-/// `(owner, member, measured_delay)` and returns `(ring, recorded_delay)`
-/// entries — the TIV-aware dual placement of Section 5.3 returns a
-/// second entry filed under the member's *predicted* delay, which is
-/// what makes it visible to query annuli the measured delay misses.
+/// Decides which ring entries a measured member produces. Every member
+/// gets one *primary* entry in the ring chosen by its measured delay,
+/// recorded under that delay; the primaries compete for the ring's `k`
+/// slots.
 ///
-/// The **first** returned entry is the primary placement and competes
-/// for the ring's `k` slots; any further entries are supplementary and
-/// are added after capacity enforcement (the paper's dual placements
-/// enlarge rings — "in the worst case, a ring member will be placed
-/// into two rings" — rather than evicting regular members).
+/// `Custom` adds *supplementary* entries: after capacity enforcement it
+/// is called once per retained primary member with `(owner, member,
+/// measured_delay)` and may return one extra `(ring, recorded_delay)`
+/// entry. The TIV-aware dual placement of Section 5.3 returns one filed
+/// under the member's *predicted* delay, which is what makes it visible
+/// to query annuli the measured delay misses. Supplementary entries
+/// enlarge rings ("in the worst case, a ring member will be placed into
+/// two rings") rather than evicting regular members; one that names the
+/// member's own primary ring is ignored.
 pub enum Placement<'a> {
-    /// Standard Meridian: a single entry in the ring chosen by measured
-    /// delay, recorded under that delay.
+    /// Standard Meridian: primary entries only.
     ByMeasuredDelay,
-    /// Custom placement (TIV-aware dual placement).
-    Custom(&'a dyn Fn(NodeId, NodeId, f64) -> Vec<(usize, f64)>),
+    /// Primary entries plus the hook's supplementary ones (TIV-aware
+    /// dual placement).
+    Custom(&'a dyn Fn(NodeId, NodeId, f64) -> Option<(usize, f64)>),
 }
 
 /// Options for overlay construction.
@@ -116,13 +125,7 @@ impl MeridianOverlay {
                     }
                 }
                 let Some(d) = net.probe(owner, member) else { continue };
-                let (ring, delay) = match &opts.placement {
-                    Placement::ByMeasuredDelay => (config.ring_index(d), d),
-                    Placement::Custom(f) => {
-                        *f(owner, member, d).first().expect("placement returned no entry")
-                    }
-                };
-                node.insert(ring, RingMember { node: member, delay });
+                node.push_distinct(config.ring_index(d), RingMember { node: member, delay: d });
             }
             node.enforce_capacity(&config, &mut r);
             // Supplementary (dual) placements apply to the *retained*
@@ -134,7 +137,7 @@ impl MeridianOverlay {
             if let Placement::Custom(f) = &opts.placement {
                 let retained: Vec<RingMember> = node.members().collect();
                 for m in retained {
-                    for (ring, delay) in f(owner, m.node, m.delay).into_iter().skip(1) {
+                    if let Some((ring, delay)) = f(owner, m.node, m.delay) {
                         node.insert(ring, RingMember { node: m.node, delay });
                     }
                 }
@@ -277,11 +280,7 @@ mod tests {
             let cfg = MeridianConfig::default();
             let a = cfg.ring_index(d);
             let b = (a + 1).min(cfg.num_rings);
-            if a == b {
-                vec![(a, d)]
-            } else {
-                vec![(a, d), (b, d * 2.0)]
-            }
+            (a != b).then_some((b, d * 2.0))
         };
         let ov = MeridianOverlay::build(
             MeridianConfig::default(),
@@ -292,6 +291,126 @@ mod tests {
         );
         // Each node placed each of the 4 others twice.
         assert_eq!(ov.node(0).unwrap().member_count(), 8);
+    }
+
+    /// The placement hook `build` used to take: every entry of a probed
+    /// candidate, the primary first.
+    type AllEntries<'a> = &'a dyn Fn(NodeId, NodeId, f64) -> Vec<(usize, f64)>;
+
+    /// The construction `build` replaced: every candidate filed through
+    /// `insert`'s duplicate scan, and a placement hook that returns the
+    /// primary entry first and is called for every probed candidate.
+    fn build_reference(
+        config: MeridianConfig,
+        members: &[NodeId],
+        net: &mut Network<'_>,
+        seed: u64,
+        gossip_sample: Option<usize>,
+        edge_filter: Option<&dyn Fn(NodeId, NodeId) -> bool>,
+        placement: Option<AllEntries<'_>>,
+    ) -> Vec<MeridianNode> {
+        let mut r = rng::sub_rng(seed, "meridian/build");
+        let mut nodes = Vec::new();
+        for &owner in members {
+            let mut node = MeridianNode::new(owner, &config);
+            let mut candidates: Vec<NodeId> =
+                members.iter().copied().filter(|&m| m != owner).collect();
+            if let Some(g) = gossip_sample {
+                candidates.shuffle(&mut r);
+                candidates.truncate(g);
+            }
+            for member in candidates {
+                if edge_filter.is_some_and(|f| !f(owner, member)) {
+                    continue;
+                }
+                let Some(d) = net.probe(owner, member) else { continue };
+                let (ring, delay) = match placement {
+                    None => (config.ring_index(d), d),
+                    Some(f) => f(owner, member, d)[0],
+                };
+                node.insert(ring, RingMember { node: member, delay });
+            }
+            node.enforce_capacity(&config, &mut r);
+            if let Some(f) = placement {
+                let retained: Vec<RingMember> = node.members().collect();
+                for m in retained {
+                    for (ring, delay) in f(owner, m.node, m.delay).into_iter().skip(1) {
+                        node.insert(ring, RingMember { node: m.node, delay });
+                    }
+                }
+            }
+            nodes.push(node);
+        }
+        nodes
+    }
+
+    #[test]
+    fn build_matches_the_scanning_reference() {
+        let s = InternetDelaySpace::preset(Dataset::Ds2).with_nodes(120).build(8);
+        let m = s.matrix();
+        let cfg = MeridianConfig::default();
+        let members: Vec<NodeId> = (0..120).filter(|i| i % 4 != 1).collect();
+        let filter = |a: NodeId, b: NodeId| (a * 7 + b * 7) % 5 != 0;
+        // The TIV-aware dual placement's shape, over a stand-in
+        // prediction: a member whose predicted/measured ratio leaves
+        // [0.6, 2] is also filed by its predicted delay.
+        let predicted = |o: NodeId, x: NodeId| ((o * 13 + x * 29) % 400) as f64 + 0.5;
+        let extra = move |o: NodeId, x: NodeId, d: f64| {
+            let ratio = predicted(o, x) / d;
+            let ring = cfg.ring_index(predicted(o, x));
+            (!(0.6..=2.0).contains(&ratio) && ring != cfg.ring_index(d))
+                .then(|| (ring, predicted(o, x)))
+        };
+        let old_dual = move |o: NodeId, x: NodeId, d: f64| {
+            let mut entries = vec![(cfg.ring_index(d), d)];
+            entries.extend(extra(o, x, d));
+            entries
+        };
+        let cases: [(&str, BuildOptions<'_>); 4] = [
+            ("full", BuildOptions::default()),
+            ("gossip", BuildOptions { gossip_sample: Some(30), ..Default::default() }),
+            ("filter", BuildOptions { edge_filter: Some(&filter), ..Default::default() }),
+            (
+                "dual",
+                BuildOptions {
+                    gossip_sample: Some(60),
+                    placement: Placement::Custom(&extra),
+                    ..Default::default()
+                },
+            ),
+        ];
+        for (name, opts) in cases {
+            let mut net = Network::new(m, JitterModel::None, 5);
+            let ov = MeridianOverlay::build(cfg, members.clone(), &mut net, 5, &opts);
+            let mut ref_net = Network::new(m, JitterModel::None, 5);
+            let want = build_reference(
+                cfg,
+                &members,
+                &mut ref_net,
+                5,
+                opts.gossip_sample,
+                opts.edge_filter,
+                matches!(opts.placement, Placement::Custom(_))
+                    .then_some(&old_dual as AllEntries<'_>),
+            );
+            assert_eq!(net.stats().total(), ref_net.stats().total(), "{name}");
+            assert_eq!(ov.nodes().count(), want.len(), "{name}");
+            let mut dual_entries = 0;
+            for (got, want) in ov.nodes().zip(&want) {
+                assert_eq!(got.id, want.id, "{name}");
+                for ring in 1..=cfg.num_rings {
+                    let at = format!("{name}: node {} ring {ring}", got.id);
+                    assert_eq!(got.ring(ring), want.ring(ring), "{at}");
+                    assert_eq!(got.secondary(ring), want.secondary(ring), "{at}");
+                }
+                let mut ids: Vec<NodeId> = got.members().map(|x| x.node).collect();
+                ids.sort_unstable();
+                ids.dedup();
+                dual_entries += got.member_count() - ids.len();
+            }
+            // Only the dual placement files a member twice, and it must.
+            assert_eq!(dual_entries > 0, name == "dual", "{name}: {dual_entries} dual entries");
+        }
     }
 
     #[test]

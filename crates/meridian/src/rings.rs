@@ -100,6 +100,15 @@ impl MeridianNode {
         }
     }
 
+    /// Appends `member` to ring `ring` (1-based) without
+    /// [`MeridianNode::insert`]'s duplicate scan: the caller files each
+    /// node at most once per ring.
+    pub(crate) fn push_distinct(&mut self, ring: usize, member: RingMember) {
+        let slot = &mut self.rings[ring - 1];
+        debug_assert!(slot.iter().all(|m| m.node != member.node), "{} filed twice", member.node);
+        slot.push(member);
+    }
+
     /// Applies the k/l capacity limits: keeps a random subset of `k`
     /// primaries per ring and demotes up to `l` of the evicted members
     /// to the secondary set.

@@ -95,13 +95,7 @@ impl Coord {
     /// Predicted delay to `other`: Euclidean distance plus both
     /// heights.
     pub fn distance(&self, other: &Coord) -> f64 {
-        debug_assert_eq!(self.v.len(), other.v.len());
-        self.euclidean(other) + self.h + other.h
-    }
-
-    #[inline]
-    fn euclidean(&self, other: &Coord) -> f64 {
-        self.v.iter().zip(&other.v).map(|(a, b)| (a - b) * (a - b)).sum::<f64>().sqrt()
+        predicted_delay(&self.v, self.h, &other.v, other.h)
     }
 
     /// Euclidean norm of the planar part plus the height.
@@ -116,28 +110,45 @@ impl Coord {
     /// predicted delay, per the Vivaldi height-model rules). When the
     /// planar parts coincide the direction is chosen randomly.
     ///
+    /// Allocates nothing at any dimensionality unless the points
+    /// coincide: the direction is recomputed component by component
+    /// where it is applied.
+    ///
     /// Returns the displacement magnitude actually applied (|step|).
     pub fn nudge_away_from(&mut self, other: &Coord, step: f64, rng: &mut DetRng) -> f64 {
         debug_assert_eq!(self.v.len(), other.v.len());
-        let mut dir: Vec<f64> = self.v.iter().zip(&other.v).map(|(a, b)| a - b).collect();
         let dir_h = self.h + other.h;
-        let mut norm = (dir.iter().map(|a| a * a).sum::<f64>() + dir_h * dir_h).sqrt();
+        let planar = self.v.iter().zip(&other.v).map(|(a, b)| (a - b) * (a - b)).sum::<f64>();
+        let mut norm = (planar + dir_h * dir_h).sqrt();
         if norm < 1e-12 {
             // Coincident points: random unit direction (planar only;
             // heights separate naturally once the plane does).
-            for d in &mut dir {
-                *d = rng.gen_range(-1.0..1.0);
+            let dir: Vec<f64> = (0..self.v.len()).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            norm = dir.iter().map(|d| d * d).sum::<f64>().sqrt().max(1e-12);
+            for (c, d) in self.v.iter_mut().zip(&dir) {
+                *c += step * d / norm;
             }
-            norm = dir.iter().map(|a| a * a).sum::<f64>().sqrt().max(1e-12);
-        }
-        for (c, d) in self.v.iter_mut().zip(&dir) {
-            *c += step * d / norm;
+        } else {
+            for (c, o) in self.v.iter_mut().zip(&other.v) {
+                let d = *c - o;
+                *c += step * d / norm;
+            }
         }
         // Height moves along its own (always positive) axis and is
         // clamped at the floor.
         self.h = (self.h + step * dir_h / norm).max(0.0);
         step.abs()
     }
+}
+
+/// The predicted delay between two points given by their planar
+/// components and heights: the Euclidean distance of `a` and `b` plus
+/// both heights. [`Coord::distance`] computes it on its fields, the
+/// oscillation tracker on its flat copy of a round's coordinates.
+#[inline]
+pub(crate) fn predicted_delay(a: &[f64], ha: f64, b: &[f64], hb: f64) -> f64 {
+    debug_assert_eq!(a.len(), b.len());
+    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum::<f64>().sqrt() + ha + hb
 }
 
 #[cfg(test)]
@@ -180,6 +191,69 @@ mod tests {
         let b = Coord::origin(5);
         a.nudge_away_from(&b, 1.0, &mut r);
         assert!((a.distance(&b) - 1.0).abs() < 1e-9);
+    }
+
+    /// The collect-then-apply loop `nudge_away_from` replaced, kept as
+    /// the reference its allocation-free form must match bit for bit.
+    fn nudge_reference(a: &mut Coord, other: &Coord, step: f64, rng: &mut DetRng) -> f64 {
+        let mut dir: Vec<f64> = a.v.iter().zip(&other.v).map(|(x, y)| x - y).collect();
+        let dir_h = a.h + other.h;
+        let mut norm = (dir.iter().map(|d| d * d).sum::<f64>() + dir_h * dir_h).sqrt();
+        if norm < 1e-12 {
+            for d in &mut dir {
+                *d = rng.gen_range(-1.0..1.0);
+            }
+            norm = dir.iter().map(|d| d * d).sum::<f64>().sqrt().max(1e-12);
+        }
+        for (c, d) in a.v.iter_mut().zip(&dir) {
+            *c += step * d / norm;
+        }
+        a.h = (a.h + step * dir_h / norm).max(0.0);
+        step.abs()
+    }
+
+    #[test]
+    fn nudge_matches_the_collecting_reference() {
+        let mut draw = rng::rng(9);
+        for dims in [1, 2, 5, 9, 17] {
+            for heights in [false, true] {
+                for coincident in [false, true] {
+                    for round in 0..20 {
+                        let mut a = if heights {
+                            Coord::random_with_height(dims, 50.0, &mut draw)
+                        } else {
+                            Coord::random(dims, 50.0, &mut draw)
+                        };
+                        let b = if coincident {
+                            // Same plane and zero heights: the random path.
+                            Coord::from_vec(a.v.clone())
+                        } else if heights {
+                            Coord::random_with_height(dims, 50.0, &mut draw)
+                        } else {
+                            Coord::random(dims, 50.0, &mut draw)
+                        };
+                        if coincident {
+                            a.h = 0.0;
+                        }
+                        let step: f64 = draw.gen_range(-30.0..30.0);
+                        let seed = (dims * 1000 + round) as u64;
+                        let (mut want, mut want_rng) = (a.clone(), rng::rng(seed));
+                        let (mut got, mut got_rng) = (a, rng::rng(seed));
+                        let w = nudge_reference(&mut want, &b, step, &mut want_rng);
+                        let g = got.nudge_away_from(&b, step, &mut got_rng);
+                        let ctx = format!("dims {dims} heights {heights} coincident {coincident}");
+                        assert_eq!(g.to_bits(), w.to_bits(), "{ctx}");
+                        let bits = |c: &Coord| -> Vec<u64> {
+                            c.v.iter().chain([&c.h]).map(|x| x.to_bits()).collect()
+                        };
+                        assert_eq!(bits(&got), bits(&want), "{ctx}");
+                        // Both generators must have advanced alike: the
+                        // next draw tells.
+                        assert_eq!(got_rng.gen::<u64>(), want_rng.gen::<u64>(), "{ctx}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! snapshot (Section 5.1, Figure 19).
 
 use crate::coord::Coord;
-use delayspace::matrix::{DelayMatrix, NodeId};
+use delayspace::matrix::{nearest_by, DelayMatrix, NodeId};
 use delayspace::stats::Cdf;
 
 /// A frozen embedding: one coordinate per node.
@@ -104,11 +104,7 @@ impl Embedding {
     /// to `client` — the embedding-driven neighbor selection primitive
     /// used by every penalty experiment.
     pub fn select_nearest(&self, client: NodeId, candidates: &[NodeId]) -> Option<NodeId> {
-        candidates
-            .iter()
-            .copied()
-            .filter(|&c| c != client)
-            .min_by(|&a, &b| self.predicted(client, a).total_cmp(&self.predicted(client, b)))
+        nearest_by(client, candidates, |c| self.predicted(client, c))
     }
 }
 
@@ -160,6 +156,31 @@ mod tests {
         assert_eq!(e.select_nearest(0, &[1, 2]), Some(1));
         assert_eq!(e.select_nearest(2, &[0, 1]), Some(1));
         assert_eq!(e.select_nearest(1, &[1]), None); // only self
+    }
+
+    #[test]
+    fn select_nearest_matches_min_by_with_ties() {
+        // Coordinates repeat, so predictions tie; the reference is the
+        // double-evaluating `min_by`, which keeps the first of equals.
+        let e = Embedding::new(
+            (0..10).map(|i| Coord::from_vec(vec![(i % 4) as f64 * 3.0, 1.0])).collect(),
+        );
+        let reference = |client: NodeId, candidates: &[NodeId]| {
+            candidates
+                .iter()
+                .copied()
+                .filter(|&c| c != client)
+                .min_by(|&a, &b| e.predicted(client, a).total_cmp(&e.predicted(client, b)))
+        };
+        let all: Vec<NodeId> = (0..10).collect();
+        let backwards: Vec<NodeId> = (0..10).rev().collect();
+        for client in 0..10 {
+            for pool in [&all[..], &backwards[..], &[4, 8, 0][..], &[client][..]] {
+                assert_eq!(e.select_nearest(client, pool), reference(client, pool));
+            }
+        }
+        // Nodes 4 and 8 sit at the same point as node 0: first wins.
+        assert_eq!(e.select_nearest(0, &[8, 4]), Some(8));
     }
 
     #[test]

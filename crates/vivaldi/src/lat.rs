@@ -14,7 +14,7 @@
 //! *neighbor selection* (Figure 16), which we reproduce.
 
 use crate::embedding::Embedding;
-use delayspace::matrix::{DelayMatrix, NodeId};
+use delayspace::matrix::{nearest_by, DelayMatrix, NodeId};
 use delayspace::rng;
 
 /// An embedding augmented with per-node localized adjustment terms.
@@ -76,11 +76,7 @@ impl LatModel {
     /// Among `candidates`, the node with the smallest LAT-predicted
     /// delay to `client`.
     pub fn select_nearest(&self, client: NodeId, candidates: &[NodeId]) -> Option<NodeId> {
-        candidates
-            .iter()
-            .copied()
-            .filter(|&c| c != client)
-            .min_by(|&a, &b| self.predicted(client, a).total_cmp(&self.predicted(client, b)))
+        nearest_by(client, candidates, |c| self.predicted(client, c))
     }
 }
 

@@ -74,7 +74,7 @@ pub struct RunStats {
 impl RunStats {
     /// 10/50/90 summary of the movement speed.
     pub fn movement_percentiles(&self) -> Option<Percentiles> {
-        Percentiles::of(self.movement.samples().iter().copied())
+        self.movement.percentiles()
     }
 }
 
@@ -175,6 +175,11 @@ impl VivaldiSystem {
         self.coords[i].distance(&self.coords[j])
     }
 
+    /// The current coordinates, one per node.
+    pub(crate) fn coords(&self) -> &[Coord] {
+        &self.coords
+    }
+
     /// Freezes the current coordinates into an [`Embedding`].
     pub fn embedding(&self) -> Embedding {
         Embedding::new(self.coords.clone())
@@ -200,9 +205,14 @@ impl VivaldiSystem {
         let step = delta * (rtt - dist);
         // Positive step (rtt > dist) pushes i away from j to stretch the
         // spring; negative pulls it in.
-        let other = self.coords[j].clone();
-        let moved = self.coords[i].nudge_away_from(&other, step, &mut self.rng);
-        Some(moved)
+        let (me, other) = if i < j {
+            let (head, tail) = self.coords.split_at_mut(j);
+            (&mut head[i], &tail[0])
+        } else {
+            let (head, tail) = self.coords.split_at_mut(i);
+            (&mut tail[0], &head[j])
+        };
+        Some(me.nudge_away_from(other, step, &mut self.rng))
     }
 
     /// Runs `rounds` rounds (1 round = every node does one step against

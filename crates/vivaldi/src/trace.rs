@@ -7,6 +7,7 @@
 //! predictions swinging by up to hundreds of milliseconds even for
 //! 10 ms edges.
 
+use crate::coord::predicted_delay;
 use crate::system::VivaldiSystem;
 use delayspace::matrix::{DelayMatrix, NodeId};
 use delayspace::stats::BinnedStats;
@@ -63,6 +64,9 @@ pub struct OscillationTracker {
     min: Vec<f64>,
     max: Vec<f64>,
     samples: usize,
+    /// The round's coordinates, node-major, `dims` components then the
+    /// height per node; refilled by every [`OscillationTracker::record`].
+    flat: Vec<f64>,
 }
 
 impl OscillationTracker {
@@ -106,20 +110,33 @@ impl OscillationTracker {
             min: vec![f64::INFINITY; n],
             max: vec![f64::NEG_INFINITY; n],
             samples: 0,
+            flat: Vec::new(),
         }
     }
 
     /// Samples the current predictions; call once per round.
+    ///
+    /// Each prediction is [`Coord::distance`](crate::Coord::distance)'s
+    /// formula, read from one contiguous copy of the round's
+    /// coordinates; the extremes are updated with selects, not
+    /// branches, which the hardware cannot predict.
     pub fn record(&mut self, sys: &VivaldiSystem) {
         self.samples += 1;
-        for (e, &(i, j)) in self.edges.iter().enumerate() {
-            let p = sys.predicted(i, j);
-            if p < self.min[e] {
-                self.min[e] = p;
-            }
-            if p > self.max[e] {
-                self.max[e] = p;
-            }
+        let coords = sys.coords();
+        let dims = coords[0].dims();
+        let stride = dims + 1;
+        self.flat.clear();
+        for c in coords {
+            self.flat.extend_from_slice(c.as_slice());
+            self.flat.push(c.height());
+        }
+        let flat = &self.flat[..];
+        let tracked = self.edges.iter().zip(self.min.iter_mut().zip(self.max.iter_mut()));
+        for (&(i, j), (lo, hi)) in tracked {
+            let (a, b) = (&flat[i * stride..][..stride], &flat[j * stride..][..stride]);
+            let p = predicted_delay(&a[..dims], a[dims], &b[..dims], b[dims]);
+            *lo = if p < *lo { p } else { *lo };
+            *hi = if p > *hi { p } else { *hi };
         }
     }
 
@@ -221,6 +238,37 @@ mod tests {
         let idx = delayspace::rng::sample_indices(&mut r, all.len(), k);
         let want: Vec<(NodeId, NodeId)> = idx.into_iter().map(|i| all[i]).collect();
         assert_eq!(OscillationTracker::sampled(&m, k, seed).edges, want);
+    }
+
+    #[test]
+    fn record_matches_a_predicted_loop() {
+        // The per-edge `sys.predicted` loop `record` replaced, with and
+        // without heights, over a sampled edge set that repeats nodes.
+        let m = DelayMatrix::from_complete_fn(40, |i, j| ((i * 31 + j * 17) % 89) as f64 + 2.0);
+        for use_height in [false, true] {
+            let cfg =
+                VivaldiConfig { dims: 3, neighbors: 6, use_height, ..VivaldiConfig::default() };
+            let mut sys = VivaldiSystem::new(cfg, m.len(), 4);
+            let mut net = Network::new(&m, JitterModel::None, 4);
+            let mut osc = OscillationTracker::sampled(&m, 300, 4);
+            let (mut min, mut max) = (vec![f64::INFINITY; 300], vec![f64::NEG_INFINITY; 300]);
+            let edges = osc.edges.clone();
+            sys.run_rounds_observed(&mut net, 30, |_, s| {
+                osc.record(s);
+                for (e, &(i, j)) in edges.iter().enumerate() {
+                    let p = s.predicted(i, j);
+                    if p < min[e] {
+                        min[e] = p;
+                    }
+                    if p > max[e] {
+                        max[e] = p;
+                    }
+                }
+            });
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&osc.min), bits(&min), "use_height {use_height}");
+            assert_eq!(bits(&osc.max), bits(&max), "use_height {use_height}");
+        }
     }
 
     #[test]
