@@ -121,7 +121,7 @@ pub fn accuracy_recall_sweeps(
         Some(d) if d > 0.0 => emb.predicted(i, j) / d,
         _ => f64::NAN,
     };
-    let mut ratios = Vec::new();
+    let mut ratios = Vec::with_capacity(m.edges().count());
     let mut positive = 0usize;
     for (i, j, d) in m.edges() {
         positive += usize::from(d > 0.0);

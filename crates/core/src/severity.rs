@@ -199,7 +199,8 @@ impl Severity {
     pub fn worst_edges(&self, m: &DelayMatrix, frac: f64) -> Vec<(NodeId, NodeId)> {
         assert!((0.0..=1.0).contains(&frac), "fraction {frac} outside [0,1]");
         let rated = || self.edges(m).filter(|(_, _, s)| !s.is_nan());
-        let mut scores: Vec<f64> = rated().map(|(_, _, s)| s).collect();
+        let mut scores: Vec<f64> = Vec::with_capacity(rated().count());
+        scores.extend(rated().map(|(_, _, s)| s));
         let k = ((scores.len() as f64) * frac).round() as usize;
         if k == 0 {
             return Vec::new();

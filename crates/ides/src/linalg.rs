@@ -85,8 +85,8 @@ impl Mat {
     /// `y = selfᵀ · x` (transposed matrix–vector product) with up to
     /// `threads` workers. With one effective worker it sweeps the rows,
     /// adding each row's contribution into `y`. With more it
-    /// materialises the transpose in a blocked scratch pass (see
-    /// [`Mat::transposed`]) and computes each output element as a
+    /// materialises the transpose in a blocked scratch pass (32×32
+    /// tiles) and computes each output element as a
     /// contiguous row dot — unit-stride loads that autovectorise,
     /// instead of a strided column walk per element. Either way `y[c]`
     /// accumulates over rows in ascending order, so the result is
@@ -112,7 +112,7 @@ impl Mat {
     /// four cache lines per row, so both the source and destination
     /// stay resident while the tile flips, instead of one of the two
     /// streaming a full row of cache misses per element).
-    pub fn transposed(&self) -> Mat {
+    pub(crate) fn transposed(&self) -> Mat {
         const TILE: usize = 32;
         let mut t = Mat::zeros(self.cols, self.rows);
         for r0 in (0..self.rows).step_by(TILE) {
@@ -130,7 +130,7 @@ impl Mat {
     }
 
     /// Subtracts the rank-1 outer product `σ·u·vᵀ` in place (deflation).
-    pub fn deflate(&mut self, sigma: f64, u: &[f64], v: &[f64]) {
+    pub(crate) fn deflate(&mut self, sigma: f64, u: &[f64], v: &[f64]) {
         assert_eq!(u.len(), self.rows);
         assert_eq!(v.len(), self.cols);
         for (r, &ur) in u.iter().enumerate() {
@@ -141,8 +141,9 @@ impl Mat {
         }
     }
 
-    /// Frobenius norm.
-    pub fn frobenius(&self) -> f64 {
+    /// Frobenius norm (the tests' residual measure).
+    #[cfg(test)]
+    pub(crate) fn frobenius(&self) -> f64 {
         self.data.iter().map(|a| a * a).sum::<f64>().sqrt()
     }
 }

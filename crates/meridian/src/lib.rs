@@ -4,7 +4,7 @@
 //! SIGCOMM 2005), the recursive-probing neighbor-selection mechanism
 //! studied by the IMC'07 TIV paper:
 //!
-//! * [`rings`] — per-node concentric ring structure (`α`, `s`, `k`, `l`),
+//! * [`rings`] — per-node concentric ring structure (`α`, `s`, `k`),
 //! * [`overlay`] — the ring-construction stage, with the edge-filter and
 //!   custom-placement hooks the paper's experiments need,
 //! * [`query`] — the recursive closest-neighbor query with the `β`
@@ -34,7 +34,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod maintenance;
 pub mod misplace;
 pub mod overlay;
 pub mod query;

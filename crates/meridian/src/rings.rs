@@ -4,8 +4,7 @@
 //! into a finite number of concentric, non-overlapping rings based on
 //! its measured delay to them. Ring `i` (1-based) has inner radius
 //! `α·s^(i−1)` and outer radius `α·s^i`; the paper uses `α = 1 ms`,
-//! `s = 2`, 11 rings, at most `k = 16` primary members per ring and
-//! `l = 4` secondary (backup) members per ring.
+//! `s = 2`, 11 rings and at most `k = 16` members per ring.
 
 use delayspace::matrix::NodeId;
 use delayspace::rng::DetRng;
@@ -22,18 +21,13 @@ pub struct MeridianConfig {
     pub num_rings: usize,
     /// Maximum primary members per ring (paper: 16).
     pub k: usize,
-    /// Secondary (backup) members retained per ring (paper: 4). These
-    /// are not probed during queries; they refill rings when primaries
-    /// are evicted, and we surface them for the under-population
-    /// analysis of Figure 18.
-    pub l: usize,
     /// Acceptance threshold `β` of the recursive query (paper: 0.5).
     pub beta: f64,
 }
 
 impl Default for MeridianConfig {
     fn default() -> Self {
-        MeridianConfig { alpha: 1.0, s: 2.0, num_rings: 11, k: 16, l: 4, beta: 0.5 }
+        MeridianConfig { alpha: 1.0, s: 2.0, num_rings: 11, k: 16, beta: 0.5 }
     }
 }
 
@@ -75,18 +69,12 @@ pub struct MeridianNode {
     pub id: NodeId,
     /// Primary members, `rings[i]` holding ring `i+1` (≤ k entries each).
     rings: Vec<Vec<RingMember>>,
-    /// Secondary members per ring (≤ l entries each).
-    secondary: Vec<Vec<RingMember>>,
 }
 
 impl MeridianNode {
     /// An empty node.
     pub fn new(id: NodeId, cfg: &MeridianConfig) -> Self {
-        MeridianNode {
-            id,
-            rings: vec![Vec::new(); cfg.num_rings],
-            secondary: vec![Vec::new(); cfg.num_rings],
-        }
+        MeridianNode { id, rings: vec![Vec::new(); cfg.num_rings] }
     }
 
     /// Inserts `member` into ring `ring` (1-based) without capacity
@@ -109,9 +97,8 @@ impl MeridianNode {
         slot.push(member);
     }
 
-    /// Applies the k/l capacity limits: keeps a random subset of `k`
-    /// primaries per ring and demotes up to `l` of the evicted members
-    /// to the secondary set.
+    /// Applies the `k` capacity limit: shuffles each over-full ring and
+    /// keeps its first `k` members, a uniform random subset.
     ///
     /// Meridian proper maximises ring-member hypervolume when evicting;
     /// a uniform random subset preserves the property the paper's
@@ -119,12 +106,10 @@ impl MeridianNode {
     /// without the coordinate machinery, and is the standard
     /// simplification (noted in DESIGN.md §1).
     pub fn enforce_capacity(&mut self, cfg: &MeridianConfig, rng: &mut DetRng) {
-        for (ring, sec) in self.rings.iter_mut().zip(self.secondary.iter_mut()) {
+        for ring in &mut self.rings {
             if ring.len() > cfg.k {
                 ring.shuffle(rng);
-                let evicted = ring.split_off(cfg.k);
-                sec.clear();
-                sec.extend(evicted.into_iter().take(cfg.l));
+                ring.truncate(cfg.k);
             }
         }
     }
@@ -132,11 +117,6 @@ impl MeridianNode {
     /// Primary members of ring `i` (1-based).
     pub fn ring(&self, i: usize) -> &[RingMember] {
         &self.rings[i - 1]
-    }
-
-    /// Secondary members of ring `i` (1-based).
-    pub fn secondary(&self, i: usize) -> &[RingMember] {
-        &self.secondary[i - 1]
     }
 
     /// Number of rings.
@@ -176,12 +156,13 @@ impl MeridianNode {
     }
 
     /// Primary members of every ring whose radius range intersects
-    /// `[(1−β)·d, (1+β)·d]` — the candidate set the recursive query
-    /// actually probes. The ring granularity matters: a member misfiled
-    /// by a TIV is invisible to queries whose annulus misses its ring,
-    /// and the TIV-aware dual placement of Section 5.3 works precisely
-    /// by also filing suspicious members in the ring their *predicted*
-    /// delay selects.
+    /// `[(1−β)·d, (1+β)·d]`, each peer once: a superset of
+    /// [`MeridianNode::members_in_annulus`], the set the recursive query
+    /// probes. The ring granularity matters: a member misfiled by a TIV
+    /// is invisible to queries whose annulus misses its ring, and the
+    /// TIV-aware dual placement of Section 5.3 works precisely by also
+    /// filing suspicious members in the ring their *predicted* delay
+    /// selects.
     pub fn members_in_overlapping_rings(
         &self,
         cfg: &MeridianConfig,
@@ -203,36 +184,6 @@ impl MeridianNode {
             }
         }
         out
-    }
-
-    /// Mutable access to a ring's secondary set (1-based), used by the
-    /// maintenance operations.
-    pub(crate) fn secondary_mut(&mut self, i: usize) -> &mut Vec<RingMember> {
-        &mut self.secondary[i - 1]
-    }
-
-    /// Replaces the primary entry at `slot` of ring `i`, returning the
-    /// evicted member.
-    pub(crate) fn replace_primary(
-        &mut self,
-        i: usize,
-        slot: usize,
-        member: RingMember,
-    ) -> RingMember {
-        std::mem::replace(&mut self.rings[i - 1][slot], member)
-    }
-
-    /// Removes `peer` from ring `i`'s primaries; true when present.
-    pub(crate) fn remove_primary(&mut self, i: usize, peer: NodeId) -> bool {
-        let ring = &mut self.rings[i - 1];
-        let before = ring.len();
-        ring.retain(|m| m.node != peer);
-        ring.len() != before
-    }
-
-    /// Pops one secondary of ring `i`, if any.
-    pub(crate) fn pop_secondary(&mut self, i: usize) -> Option<RingMember> {
-        self.secondary[i - 1].pop()
     }
 
     /// Fraction of rings (among those that would be populated in an
@@ -291,15 +242,29 @@ mod tests {
 
     #[test]
     fn capacity_enforcement_keeps_k_and_demotes_l() {
-        let cfg = MeridianConfig { k: 4, l: 2, ..MeridianConfig::default() };
+        let cfg = MeridianConfig { k: 4, ..MeridianConfig::default() };
         let mut node = MeridianNode::new(0, &cfg);
-        for i in 0..10 {
-            node.insert(2, RingMember { node: 100 + i, delay: 3.0 });
+        // Ring 1 is at capacity: it must keep its order and draw nothing,
+        // or ring 2's shuffle below would differ from the reference's.
+        let full: Vec<RingMember> = (0..4).map(|i| RingMember { node: i, delay: 0.5 }).collect();
+        let inserted: Vec<RingMember> =
+            (0..10).map(|i| RingMember { node: 100 + i, delay: 3.0 }).collect();
+        for &m in &full {
+            node.insert(1, m);
+        }
+        for &m in &inserted {
+            node.insert(2, m);
         }
         let mut r = rng::rng(1);
         node.enforce_capacity(&cfg, &mut r);
-        assert_eq!(node.ring(2).len(), 4);
-        assert_eq!(node.secondary(2).len(), 2);
+        // The figures depend on these exact draws: one shuffle of the
+        // whole over-full ring with the caller's generator, then its
+        // first k.
+        let mut want = inserted;
+        want.shuffle(&mut rng::rng(1));
+        want.truncate(cfg.k);
+        assert_eq!(node.ring(1), &full[..]);
+        assert_eq!(node.ring(2), &want[..]);
     }
 
     #[test]
@@ -390,7 +355,7 @@ mod proptests {
             delays in proptest::collection::vec(0.5f64..2000.0, 0..80),
             k in 1usize..8,
         ) {
-            let cfg = MeridianConfig { k, l: 2, ..MeridianConfig::default() };
+            let cfg = MeridianConfig { k, ..MeridianConfig::default() };
             let mut node = MeridianNode::new(0, &cfg);
             for (i, &d) in delays.iter().enumerate() {
                 node.insert(cfg.ring_index(d), RingMember { node: 100 + i, delay: d });
@@ -399,7 +364,6 @@ mod proptests {
             node.enforce_capacity(&cfg, &mut r);
             for ring in 1..=cfg.num_rings {
                 prop_assert!(node.ring(ring).len() <= k);
-                prop_assert!(node.secondary(ring).len() <= 2);
             }
         }
 

@@ -21,7 +21,6 @@
 //! [`tivserve`] call — and a new query kind needs no edit here.
 
 use crate::client::GateClient;
-use crate::proto::{Request, Response};
 use delayspace::NodePair;
 use std::io;
 use std::net::SocketAddr;
@@ -132,27 +131,6 @@ impl Front {
         }
         Ok(ReplyBatch::gather(query, shares))
     }
-
-    /// Pings every replica, returning `(epoch, nodes)` per replica.
-    pub fn ping_all(&mut self) -> io::Result<Vec<(u64, u32)>> {
-        let mut out = Vec::with_capacity(self.clients.len());
-        for i in 0..self.clients.len() {
-            let id = self.fresh_id();
-            match self.clients[i].call(&Request::Ping { id })? {
-                Response::Pong { epoch, nodes, .. } => out.push((epoch, nodes)),
-                other => return Err(unexpected(other)),
-            }
-        }
-        Ok(out)
-    }
-}
-
-fn unexpected(resp: Response) -> io::Error {
-    let detail = match resp {
-        Response::Error { code, message, .. } => format!("error frame [{code}]: {message}"),
-        other => format!("unexpected response kind for id {}", other.id()),
-    };
-    io::Error::new(io::ErrorKind::InvalidData, detail)
 }
 
 #[cfg(test)]

@@ -182,13 +182,24 @@ fn wire_equals_in_process_with_four_replicas() {
 #[test]
 fn epoch_publish_is_atomic_at_batch_boundaries() {
     let (handle, _) = deployment(3);
-    let mut front = Front::connect(&handle.addrs()).expect("front connect");
-    for (epoch, nodes) in front.ping_all().expect("ping") {
+    let mut clients: Vec<GateClient> =
+        handle.addrs().iter().map(|&a| GateClient::connect(a).expect("connect")).collect();
+    // `(epoch, nodes)` as each replica's Pong reports it.
+    let mut pongs = || -> Vec<(u64, u32)> {
+        (1..)
+            .zip(clients.iter_mut())
+            .map(|(id, c)| match c.call(&Request::Ping { id }).expect("ping") {
+                Response::Pong { epoch, nodes, .. } => (epoch, nodes),
+                other => panic!("ping {id} answered with {other:?}"),
+            })
+            .collect()
+    };
+    for (epoch, nodes) in pongs() {
         assert_eq!(epoch, 0);
         assert_eq!(nodes as usize, SMALL_NODES);
     }
     publish_next_epoch(&handle);
-    for (epoch, _) in front.ping_all().expect("ping") {
+    for (epoch, _) in pongs() {
         assert_eq!(epoch, 1, "a replica lagged behind the publish");
     }
     handle.shutdown().expect("clean shutdown");
